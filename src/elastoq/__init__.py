@@ -43,6 +43,7 @@ from .experiments import (
 )
 from .hamiltonian import (
     HamiltonianModel,
+    Propagator,
     TermKey,
     apply_H,
     bound_first_order_commutator,
@@ -71,6 +72,7 @@ __all__ = [
     "MaterialParams",
     "PhysicalState",
     "PreparedState",
+    "Propagator",
     "TermKey",
     "apply_H",
     "apply_K",

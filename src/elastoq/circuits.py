@@ -35,15 +35,13 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .hamiltonian import (
     HamiltonianModel,
+    Propagator,
     TermKey,
     ZERO_EIGENVALUE_TOL,
-    apply_H,
     materialize_sparse_H,
-    operator_norm_bound,
     term_angle,
     u1_step_cnots,
     u2_step_cnots,
@@ -339,127 +337,51 @@ class EvolveResult:
 
     state: np.ndarray
     method: str
-    substeps: int
-    residual: float
 
 
-@dataclass(frozen=True)
-class KrylovOptions:
-    """Lanczos propagator tuning; defaults are a safe Hermitian-expm regime."""
+@dataclass(frozen=True, eq=False)
+class DenseSpectrum:
+    """Dense eigendecomposition of the materialized generator.
 
-    krylov_dim: int = 30
-    tol: float = 1e-10
-    max_norm_dt: float = 10.0
-    max_refinements: int = 12
-
-
-def _tridiag_phases(alphas, betas, dt):
-    evals, evecs = scipy.linalg.eigh_tridiagonal(alphas, betas)
-    return evecs @ (np.exp(-1j * dt * evals) * evecs[0].conj())
-
-
-def _lanczos_step(matvec, v: np.ndarray, dt: float, m: int,
-                  step_tol: float = 0.0) -> tuple[np.ndarray, float]:
-    """One step w ~= exp(-i*dt*A) v with an m-dim Krylov space; returns (w, est).
-
-    Stops early once the residual estimate drops below step_tol (checked every
-    few iterations via the small tridiagonal problem).
+    The independent reference for the spectral Propagator, with the same
+    spectral-coordinate interface (to_spectral, from_spectral, phases).
     """
-    beta0 = np.linalg.norm(v)
-    if beta0 == 0:
-        return v.copy(), 0.0
-    basis = np.empty((m, v.shape[0]), dtype=complex)
-    basis[0] = v / beta0
-    alphas: list[float] = []
-    betas: list[float] = []
-    m_eff, happy = m, False
-    u = None
-    for jj in range(m):
-        w = matvec(basis[jj])
-        if jj > 0:
-            w = w - betas[jj - 1] * basis[jj - 1]
-        a = float(np.real(np.vdot(basis[jj], w)))
-        w = w - a * basis[jj]
-        # full reorthogonalization; m is small so the cost is negligible
-        w = w - basis[: jj + 1].conj() @ w @ basis[: jj + 1]
-        alphas.append(a)
-        b = float(np.linalg.norm(w))
-        if b < 1e-14 * max(1.0, abs(a)):
-            m_eff, happy = jj + 1, True
-            break
-        betas.append(b)
-        if jj + 1 == m:
-            break
-        basis[jj + 1] = w / b
-        if step_tol > 0 and (jj + 1) % 4 == 0:
-            u = _tridiag_phases(alphas, betas[:jj], dt)
-            if beta0 * b * abs(u[-1]) < step_tol / 4:
-                m_eff = jj + 1
-                break
-        u = None
-    if u is None:
-        u = _tridiag_phases(alphas[:m_eff], betas[: m_eff - 1], dt)
-    w_out = beta0 * (basis[:m_eff].T @ u)
-    est = 0.0 if happy else float(beta0 * betas[m_eff - 1] * abs(u[-1]))
-    return w_out, est
 
+    eigenvalues: np.ndarray
+    vectors: np.ndarray
 
-def lanczos_expm_multiply(matvec, v: np.ndarray, t: float, norm_bound: float,
-                          options: KrylovOptions = KrylovOptions()) -> tuple[np.ndarray, int, float]:
-    """Compute exp(-i*t*A) v for Hermitian A via restarted Lanczos substeps.
+    @classmethod
+    def build(cls, model: HamiltonianModel) -> "DenseSpectrum":
+        evals, evecs = np.linalg.eigh(materialize_sparse_H(model).toarray())
+        return cls(evals, evecs)
 
-    Substeps keep norm_bound * dt at or below options.max_norm_dt; the run is
-    restarted with doubled substep count until the accumulated residual
-    estimate meets options.tol.  Returns (result, substeps, residual).
-    """
-    if t == 0:
-        return v.copy(), 0, 0.0
-    nsub = max(1, math.ceil(abs(t) * norm_bound / options.max_norm_dt))
-    total = math.inf
-    for _ in range(options.max_refinements):
-        dt = t / nsub
-        w = v
-        total = 0.0
-        ok = True
-        for _ in range(nsub):
-            w, est = _lanczos_step(matvec, w, dt, options.krylov_dim,
-                                   step_tol=options.tol / nsub)
-            total += est
-            if total > options.tol:
-                ok = False
-                break
-        if ok:
-            return w, nsub, total
-        nsub *= 2
-    raise RuntimeError(
-        f"Krylov propagator did not reach residual {options.tol:.1e} "
-        f"within {nsub // 2} substeps (achieved estimate {total:.3e})"
-    )
+    def to_spectral(self, psi: np.ndarray) -> np.ndarray:
+        return self.vectors.conj().T @ psi
+
+    def from_spectral(self, coeffs: np.ndarray) -> np.ndarray:
+        return self.vectors @ coeffs
+
+    def phases(self, t: float) -> np.ndarray:
+        return np.exp(-1j * t * self.eigenvalues)
 
 
 def exact_evolve(model: HamiltonianModel, T: float, psi: np.ndarray,
-                 method: str = "auto", dense_dim_cap: int = 4096,
-                 krylov: KrylovOptions = KrylovOptions()) -> EvolveResult:
-    """Evolve a state by the exact propagator over time T.
+                 method: str = "auto") -> EvolveResult:
+    """Evolve a state (dim,) or batch (dim, b) by the exact propagator over time T.
 
-    Dense eigendecomposition when the dimension fits dense_dim_cap (or when
-    forced), a residual-controlled Lanczos propagator otherwise.
+    "auto" uses the spectral Propagator at any size; "dense" eigendecomposes
+    the materialized generator (the independent test oracle; small models only).
     """
     if psi.shape[0] != model.dim:
         raise ValueError(f"state length {psi.shape[0]} != 2^{model.qubits}")
     if method == "auto":
-        method = "dense" if model.dim <= dense_dim_cap else "krylov"
+        return EvolveResult(state=Propagator(model).evolve(psi, T), method="spectral")
     if method == "dense":
-        h_dense = materialize_sparse_H(model).toarray()
-        evals, evecs = np.linalg.eigh(h_dense)
-        out = evecs @ (np.exp(-1j * evals * T) * (evecs.conj().T @ psi.astype(complex)))
-        return EvolveResult(state=out, method="dense", substeps=1, residual=0.0)
-    if method == "krylov":
-        out, nsub, res = lanczos_expm_multiply(
-            lambda x: apply_H(model, x), psi.astype(complex), T,
-            norm_bound=operator_norm_bound(model), options=krylov)
-        return EvolveResult(state=out, method="krylov", substeps=nsub, residual=res)
-    raise ValueError(f"method must be auto, dense, or krylov, got {method!r}")
+        dense = DenseSpectrum.build(model)
+        phases = dense.phases(T).reshape((-1,) + (1,) * (psi.ndim - 1))
+        out = dense.from_spectral(phases * dense.to_spectral(psi.astype(complex)))
+        return EvolveResult(state=out, method="dense")
+    raise ValueError(f"method must be auto or dense, got {method!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -13,12 +13,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 import scipy.sparse as sp
 
-from .circuits import KrylovOptions, lanczos_expm_multiply
-from .hamiltonian import HamiltonianModel
+from .hamiltonian import HamiltonianModel, Propagator, operator_norm_bound
 from .lattice import apply_d_axis, d_axis_matrix
-from .media import wave_speed_scale
 
 #: Dense-oracle cap on the 9*N^3 sector dimension (n = 2 still fits).
 DENSE_SECTOR_CAP = 5000
@@ -97,11 +96,6 @@ def estimate_l_norm(model: HamiltonianModel, rel_tol: float = 1e-6,
         sigma2 = nw
         v = w / nw
     return math.sqrt(sigma2)
-
-
-def l_norm_bound(model: HamiltonianModel) -> float:
-    """Closed-form bound 3 * sqrt(||S^-1||/rho) / h on the coupling norm."""
-    return 3.0 * wave_speed_scale(model.params) / model.shape.h
 
 
 @dataclass(frozen=True)
@@ -198,31 +192,21 @@ def dense_leapfrog_matrix(model: HamiltonianModel, tau: float) -> np.ndarray:
 
 
 def exact_sector_evolve(model: HamiltonianModel, T: float, state: PhysicalState,
-                        method: str = "auto",
-                        krylov: KrylovOptions = KrylovOptions()) -> tuple[PhysicalState, str]:
-    """Exact flow exp(T*K) of the sector generator; dense or Lanczos."""
+                        method: str = "auto") -> tuple[PhysicalState, str]:
+    """Exact flow exp(T*K) of the sector generator.
+
+    iK is the generator restricted to the physical components, so "auto" runs
+    the spectral Propagator on the q, r layout; "dense" exponentiates the
+    independently assembled dense generator (test oracle, small sectors).
+    """
     points = model.shape.points
-    dim = 9 * points**3
     if method == "auto":
-        method = "dense" if dim <= DENSE_SECTOR_CAP else "krylov"
+        return PhysicalState.from_flat(Propagator(model).evolve(state.flat(), T),
+                                       points), "spectral"
     if method == "dense":
-        h_k = 1j * dense_generator(model)  # Hermitian version of K
-        evals, evecs = np.linalg.eigh(h_k)
-        out = evecs @ (np.exp(-1j * evals * T) * (evecs.conj().T @ state.flat().astype(complex)))
+        out = scipy.linalg.expm(T * dense_generator(model)) @ state.flat()
         return PhysicalState.from_flat(out, points), "dense"
-    if method == "krylov":
-        split = 3 * points**3
-
-        def matvec(x: np.ndarray) -> np.ndarray:
-            st = PhysicalState(q=x[:split].reshape(3, points, points, points),
-                               r=x[split:].reshape(6, points, points, points))
-            ks = apply_K(model, st)
-            return 1j * ks.flat()
-
-        out, _, _ = lanczos_expm_multiply(matvec, state.flat().astype(complex), T,
-                                          norm_bound=l_norm_bound(model), options=krylov)
-        return PhysicalState.from_flat(out, points), "krylov"
-    raise ValueError(f"method must be auto, dense, or krylov, got {method!r}")
+    raise ValueError(f"method must be auto or dense, got {method!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -286,9 +270,7 @@ def local_error_certificate(model: HamiltonianModel, tau: float) -> CertificateR
     l_norm = estimate_l_norm(model)
     if tau * l_norm > 1.0:
         raise ValueError(f"local error bound needs tau * ||L|| <= 1, got {tau * l_norm:.6g}")
-    h_k = 1j * dense_generator(model)
-    evals, evecs = np.linalg.eigh(h_k)
-    exact = (evecs * np.exp(-1j * evals * tau)) @ evecs.conj().T
+    exact = Propagator(model).evolve(np.eye(9 * model.shape.points**3), tau)
     defect = float(np.linalg.norm(exact - dense_leapfrog_matrix(model, tau), 2))
     certified = 0.5 * tau**3 * l_norm**3
     return CertificateReport(name="local-error", measured=defect, certified=certified,
@@ -307,31 +289,6 @@ def _adjoint_leapfrog_step(model: HamiltonianModel, state: PhysicalState,
 #: Above this sector dimension the global certificate switches from the exact
 #: operator norm of the defect to a probe/power-iteration lower bound.
 EXACT_DEFECT_NORM_CAP = 1024
-
-
-def _sector_evolver(model: HamiltonianModel):
-    """Factor the exact sector flow once; returns evolve(flat_vec, t)."""
-    points = model.shape.points
-    dim = 9 * points**3
-    if dim <= DENSE_SECTOR_CAP:
-        evals, evecs = np.linalg.eigh(1j * dense_generator(model))
-
-        def evolve(vec: np.ndarray, t: float) -> np.ndarray:
-            return evecs @ (np.exp(-1j * evals * t) * (evecs.conj().T @ vec))
-    else:
-        split = 3 * points**3
-        bound = l_norm_bound(model)
-
-        def matvec(x: np.ndarray) -> np.ndarray:
-            st = PhysicalState(q=x[:split].reshape(3, points, points, points),
-                               r=x[split:].reshape(6, points, points, points))
-            return 1j * apply_K(model, st).flat()
-
-        def evolve(vec: np.ndarray, t: float) -> np.ndarray:
-            out, _, _ = lanczos_expm_multiply(matvec, vec.astype(complex), t, bound)
-            return out
-
-    return evolve
 
 
 def global_error_certificate(model: HamiltonianModel, config: LeapfrogConfig,
@@ -353,22 +310,19 @@ def global_error_certificate(model: HamiltonianModel, config: LeapfrogConfig,
     dim = 9 * points**3
     detail = (("T", config.T), ("tau", config.tau), ("steps", steps),
               ("eta", config.eta), ("l_norm", config.l_norm),
-              ("l_norm_bound", l_norm_bound(model)))
+              ("l_norm_bound", operator_norm_bound(model)))
     certified = config.c_eta / 2 * config.T * config.tau**2 * config.l_norm**3
 
+    propagator = Propagator(model)
     if dim <= exact_cap:
-        h_k = 1j * dense_generator(model)
-        evals, evecs = np.linalg.eigh(h_k)
-        exact = (evecs * np.exp(-1j * evals * config.T)) @ evecs.conj().T
+        exact = propagator.evolve(np.eye(dim), config.T)
         psi_m = np.linalg.matrix_power(dense_leapfrog_matrix(model, config.tau), steps)
         measured = float(np.linalg.norm(exact - psi_m, 2))
         return CertificateReport(name="global-error", measured=measured,
                                  certified=certified, method="dense", details=detail)
 
-    evolve = _sector_evolver(model)
-
     def defect(vec: np.ndarray, adjoint: bool = False) -> np.ndarray:
-        exact = evolve(vec, -config.T if adjoint else config.T)
+        exact = propagator.evolve(vec, -config.T if adjoint else config.T)
         st = PhysicalState.from_flat(vec, points)
         step = _adjoint_leapfrog_step if adjoint else leapfrog_step
         for _ in range(steps):
@@ -455,6 +409,6 @@ def cost_model(model: HamiltonianModel, T: float, epsilon: float,
     per_step = leapfrog_flops_per_point() * points**3
     return ClassicalCostReport(
         n=model.shape.n, points=points, T=T, epsilon=epsilon, eta=eta,
-        l_norm=l_norm, l_norm_bound=l_norm_bound(model), tau_max=tau_max,
+        l_norm=l_norm, l_norm_bound=operator_norm_bound(model), tau_max=tau_max,
         steps=steps, flops_per_step=per_step, total_flops=steps * per_step,
         memory_complex=9 * points**3)

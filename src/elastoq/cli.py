@@ -27,7 +27,7 @@ from .media import MaterialParams
 
 _BOUND_SCHEMES = ("first-norm", "first-commutator", "second")
 
-FULL_SCALE = {"n": 5, "T": 30.0, "taus": (0.1, 0.2, 0.5, 1.0), "oracle": "krylov"}
+FULL_SCALE = {"n": 5, "T": 30.0, "taus": (0.1, 0.2, 0.5, 1.0)}
 
 
 def _add_model_flags(parser: argparse.ArgumentParser) -> None:
@@ -49,7 +49,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="Trotter step size (repeatable)")
     run.add_argument("--init", choices=["pulse", "p", "s"], default=None)
     run.add_argument("--scheme", choices=["u1", "u2"], default=None)
-    run.add_argument("--oracle", choices=["dense", "krylov", "auto"], default=None)
+    run.add_argument("--oracle", choices=["auto", "dense"], default=None)
     run.add_argument("--out", default=None, help="output directory")
     run.add_argument("--clip", type=float, default=None,
                      help="clip fraction for exported field values")
@@ -57,7 +57,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="print the plan and gate accounts, produce no output")
     run.add_argument("--config", default=None, help="JSON config file")
     run.add_argument("--full-scale", action="store_true",
-                     help="n=5, T=30 full-scale run (Krylov oracle; slow)")
+                     help="n=5, T=30 full-scale run (19 qubits)")
 
     bounds = sub.add_parser("bounds", help="print error bound and gate cost tables")
     _add_model_flags(bounds)

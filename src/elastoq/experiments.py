@@ -17,12 +17,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .circuits import KrylovOptions, apply_block_fast, lanczos_expm_multiply
+from .circuits import DenseSpectrum, apply_block_fast
 from .hamiltonian import (
     HamiltonianModel,
-    apply_H,
-    materialize_sparse_H,
-    operator_norm_bound,
+    Propagator,
     qubit_count,
     u1_step_cnots,
     u2_step_cnots,
@@ -63,8 +61,8 @@ def validate_config(config: ExperimentConfig) -> None:
         raise ValueError(f"init must be pulse, p, or s, got {config.init!r}")
     if config.scheme not in ("u1", "u2"):
         raise ValueError(f"scheme must be u1 or u2, got {config.scheme!r}")
-    if config.oracle not in ("dense", "krylov", "auto"):
-        raise ValueError(f"oracle must be dense, krylov, or auto, got {config.oracle!r}")
+    if config.oracle not in ("auto", "dense"):
+        raise ValueError(f"oracle must be auto or dense, got {config.oracle!r}")
     if config.init == "pulse" and config.n < 2:
         raise ValueError("pulse initial state needs n >= 2")
     if config.init in ("p", "s") and config.n < 3:
@@ -86,7 +84,7 @@ def validate_config(config: ExperimentConfig) -> None:
     dim = 1 << qubit_count(config.n)
     if config.oracle == "dense" and dim > DENSE_ORACLE_CAP:
         raise ValueError(f"dense oracle rejected: dimension {dim} exceeds "
-                         f"{DENSE_ORACLE_CAP}; use krylov or auto")
+                         f"{DENSE_ORACLE_CAP}; use auto")
 
 
 def config_model(config: ExperimentConfig) -> HamiltonianModel:
@@ -203,30 +201,13 @@ def b_weighted_norm_sq(model: HamiltonianModel, psi: np.ndarray,
 # fidelity sweep
 # ---------------------------------------------------------------------------
 
-class _ExactStepper:
-    """Applies the exact one-step propagator repeatedly, dense or Krylov."""
-
-    def __init__(self, model: HamiltonianModel, tau: float, oracle: str):
-        if oracle == "auto":
-            oracle = "dense" if model.dim <= DENSE_ORACLE_CAP else "krylov"
-        self.method = oracle
-        self._model = model
-        self._tau = tau
-        if oracle == "dense":
-            h_dense = materialize_sparse_H(model).toarray()
-            evals, evecs = np.linalg.eigh(h_dense)
-            self._evecs = evecs
-            self._phases = np.exp(-1j * evals * tau)
-        elif oracle != "krylov":
-            raise ValueError(f"oracle must be dense, krylov, or auto, got {oracle!r}")
-
-    def step(self, psi: np.ndarray) -> np.ndarray:
-        if self.method == "dense":
-            return self._evecs @ (self._phases * (self._evecs.conj().T @ psi))
-        out, _, _ = lanczos_expm_multiply(
-            lambda x: apply_H(self._model, x), psi, self._tau,
-            norm_bound=operator_norm_bound(self._model), options=KrylovOptions())
-        return out
+def _exact_oracle(model: HamiltonianModel, oracle: str) -> Propagator | DenseSpectrum:
+    """The exact propagator of a sweep: spectral for auto, dense eigh on request."""
+    if oracle == "auto":
+        return Propagator(model)
+    if oracle == "dense":
+        return DenseSpectrum.build(model)
+    raise ValueError(f"oracle must be auto or dense, got {oracle!r}")
 
 
 @dataclass(frozen=True)
@@ -251,10 +232,20 @@ def fidelity_curve(model: HamiltonianModel, prepared: PreparedState, scheme: str
     snapshot_times (multiples of tau) capture (trotter, exact) state pairs for
     later field reconstruction.
     """
+    return _walk(model, prepared, scheme, tau, T, _exact_oracle(model, oracle),
+                 snapshot_times)
+
+
+def _walk(model: HamiltonianModel, prepared: PreparedState, scheme: str, tau: float,
+          T: float, exact: Propagator | DenseSpectrum,
+          snapshot_times: tuple[float, ...]) -> FidelityCurve:
+    """fidelity_curve against an already factored exact propagator."""
     steps = round(T / tau)
-    stepper = _ExactStepper(model, tau, oracle)
     psi_trotter = prepared.psi.copy()
-    psi_exact = prepared.psi.copy()
+    # The exact walk stays in spectral coordinates, c(m tau) = e^{-i lambda m tau} c(0),
+    # so a step transforms only the Trotter state; the overlap is basis-free.
+    coeffs = exact.to_spectral(prepared.psi)
+    step_phases = exact.phases(tau)
     times = np.arange(steps + 1) * tau
     fidelities = np.empty(steps + 1)
     # Both walks start from the identical prepared state, so F(0) = 1 exactly.
@@ -262,13 +253,13 @@ def fidelity_curve(model: HamiltonianModel, prepared: PreparedState, scheme: str
     wanted = {round(t / tau) for t in snapshot_times}
     snapshots: dict[float, tuple[np.ndarray, np.ndarray]] = {}
     if 0 in wanted:
-        snapshots[0.0] = (psi_trotter.copy(), psi_exact.copy())
+        snapshots[0.0] = (psi_trotter.copy(), prepared.psi.copy())
     for m in range(1, steps + 1):
         psi_trotter = apply_block_fast(model, scheme, tau, psi_trotter)
-        psi_exact = stepper.step(psi_exact)
-        fidelities[m] = abs(np.vdot(psi_exact, psi_trotter)) ** 2
+        coeffs = step_phases * coeffs
+        fidelities[m] = abs(np.vdot(coeffs, exact.to_spectral(psi_trotter))) ** 2
         if m in wanted:
-            snapshots[float(times[m])] = (psi_trotter.copy(), psi_exact.copy())
+            snapshots[float(times[m])] = (psi_trotter.copy(), exact.from_spectral(coeffs))
     return FidelityCurve(tau=tau, times=times, fidelities=fidelities,
                          snapshots=snapshots)
 
@@ -287,13 +278,18 @@ def run_fidelity_sweep(config: ExperimentConfig,
     """All configured step sizes; snapshots are taken on the smallest tau only."""
     validate_config(config)
     model = config_model(config)
-    prepared = build_initial_state(config, model)
+    return _sweep(config, model, build_initial_state(config, model), snapshot_times)
+
+
+def _sweep(config: ExperimentConfig, model: HamiltonianModel, prepared: PreparedState,
+           snapshot_times: tuple[float, ...]) -> dict[float, FidelityCurve]:
+    """run_fidelity_sweep on a built model and state; one exact oracle for all tau."""
+    exact = _exact_oracle(model, config.oracle)
     tau_min = min(config.taus)
 
     def job(tau: float) -> FidelityCurve:
         snaps = snapshot_times if tau == tau_min else ()
-        return fidelity_curve(model, prepared, config.scheme, tau, config.T,
-                              oracle=config.oracle, snapshot_times=snaps)
+        return _walk(model, prepared, config.scheme, tau, config.T, exact, snaps)
 
     workers = _worker_count(len(config.taus))
     if workers > 1:
@@ -367,7 +363,7 @@ def run_experiment(config: ExperimentConfig) -> dict:
     prepared = build_initial_state(config, model)
     tau_min = min(config.taus)
     snapshot_times = default_snapshot_times(config.T, tau_min)
-    curves = run_fidelity_sweep(config, snapshot_times=snapshot_times)
+    curves = _sweep(config, model, prepared, snapshot_times)
 
     curve_meta = {}
     for tau in config.taus:

@@ -25,6 +25,7 @@ from .media import (
     compliance_inverse_norm,
     eigendecompose_axis,
     wave_speed_scale,
+    PHYSICAL_DIM,
     STATE_DIM,
 )
 
@@ -118,6 +119,113 @@ def apply_H(model: HamiltonianModel, v: np.ndarray) -> np.ndarray:
 def operator_norm_bound(model: HamiltonianModel) -> float:
     """Closed-form upper bound 3 * sqrt(||S^-1||/rho) / h on the generator norm."""
     return 3.0 * wave_speed_scale(model.params) / model.shape.h
+
+
+#: exp(i * pi/2 * r) for r = 0..3, exact; P = diag(i^j) needs no rounding.
+_I_POWERS = np.array([1, 1j, -1, -1j])
+
+
+def _dst(grid: np.ndarray) -> np.ndarray:
+    """Orthonormal DST-I over the three spatial axes; its own inverse."""
+    import scipy.fft  # deferred: runs that never need the exact propagator skip it
+
+    return scipy.fft.dstn(grid, type=1, axes=(1, 2, 3), norm="ortho")
+
+
+@dataclass(frozen=True, eq=False, init=False)
+class Propagator:
+    """Exact propagator exp(-iHt) of the generator, diagonalised once.
+
+    Conjugating the zero-ghost central difference by P = diag(i^j) gives
+    -(1/2h) tridiag(1, 0, 1), which the orthonormal DST-I matrix Q
+    diagonalises: i*D = P Q diag(mu) Q P^-1 with mu_m = -cos(pi m/(N+1)) / h.
+    In the product mode basis H is block diagonal, one real symmetric block
+    sum_a mu_{m_a} M_a per 3D mode; M_a vanishes on the padding components
+    9..15, so only the 9x9 physical blocks are factored and the padding
+    passes through unchanged.
+
+    Spectral coordinates have the layout of the state: the physical part holds
+    eigen-coefficients (eigenindex-major, then mode), the padding part the
+    untouched amplitudes, and `eigenvalues` gives the matching generator
+    eigenvalue of every entry (zero on the padding).  States may be the full
+    16-component register or the 9-component physical sector (the classical
+    q, r layout), each with an optional trailing batch axis.
+    """
+
+    model: HamiltonianModel
+    eigenvalues: np.ndarray
+    _vectors: np.ndarray
+    _phase: np.ndarray
+
+    def __init__(self, model: HamiltonianModel):
+        points = model.shape.points
+        mu = -np.cos(np.pi * np.arange(1, points + 1) / (points + 1)) / model.shape.h
+        blocks = np.zeros((points, points, points, PHYSICAL_DIM, PHYSICAL_DIM))
+        for axis in (1, 2, 3):
+            grid_shape = [1, 1, 1, 1, 1]
+            grid_shape[axis - 1] = points
+            phys = model.axis_matrix(axis)[:PHYSICAL_DIM, :PHYSICAL_DIM]
+            blocks += mu.reshape(grid_shape) * phys
+        lambdas, vectors = np.linalg.eigh(blocks)
+        eigenvalues = np.zeros((STATE_DIM, points**3))
+        eigenvalues[:PHYSICAL_DIM] = lambdas.reshape(points**3, PHYSICAL_DIM).T
+        j = np.arange(points)
+        powers = (j[:, None, None] + j[None, :, None] + j[None, None, :]) % 4
+        for name, value in (("model", model),
+                            ("eigenvalues", eigenvalues.reshape(-1)),
+                            ("_vectors", vectors.reshape(points**3, PHYSICAL_DIM,
+                                                         PHYSICAL_DIM)),
+                            ("_phase", _I_POWERS[powers])):
+            if isinstance(value, np.ndarray):
+                value.setflags(write=False)
+            object.__setattr__(self, name, value)
+
+    def _grid(self, arr: np.ndarray) -> np.ndarray:
+        """Copy of a state as (components, N, N, N, batch...), complex."""
+        points = self.model.shape.points
+        cells = points**3
+        if arr.shape[0] not in (STATE_DIM * cells, PHYSICAL_DIM * cells):
+            raise ValueError(f"state length {arr.shape[0]} is neither "
+                             f"{STATE_DIM}*{cells} nor {PHYSICAL_DIM}*{cells}")
+        return np.array(arr, dtype=complex).reshape(
+            (-1, points, points, points) + arr.shape[1:])
+
+    def _phase_for(self, grid: np.ndarray) -> np.ndarray:
+        return self._phase.reshape(self._phase.shape + (1,) * (grid.ndim - 4))
+
+    def _mix(self, phys: np.ndarray, adjoint: bool) -> np.ndarray:
+        """Apply each mode's 9x9 eigenvector block (or its transpose)."""
+        v = self._vectors.transpose(0, 2, 1) if adjoint else self._vectors
+        cells = v.shape[0]
+        # the blocks are real: act on real and imaginary parts as 2b real columns
+        cols = phys.reshape(PHYSICAL_DIM, cells, -1).transpose(1, 0, 2).copy()
+        out = np.matmul(v, cols.view(float)).view(complex)
+        return out.transpose(1, 0, 2).reshape(phys.shape)
+
+    def to_spectral(self, psi: np.ndarray) -> np.ndarray:
+        """Coordinates of psi in the eigenbasis of the generator."""
+        grid = self._grid(psi)
+        phys = _dst(grid[:PHYSICAL_DIM] * self._phase_for(grid).conj())
+        grid[:PHYSICAL_DIM] = self._mix(phys, adjoint=True)
+        return grid.reshape(psi.shape)
+
+    def from_spectral(self, coeffs: np.ndarray) -> np.ndarray:
+        """Inverse of to_spectral (the DST-I is its own inverse)."""
+        grid = self._grid(coeffs)
+        phys = _dst(self._mix(grid[:PHYSICAL_DIM], adjoint=False))
+        grid[:PHYSICAL_DIM] = phys * self._phase_for(grid)
+        return grid.reshape(coeffs.shape)
+
+    def phases(self, t: float) -> np.ndarray:
+        """exp(-i*lambda*t) for every spectral entry of a full-register state."""
+        return np.exp(-1j * t * self.eigenvalues)
+
+    def evolve(self, psi: np.ndarray, t: float) -> np.ndarray:
+        """exp(-iHt) psi for any real t; no substeps."""
+        # a 9-component sector state takes the leading (physical) entries
+        phases = self.phases(t)[:psi.shape[0]]
+        return self.from_spectral(phases.reshape(phases.shape + (1,) * (psi.ndim - 1))
+                                  * self.to_spectral(psi))
 
 
 def materialize_sparse_H(model: HamiltonianModel,
@@ -260,7 +368,10 @@ def steps_and_cost(model: HamiltonianModel, T: float, epsilon: float,
     )
     # Ceiling slack: the integer total can exceed the closed form by at most
     # one step's worth of gates.
-    assert budget.total_cnot <= budget.formula_total_cnot + per_step
+    if not budget.total_cnot <= budget.formula_total_cnot + per_step:
+        raise RuntimeError(
+            f"total CNOT count {budget.total_cnot} exceeds the closed form "
+            f"{budget.formula_total_cnot:.6g} by more than one step ({per_step})")
     return budget
 
 
@@ -310,14 +421,13 @@ def empirical_trotter_error(model: HamiltonianModel, tau: float, scheme: str,
     Exact largest singular value when the dimension fits the dense cap,
     otherwise a lower bound from random unit probes.
     """
-    from .circuits import apply_block_fast, exact_evolve, scheme_unitary
+    from .circuits import apply_block_fast, scheme_unitary
 
     dim = model.dim
+    propagator = Propagator(model)
     if dim <= dense_dim_cap:
         u_trotter = scheme_unitary(model, scheme, tau)
-        h_dense = materialize_sparse_H(model).toarray()
-        evals, evecs = np.linalg.eigh(h_dense)
-        u_exact = (evecs * np.exp(-1j * evals * tau)) @ evecs.conj().T
+        u_exact = propagator.evolve(np.eye(dim), tau)
         value = float(np.linalg.norm(u_trotter - u_exact, 2))
         return DefectEstimate(value=value, exact=True)
 
@@ -326,6 +436,6 @@ def empirical_trotter_error(model: HamiltonianModel, tau: float, scheme: str,
     for _ in range(n_probes):
         v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
         v /= np.linalg.norm(v)
-        diff = apply_block_fast(model, scheme, tau, v) - exact_evolve(model, tau, v).state
+        diff = apply_block_fast(model, scheme, tau, v) - propagator.evolve(v, tau)
         worst = max(worst, float(np.linalg.norm(diff)))
     return DefectEstimate(value=worst, exact=False)

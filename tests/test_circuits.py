@@ -5,7 +5,6 @@ import scipy.linalg
 from elastoq.circuits import (
     Gate,
     GateProgram,
-    KrylovOptions,
     apply_block_fast,
     build_U1,
     build_U2,
@@ -13,7 +12,6 @@ from elastoq.circuits import (
     build_script_W,
     exact_evolve,
     ladder_qubit,
-    lanczos_expm_multiply,
     parse_program,
     program_unitary,
     scheme_unitary,
@@ -22,11 +20,9 @@ from elastoq.circuits import (
 )
 from elastoq.hamiltonian import (
     TermKey,
-    apply_H,
     build_model,
     materialize_sparse_H,
     materialize_term,
-    operator_norm_bound,
     term_angle,
 )
 from elastoq.lattice import s_cell_matrix
@@ -304,44 +300,33 @@ class TestExactEvolve:
         model = build_model(1, 1.0, REFERENCE_MEDIUM)
         rng = np.random.default_rng(12)
         psi = random_state(rng, model.dim)
-        for method in ("dense", "krylov"):
+        for method, label in (("dense", "dense"), ("auto", "spectral")):
             out = exact_evolve(model, 3.0, psi, method=method)
             assert np.linalg.norm(out.state) == pytest.approx(1.0, abs=1e-10)
-            assert out.method == method
+            assert out.method == label
 
-    def test_dense_vs_krylov(self):
+    def test_dense_vs_propagator(self):
         model = build_model(1, 1.0, REFERENCE_MEDIUM)
         rng = np.random.default_rng(13)
         psi = random_state(rng, model.dim)
         dense = exact_evolve(model, 5.0, psi, method="dense")
-        krylov = exact_evolve(model, 5.0, psi, method="krylov")
-        assert np.abs(dense.state - krylov.state).max() < 1e-8
+        spectral = exact_evolve(model, 5.0, psi)
+        assert np.abs(dense.state - spectral.state).max() < 1e-8
 
-    def test_auto_switches_on_dimension(self):
+    def test_auto_is_spectral(self):
         model = build_model(1, 1.0, REFERENCE_MEDIUM)
         psi = np.zeros(model.dim, dtype=complex)
         psi[0] = 1.0
-        assert exact_evolve(model, 0.1, psi).method == "dense"
-        assert exact_evolve(model, 0.1, psi, dense_dim_cap=64).method == "krylov"
+        assert exact_evolve(model, 0.1, psi).method == "spectral"
+        with pytest.raises(ValueError, match="method"):
+            exact_evolve(model, 0.1, psi, method="krylov")
 
-    def test_eigenvector_input_happy_breakdown(self):
+    def test_eigenvector_input_picks_up_phase(self):
         model = build_model(1, 1.0, REFERENCE_MEDIUM)
         evals, evecs = np.linalg.eigh(materialize_sparse_H(model).toarray())
         vec = evecs[:, -1].astype(complex)
-        out, _, residual = lanczos_expm_multiply(
-            lambda x: apply_H(model, x), vec, 2.0,
-            norm_bound=operator_norm_bound(model))
-        assert residual == 0.0
+        out = exact_evolve(model, 2.0, vec).state
         assert np.abs(out - np.exp(-1j * evals[-1] * 2.0) * vec).max() < 1e-10
-
-    def test_nonconvergence_carries_residual(self):
-        model = build_model(1, 1.0, REFERENCE_MEDIUM)
-        rng = np.random.default_rng(14)
-        psi = random_state(rng, model.dim)
-        opts = KrylovOptions(krylov_dim=3, tol=1e-30, max_refinements=2)
-        with pytest.raises(RuntimeError, match="residual"):
-            lanczos_expm_multiply(lambda x: apply_H(model, x), psi, 5.0,
-                                  norm_bound=operator_norm_bound(model), options=opts)
 
 
 class TestSerialization:

@@ -15,7 +15,6 @@ from elastoq.classical import (
     estimate_l_norm,
     exact_sector_evolve,
     global_error_certificate,
-    l_norm_bound,
     leapfrog_flops_per_point,
     leapfrog_step,
     local_error_certificate,
@@ -24,7 +23,7 @@ from elastoq.classical import (
     power_bound_certificate,
 )
 from elastoq.circuits import exact_evolve
-from elastoq.hamiltonian import build_model
+from elastoq.hamiltonian import build_model, operator_norm_bound
 from elastoq.media import MaterialParams
 
 REFERENCE_MEDIUM = MaterialParams(rho=1.0, E=0.646, nu=0.255)
@@ -46,7 +45,7 @@ class TestCoupling:
 
     def test_norm_bounded(self):
         model = build_model(2, 0.5, REFERENCE_MEDIUM)
-        assert estimate_l_norm(model) <= l_norm_bound(model) + 1e-9
+        assert estimate_l_norm(model) <= operator_norm_bound(model) + 1e-9
 
     def test_adjoint_pairing(self):
         model = build_model(2, 1.0, REFERENCE_MEDIUM)
@@ -168,7 +167,7 @@ class TestStabilityCertificates:
         rng = np.random.default_rng(6)
         st = random_sector_state(rng, 2)
         out, method = exact_sector_evolve(model, 4.0, st)
-        assert method == "dense"
+        assert method == "spectral"
         assert out.norm == pytest.approx(st.norm, abs=1e-10)
 
     def test_unit_circle_eigenvalues(self):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from elastoq.circuits import exact_evolve
+from elastoq.hamiltonian import Propagator
 from elastoq.experiments import (
     ExperimentConfig,
     b_weighted_norm_sq,
@@ -60,6 +61,10 @@ class TestValidation:
         with pytest.raises(ValueError, match="dense"):
             validate_config(identity_config(n=4, oracle="dense", taus=(0.5,)))
 
+    def test_krylov_oracle_rejected(self):
+        with pytest.raises(ValueError, match="oracle"):
+            validate_config(identity_config(oracle="krylov"))
+
     def test_bad_choices(self):
         with pytest.raises(ValueError, match="init"):
             validate_config(identity_config(init="q"))
@@ -115,11 +120,9 @@ class TestFidelity:
         assert np.all(curve.fidelities <= 1.0 + 1e-12)
         # stepping the exact propagator matches the one-shot exact state
         psi = prepared.psi.copy()
-        from elastoq.experiments import _ExactStepper
-
-        stepper = _ExactStepper(model, 0.25, "auto")
+        propagator = Propagator(model)
         for _ in range(8):
-            psi = stepper.step(psi)
+            psi = propagator.evolve(psi, 0.25)
         one_shot = exact_evolve(model, 2.0, prepared.psi, method="dense").state
         assert abs(np.vdot(one_shot, psi)) ** 2 == pytest.approx(1.0, abs=1e-10)
 
@@ -136,13 +139,18 @@ class TestFidelity:
         curves = run_fidelity_sweep(config, snapshot_times=(0.0, 1.0, 2.0))
         assert sorted(curves[0.5].snapshots) == [0.0, 1.0, 2.0]
 
-    def test_krylov_reference_matches_dense(self):
+    def test_propagator_reference_matches_dense(self):
         config = identity_config(E=0.646, nu=0.255, taus=(0.5,))
         model = config_model(config)
         prepared = build_initial_state(config, model)
-        dense = fidelity_curve(model, prepared, "u1", 0.5, config.T, oracle="dense")
-        krylov = fidelity_curve(model, prepared, "u1", 0.5, config.T, oracle="krylov")
-        assert np.abs(dense.fidelities - krylov.fidelities).max() < 1e-8
+        snaps = (1.0, 2.0)
+        dense = fidelity_curve(model, prepared, "u1", 0.5, config.T, oracle="dense",
+                               snapshot_times=snaps)
+        spectral = fidelity_curve(model, prepared, "u1", 0.5, config.T, oracle="auto",
+                                  snapshot_times=snaps)
+        assert np.abs(dense.fidelities - spectral.fidelities).max() < 1e-8
+        for t in snaps:
+            assert np.abs(dense.snapshots[t][1] - spectral.snapshots[t][1]).max() < 1e-8
 
 
 class TestFieldReconstruction:

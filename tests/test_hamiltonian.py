@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from elastoq import hamiltonian
 from elastoq.hamiltonian import (
     TermKey,
     apply_H,
@@ -211,6 +212,14 @@ class TestStepsAndCost:
         budget = steps_and_cost(model, 7.0, 0.03, "first-norm")
         assert budget.steps >= budget.steps_formula - 1e-6
         assert budget.steps - budget.steps_formula < 1.0
+
+    def test_ceiling_violation_raises(self, monkeypatch):
+        # a corrupted per-step count breaks the slack check (which is no assert,
+        # so it also runs under python -O)
+        monkeypatch.setattr(hamiltonian, "u1_step_cnots", lambda n: -1)
+        model = build_model(2, 1.0, REFERENCE_MEDIUM)
+        with pytest.raises(RuntimeError, match="CNOT"):
+            steps_and_cost(model, 7.0, 0.03, "first-norm")
 
     def test_validation(self):
         model = build_model(1, 1.0, REFERENCE_MEDIUM)
