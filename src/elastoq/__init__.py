@@ -55,7 +55,7 @@ from .hamiltonian import (
     steps_and_cost,
     term_angle,
 )
-from .lattice import LatticeShape, LadderTerm, apply_d_cell, apply_s_axis, apply_s_cell
+from .lattice import LatticeShape, LadderTerm, apply_d_cell
 from .media import MaterialParams, build_compliance, compliance_inverse_norm
 
 __version__ = "0.1.0"
@@ -80,8 +80,6 @@ __all__ = [
     "apply_L_adjoint",
     "apply_block_fast",
     "apply_d_cell",
-    "apply_s_axis",
-    "apply_s_cell",
     "bound_first_order_commutator",
     "bound_first_order_norm",
     "bound_second_order",

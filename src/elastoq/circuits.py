@@ -274,57 +274,102 @@ def program_unitary(program: GateProgram) -> np.ndarray:
 # structural fast path
 # ---------------------------------------------------------------------------
 
-def _fast_half_pass(grid: np.ndarray, model: HamiltonianModel, tau: float,
-                    forward: bool, skip_zero: bool) -> None:
-    """One sweep over all terms applied structurally (no gate dispatch)."""
-    n, h = model.shape.n, model.shape.h
-    axes = (1, 2, 3) if forward else (3, 2, 1)
-    for axis in axes:
-        eig = model.eigensystems[axis - 1]
-        v = eig.v
-        flat = grid.reshape(STATE_DIM, -1)
-        flat[:, :] = v.conj().T @ flat
-        j_values = range(STATE_DIM) if forward else range(STATE_DIM - 1, -1, -1)
-        levels = range(1, n + 1) if forward else range(n, 0, -1)
-        for j in j_values:
-            lam = eig.lambdas[j]
-            if skip_zero and abs(lam) < ZERO_EIGENVALUE_TOL:
-                continue
-            theta = lam * tau / (2 * h)
-            cos_t, sin_t = math.cos(theta), math.sin(theta)
-            for k in levels:
-                apply_pair_rotation(grid[j], axis - 1, k, cos_t, sin_t)
-        flat[:, :] = v @ flat
+def _live_sectors(model: HamiltonianModel, axis: int) -> tuple[np.ndarray, int, np.ndarray]:
+    """Live eigenvalues of one axis, first live row, and their eigenvectors.
+
+    The live sectors are those with |lambda| >= ZERO_EIGENVALUE_TOL, the set the
+    gate IR rotates; their eigenvectors are real (eigh of the real symmetric
+    cell matrix).  The block is cut to the contiguous row range where it is
+    nonzero (the 9 physical components), so rows outside it are never read or
+    written.
+    """
+    eig = model.eigensystems[axis - 1]
+    live = np.abs(eig.lambdas) >= ZERO_EIGENVALUE_TOL
+    vectors = eig.v[:, live]
+    rows = np.flatnonzero(np.any(vectors != 0, axis=1))
+    return eig.lambdas[live], int(rows[0]), vectors[rows[0]:rows[-1] + 1]
+
+
+def _composed_rotation(theta: np.ndarray, points: int,
+                       levels: tuple[int, ...]) -> np.ndarray:
+    """W - I per sector angle theta; W composes the level rotations in step order.
+
+    Levels of one axis do not commute, so W is built by running the rotations,
+    first level first, on an identity stack (one N x N matrix per sector).
+    """
+    cos_t = np.cos(theta)[:, None, None]
+    sin_t = np.sin(theta)[:, None, None]
+    eye = np.eye(points)
+    w = np.repeat(eye[None], len(theta), axis=0)
+    for k in levels:
+        apply_pair_rotation(w, 1, k, cos_t, sin_t)
+    w -= eye
+    return w
+
+
+def _axis_pass(rows: np.ndarray, vectors: np.ndarray, w_minus_i: np.ndarray,
+               proj: np.ndarray, work: np.ndarray, outer: int) -> None:
+    """rows <- rows + V (W - I) V^T rows, in place, on the real view of the state.
+
+    rows is the (physical rows, 2 * amplitudes per row) float view; V^T rows
+    lands in proj, seen as (sectors, outer, N, inner) with the rotated axis in
+    the middle, so W - I applies by one matmul broadcast over outer, with no
+    transposed copy.  proj and work are buffers the caller reuses.
+    """
+    from scipy.linalg.blas import dgemm  # deferred, like scipy.fft in the propagator
+
+    sectors, points = w_minus_i.shape[:2]
+    np.matmul(vectors.T, rows, out=proj)
+    np.matmul(w_minus_i[:, None], proj.reshape(sectors, outer, points, -1),
+              out=work.reshape(sectors, outer, points, -1))
+    # rows^T += work^T V^T: rows^T is F-ordered, so BLAS accumulates in place
+    dgemm(1.0, work.T, vectors.T, beta=1.0, c=rows.T, overwrite_c=True)
 
 
 def apply_block_fast(model: HamiltonianModel, scheme: str, tau: float,
-                     psi: np.ndarray, skip_zero: bool = True) -> np.ndarray:
-    """Apply one u1/u2 step as projector-sector pair rotations.
+                     psi: np.ndarray) -> np.ndarray:
+    """Apply one u1/u2 step as composed pair rotations on the live sectors.
 
-    Mathematically identical to simulating the gate program, but works on the
-    eigenbasis-rotated amplitude slabs directly.  Accepts (dim,) states or
-    (dim, b) batches.
+    Mathematically identical to simulating the gate program.  Per axis the
+    step is x <- x + V_l (W - I) V_l^T x: V_l holds the real eigenvectors of
+    the live sectors, and W the n level rotations of each sector composed into
+    one N x N matrix, applied along that axis by one batched GEMM.  Sectors
+    with |lambda| < ZERO_EIGENVALUE_TOL and the padding components pass
+    through bit-exactly.  Accepts (dim,) states or (dim, b) batches.
     """
     if psi.shape[0] != model.dim:
         raise ValueError(f"state length {psi.shape[0]} != 2^{model.qubits}")
-    state = np.array(psi, dtype=complex)
-    points = model.shape.points
-    grid = state.reshape((STATE_DIM, points, points, points) + state.shape[1:])
+    if not math.isfinite(tau):
+        raise ValueError(f"tau must be finite, got {tau}")
+    n, h, points = model.shape.n, model.shape.h, model.shape.points
+    up, down = tuple(range(1, n + 1)), tuple(range(n, 0, -1))
     if scheme == "u1":
-        _fast_half_pass(grid, model, tau, forward=True, skip_zero=skip_zero)
+        passes = ((1, tau, up), (2, tau, up), (3, tau, up))
     elif scheme == "u2":
-        _fast_half_pass(grid, model, tau / 2, forward=True, skip_zero=skip_zero)
-        _fast_half_pass(grid, model, tau / 2, forward=False, skip_zero=skip_zero)
+        # forward half then reversed half; the two adjacent axis-3 passes
+        # compose into one
+        half = tau / 2
+        passes = ((1, half, up), (2, half, up), (3, half, up + down),
+                  (2, half, down), (1, half, down))
     else:
         raise ValueError(f"scheme must be 'u1' or 'u2', got {scheme!r}")
+    state = np.array(psi, dtype=complex)
+    slab = state.reshape(STATE_DIM, -1).view(np.float64)
+    sectors = [_live_sectors(model, axis) for axis in (1, 2, 3)]
+    width = max(len(lambdas) for lambdas, _, _ in sectors)
+    proj = np.empty((width, slab.shape[1]))
+    work = np.empty_like(proj)
+    for axis, step_tau, levels in passes:
+        lambdas, first, vectors = sectors[axis - 1]
+        w_minus_i = _composed_rotation(lambdas * step_tau / (2 * h), points, levels)
+        _axis_pass(slab[first:first + len(vectors)], vectors, w_minus_i,
+                   proj[:len(lambdas)], work[:len(lambdas)], outer=points ** (axis - 1))
     return state
 
 
-def scheme_unitary(model: HamiltonianModel, scheme: str, tau: float,
-                   skip_zero: bool = True) -> np.ndarray:
+def scheme_unitary(model: HamiltonianModel, scheme: str, tau: float) -> np.ndarray:
     """Dense matrix of one Trotter step via the fast path (test/oracle sizes)."""
-    return apply_block_fast(model, scheme, tau, np.eye(model.dim, dtype=complex),
-                            skip_zero=skip_zero)
+    return apply_block_fast(model, scheme, tau, np.eye(model.dim, dtype=complex))
 
 
 # ---------------------------------------------------------------------------

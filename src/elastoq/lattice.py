@@ -4,8 +4,8 @@ The grid derivative (q_{j+1} - q_{j-1}) / 2h with ghost values q_{-1} = q_N = 0
 splits into n anti-symmetric ladder terms S_k, k = 1..n.  S_k couples exactly
 the index pairs (j-1, j) with j = 2^(k-1) mod 2^k, acting as [[0, 1], [-1, 0]]
 on each pair; every pair of adjacent grid indices is covered by exactly one k.
-Hot-path application is index arithmetic on the amplitude array; dense/sparse
-materialization exists only for oracles and tests.
+Application is index arithmetic on arrays (apply_pair_rotation, apply_d_axis);
+sparse materialization exists only for oracles and tests.
 
 Register layout used throughout the package: the spatial index of a 3D grid
 point is j = j_x * N^2 + j_y * N + j_z (axis 1 = x most significant), and
@@ -55,20 +55,6 @@ def _pair_indices(k: int, points: int) -> np.ndarray:
     return np.arange(1 << (k - 1), points, 1 << k)
 
 
-def apply_s_cell(k: int, n: int, v: np.ndarray) -> np.ndarray:
-    """Apply the 1D level-k ladder operator to a length-2^n vector."""
-    if not 1 <= k <= n:
-        raise ValueError(f"level k must lie in 1..{n}, got {k}")
-    points = 1 << n
-    if v.shape[0] != points:
-        raise ValueError(f"vector length {v.shape[0]} != 2^{n}")
-    out = np.zeros_like(v, dtype=np.result_type(v.dtype, float))
-    hi = _pair_indices(k, points)
-    out[hi - 1] = v[hi]
-    out[hi] = -v[hi - 1]
-    return out
-
-
 def apply_d_cell(shape: LatticeShape, v: np.ndarray) -> np.ndarray:
     """Apply the 1D central difference with ghost zeros: (q_{j+1}-q_{j-1})/2h."""
     if v.shape[0] != shape.points:
@@ -80,11 +66,13 @@ def apply_d_cell(shape: LatticeShape, v: np.ndarray) -> np.ndarray:
     return out
 
 
-def apply_pair_rotation(arr: np.ndarray, axis: int, k: int, cos_t: float, sin_t: float) -> None:
+def apply_pair_rotation(arr: np.ndarray, axis: int, k: int, cos_t, sin_t) -> None:
     """Rotate each (j-1, j) pair of level k along one array axis, in place.
 
     Realizes exp(theta * S_k) on that axis for cos_t = cos(theta),
-    sin_t = sin(theta): new[j-1] = c*old[j-1] + s*old[j].
+    sin_t = sin(theta): new[j-1] = c*old[j-1] + s*old[j].  cos_t and sin_t
+    may be arrays broadcasting against arr with that axis moved last, which
+    gives each slice its own angle.
     """
     view = np.moveaxis(arr, axis, -1)
     hi = _pair_indices(k, arr.shape[axis])
@@ -93,25 +81,6 @@ def apply_pair_rotation(arr: np.ndarray, axis: int, k: int, cos_t: float, sin_t:
     b = view[..., hi]
     view[..., lo] = cos_t * a + sin_t * b
     view[..., hi] = -sin_t * a + cos_t * b
-
-
-def apply_s_axis(term: LadderTerm, shape: LatticeShape, v: np.ndarray) -> np.ndarray:
-    """Apply S_k along the given axis of a length-2^{3n} spatial vector."""
-    n, points = shape.n, shape.points
-    if not 1 <= term.axis <= 3:
-        raise ValueError(f"axis must be 1..3, got {term.axis}")
-    if not 1 <= term.k <= n:
-        raise ValueError(f"level k must lie in 1..{n}, got {term.k}")
-    if v.shape[0] != points**3:
-        raise ValueError(f"vector length {v.shape[0]} != 2^{3 * n}")
-    grid = v.reshape(points, points, points)
-    out = np.zeros_like(grid, dtype=np.result_type(v.dtype, float))
-    view_in = np.moveaxis(grid, term.axis - 1, -1)
-    view_out = np.moveaxis(out, term.axis - 1, -1)
-    hi = _pair_indices(term.k, points)
-    view_out[..., hi - 1] = view_in[..., hi]
-    view_out[..., hi] = -view_in[..., hi - 1]
-    return out.reshape(-1)
 
 
 def apply_d_axis(axis: int, shape: LatticeShape, grid: np.ndarray) -> np.ndarray:
@@ -128,6 +97,11 @@ def apply_d_axis(axis: int, shape: LatticeShape, grid: np.ndarray) -> np.ndarray
     vo[..., 1:] -= vi[..., :-1]
     out /= 2 * shape.h
     return out
+
+
+def _check_axis(axis: int) -> None:
+    if axis not in (1, 2, 3):
+        raise ValueError(f"axis must be 1..3, got {axis}")
 
 
 def _check_materialize_cap(n: int, max_n: int) -> None:
@@ -160,6 +134,7 @@ def d_cell_matrix(shape: LatticeShape) -> sp.csr_matrix:
 def s_axis_matrix(term: LadderTerm, shape: LatticeShape,
                   max_n: int = DEFAULT_MATERIALIZE_MAX_N) -> sp.csr_matrix:
     """Sparse 2^{3n} x 2^{3n} lift of S_k onto the given axis."""
+    _check_axis(term.axis)
     _check_materialize_cap(shape.n, max_n)
     points = shape.points
     left = sp.identity(points ** (term.axis - 1), format="csr")
@@ -172,6 +147,7 @@ def s_axis_matrix(term: LadderTerm, shape: LatticeShape,
 def d_axis_matrix(axis: int, shape: LatticeShape,
                   max_n: int = DEFAULT_MATERIALIZE_MAX_N) -> sp.csr_matrix:
     """Sparse 2^{3n} x 2^{3n} central difference along the given axis."""
+    _check_axis(axis)
     _check_materialize_cap(shape.n, max_n)
     points = shape.points
     left = sp.identity(points ** (axis - 1), format="csr")

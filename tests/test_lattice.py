@@ -7,8 +7,6 @@ from elastoq.lattice import (
     apply_d_axis,
     apply_d_cell,
     apply_pair_rotation,
-    apply_s_axis,
-    apply_s_cell,
     d_axis_matrix,
     d_cell_matrix,
     s_axis_matrix,
@@ -37,27 +35,27 @@ class TestShapeValidation:
 
 class TestLadderCell:
     def test_single_qubit_action(self):
-        out = apply_s_cell(1, 1, np.array([1.0, 0.0]))
+        out = s_cell_matrix(1, 1) @ np.array([1.0, 0.0])
         assert np.array_equal(out, [0.0, -1.0])
 
     def test_two_qubit_low_level(self):
         e0 = np.zeros(4)
         e0[0] = 1.0
-        out = apply_s_cell(1, 2, e0)
+        out = s_cell_matrix(1, 2) @ e0
         expected = np.zeros(4)
         expected[1] = -1.0
         assert np.array_equal(out, expected)
 
     def test_level_out_of_range(self):
         with pytest.raises(ValueError, match="level"):
-            apply_s_cell(3, 2, np.zeros(4))
+            s_cell_matrix(3, 2)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_norm_at_most_one(self, n):
         rng = np.random.default_rng(n)
         for k in range(1, n + 1):
             v = random_complex(rng, 2**n)
-            assert np.linalg.norm(apply_s_cell(k, n, v)) <= 1.0 + 1e-12
+            assert np.linalg.norm(s_cell_matrix(k, n) @ v) <= 1.0 + 1e-12
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_matches_tensor_definition(self, n):
@@ -105,8 +103,11 @@ class TestDifferenceCell:
         rng = np.random.default_rng(n)
         for _ in range(5):
             v = random_complex(rng, 2**n)
-            total = sum(apply_s_cell(k, n, v) for k in range(1, n + 1)) / (2 * shape.h)
+            total = sum(s_cell_matrix(k, n) @ v for k in range(1, n + 1)) / (2 * shape.h)
             assert np.abs(total - apply_d_cell(shape, v)).max() < 1e-12
+        # the same identity D = sum_k S_k / 2h on the matrices themselves
+        ladder_sum = sum(s_cell_matrix(k, n) for k in range(1, n + 1)) / (2 * shape.h)
+        assert np.abs((ladder_sum - d_cell_matrix(shape)).toarray()).max() < 1e-12
 
 
 class TestAxisLift:
@@ -115,8 +116,8 @@ class TestAxisLift:
         rng = np.random.default_rng(0)
         a, b, c = (random_complex(rng, 4) for _ in range(3))
         v = np.kron(np.kron(a, b), c)
-        out = apply_s_axis(LadderTerm(axis=2, k=1), shape, v)
-        expected = np.kron(np.kron(a, apply_s_cell(1, 2, b)), c)
+        out = s_axis_matrix(LadderTerm(axis=2, k=1), shape) @ v
+        expected = np.kron(np.kron(a, s_cell_matrix(1, 2) @ b), c)
         assert np.abs(out - expected).max() < 1e-12
 
     def test_delta_stencil_along_x(self):
@@ -137,18 +138,18 @@ class TestAxisLift:
         rng = np.random.default_rng(axis)
         for _ in range(5):
             v = random_complex(rng, 8**3)
-            total = sum(apply_s_axis(LadderTerm(axis, k), shape, v)
+            total = sum(s_axis_matrix(LadderTerm(axis, k), shape) @ v
                         for k in range(1, 4))
             assert np.linalg.norm(total) <= 2.0 + 1e-12
 
     def test_validation(self):
         shape = LatticeShape(n=2, h=1.0)
         with pytest.raises(ValueError, match="axis"):
-            apply_s_axis(LadderTerm(4, 1), shape, np.zeros(64))
+            s_axis_matrix(LadderTerm(4, 1), shape)
+        with pytest.raises(ValueError, match="axis"):
+            d_axis_matrix(0, shape)
         with pytest.raises(ValueError, match="level"):
-            apply_s_axis(LadderTerm(1, 3), shape, np.zeros(64))
-        with pytest.raises(ValueError, match="length"):
-            apply_s_axis(LadderTerm(1, 1), shape, np.zeros(65))
+            s_axis_matrix(LadderTerm(1, 3), shape)
 
 
 class TestMaterialization:
@@ -158,9 +159,14 @@ class TestMaterialization:
         for axis in (1, 2, 3):
             for k in (1, 2):
                 mat = s_axis_matrix(LadderTerm(axis, k), shape)
+                cell = s_cell_matrix(k, 2).toarray()
                 for _ in range(20):
                     v = random_complex(rng, 64)
-                    assert np.abs(mat @ v - apply_s_axis(LadderTerm(axis, k), shape, v)).max() < 1e-12
+                    # the 1D cell operator contracted along one grid axis
+                    lifted = np.moveaxis(
+                        np.tensordot(cell, v.reshape(4, 4, 4), axes=(1, axis - 1)),
+                        0, axis - 1)
+                    assert np.abs(mat @ v - lifted.reshape(-1)).max() < 1e-12
             dmat = d_axis_matrix(axis, shape)
             for _ in range(5):
                 v = random_complex(rng, 64)
@@ -246,3 +252,15 @@ class TestPairRotation:
             arr = v.copy().reshape(8)
             apply_pair_rotation(arr[None, :], 1, k, np.cos(theta), np.sin(theta))
             assert np.abs(arr - rot @ v).max() < 1e-12
+
+    def test_per_slice_angles(self):
+        # array cos/sin give each leading slice its own angle
+        import scipy.linalg
+        n, k = 3, 2
+        rng = np.random.default_rng(12)
+        thetas = rng.uniform(-1, 1, size=4)
+        arr = rng.standard_normal((4, 8))
+        expected = np.stack([scipy.linalg.expm(t * s_cell_matrix(k, n).toarray()) @ row
+                             for t, row in zip(thetas, arr)])
+        apply_pair_rotation(arr, 1, k, np.cos(thetas)[:, None], np.sin(thetas)[:, None])
+        assert np.abs(arr - expected).max() < 1e-12
