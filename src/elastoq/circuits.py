@@ -482,8 +482,44 @@ def serialize_program(program: GateProgram) -> str:
     return "\n".join(lines) + "\n"
 
 
+#: Token count (min, max) of each gate line kind; the rotations take any controls.
+_GATE_TOKENS = {"h": (2, 2), "s": (2, 2), "sdg": (2, 2), "cnot": (3, 3),
+                "mcrz": (3, math.inf), "pcrz": (4, math.inf), "v4": (6, 6), "v4dg": (6, 6)}
+
+_METADATA_KEYS = ("n", "scheme", "tau", "cnot_account", "gates")
+
+
+def _parse_gate(line: str, payloads: dict[int, np.ndarray]) -> Gate:
+    toks = line.split()
+    kind = toks[0].lower() if toks else ""
+    if kind not in _GATE_TOKENS:
+        raise ValueError(f"unknown gate line: {line!r}")
+    low, high = _GATE_TOKENS[kind]
+    if not low <= len(toks) <= high:
+        raise ValueError(f"gate line {line!r} has {len(toks)} tokens, "
+                         f"{kind.upper()} takes {low}{'' if low == high else ' or more'}")
+    if kind in ("h", "s", "sdg"):
+        return Gate(kind, target=int(toks[1]))
+    if kind == "cnot":
+        return Gate("cnot", target=int(toks[1]), controls=(int(toks[2]),))
+    if kind == "mcrz":
+        return Gate("mcrz", target=int(toks[1]), controls=tuple(int(t) for t in toks[2:-1]),
+                    angle=float(toks[-1]))
+    if kind == "pcrz":
+        pattern = int(toks[2][1:])
+        if not 0 <= pattern < STATE_DIM:
+            raise ValueError(f"pattern p{pattern} outside p0..p{STATE_DIM - 1} "
+                             f"in gate line {line!r}")
+        return Gate("pcrz", target=int(toks[1]), pattern=pattern,
+                    controls=tuple(int(t) for t in toks[3:-1]), angle=float(toks[-1]))
+    payload = int(toks[5][1:])
+    if payload not in payloads:
+        raise ValueError(f"gate line {line!r} refers to a missing %unitary {payload}")
+    return Gate(kind, targets=tuple(int(t) for t in toks[1:5]), unitary=payloads[payload])
+
+
 def parse_program(text: str) -> GateProgram:
-    """Parse the text format back into a GateProgram."""
+    """Parse the text format back into a GateProgram; bad text raises ValueError."""
     lines = text.splitlines()
     if not lines or lines[0].strip() != "ELASTOQ-PROGRAM v1":
         raise ValueError("missing ELASTOQ-PROGRAM v1 header")
@@ -495,7 +531,13 @@ def parse_program(text: str) -> GateProgram:
         meta[key] = value
         if key == "gates":
             break
+    missing = [key for key in _METADATA_KEYS if key not in meta]
+    if missing:
+        raise ValueError(f"missing metadata lines: {missing}")
     n_gates = int(meta["gates"])
+    if not 0 <= n_gates <= len(lines) - pos:
+        raise ValueError(f"gates {n_gates} does not fit the {len(lines) - pos} lines "
+                         "after the gates line")
     gate_lines = lines[pos:pos + n_gates]
     pos += n_gates
 
@@ -505,38 +547,18 @@ def parse_program(text: str) -> GateProgram:
         pos += 1
         if not line:
             continue
-        if not line.startswith("%unitary"):
-            raise ValueError(f"unexpected trailer line: {line!r}")
-        idx = int(line.split()[1])
-        rows = []
-        for _ in range(STATE_DIM):
-            vals = [float(tok) for tok in lines[pos].split()]
-            pos += 1
-            rows.append([complex(vals[2 * i], vals[2 * i + 1]) for i in range(STATE_DIM)])
-        payloads[idx] = np.array(rows)
-
-    gates: list[Gate] = []
-    for line in gate_lines:
         toks = line.split()
-        kind = toks[0].lower()
-        if kind in ("h", "s", "sdg"):
-            gates.append(Gate(kind, target=int(toks[1])))
-        elif kind == "cnot":
-            gates.append(Gate("cnot", target=int(toks[1]), controls=(int(toks[2]),)))
-        elif kind == "mcrz":
-            gates.append(Gate("mcrz", target=int(toks[1]),
-                              controls=tuple(int(t) for t in toks[2:-1]),
-                              angle=float(toks[-1])))
-        elif kind == "pcrz":
-            gates.append(Gate("pcrz", target=int(toks[1]),
-                              pattern=int(toks[2][1:]),
-                              controls=tuple(int(t) for t in toks[3:-1]),
-                              angle=float(toks[-1])))
-        elif kind in ("v4", "v4dg"):
-            gates.append(Gate(kind, targets=tuple(int(t) for t in toks[1:5]),
-                              unitary=payloads[int(toks[5][1:])]))
-        else:
-            raise ValueError(f"unknown gate line: {line!r}")
-    return GateProgram(n=int(meta["n"]), scheme=meta["scheme"],
-                       tau=float(meta["tau"]), gates=tuple(gates),
-                       cnot_account=int(meta["cnot_account"]))
+        if len(toks) != 2 or toks[0] != "%unitary":
+            raise ValueError(f"unexpected trailer line: {line!r}")
+        idx = int(toks[1])
+        rows = [row.split() for row in lines[pos:pos + STATE_DIM]]
+        pos += STATE_DIM
+        if len(rows) != STATE_DIM or any(len(row) != 2 * STATE_DIM for row in rows):
+            raise ValueError(f"%unitary {idx} needs {STATE_DIM} rows of "
+                             f"{2 * STATE_DIM} floats")
+        # each row is re im re im ..., exactly the memory layout of complex128
+        payloads[idx] = np.array([[float(tok) for tok in row] for row in rows]).view(complex)
+
+    gates = tuple(_parse_gate(line, payloads) for line in gate_lines)
+    return GateProgram(n=int(meta["n"]), scheme=meta["scheme"], tau=float(meta["tau"]),
+                       gates=gates, cnot_account=int(meta["cnot_account"]))

@@ -6,6 +6,13 @@ sector r (6 components).  In the transformed frame the generator is the
 block anti-Hermitian [[0, L], [-L*, 0]]; the partitioned leapfrog splits it
 into two nilpotent halves whose exponentials are exact, giving the familiar
 kick-drift-kick update.
+
+The phased DST-I that diagonalises the central difference (see
+hamiltonian.Propagator) makes L block diagonal: one 3x6 block per 3D mode.
+Both the leapfrog and the exact flow act on each singular pair (u, v) of L
+as a 2x2 map in the basis (u, 0), (0, v) and leave the kernel directions
+alone, so ||L|| and the local and global defects are exact maxima over the
+3 N^3 singular values.
 """
 from __future__ import annotations
 
@@ -16,11 +23,14 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
 
-from .hamiltonian import HamiltonianModel, Propagator, operator_norm_bound
+from .hamiltonian import (
+    DENSE_MAX_N,
+    HamiltonianModel,
+    Propagator,
+    mode_blocks,
+    operator_norm_bound,
+)
 from .lattice import apply_d_axis, d_axis_matrix
-
-#: Dense-oracle cap on the 9*N^3 sector dimension (n = 2 still fits).
-DENSE_SECTOR_CAP = 5000
 
 
 @dataclass(frozen=True)
@@ -77,25 +87,14 @@ def apply_K(model: HamiltonianModel, state: PhysicalState) -> PhysicalState:
     return PhysicalState(q=apply_L(model, state.r), r=-apply_L_adjoint(model, state.q))
 
 
-def estimate_l_norm(model: HamiltonianModel, rel_tol: float = 1e-6,
-                    max_iter: int = 500, seed: int = 0) -> float:
-    """Largest singular value of the coupling by power iteration on L*L."""
-    points = model.shape.points
-    rng = np.random.default_rng(seed)
-    v = rng.standard_normal((6, points, points, points))
-    v /= np.linalg.norm(v)
-    sigma2 = 0.0
-    for _ in range(max_iter):
-        w = apply_L_adjoint(model, apply_L(model, v))
-        nw = float(np.linalg.norm(w))
-        if nw == 0:
-            return 0.0
-        if abs(nw - sigma2) <= rel_tol * nw:
-            sigma2 = nw
-            break
-        sigma2 = nw
-        v = w / nw
-    return math.sqrt(sigma2)
+def coupling_singular_values(model: HamiltonianModel) -> np.ndarray:
+    """All 3 N^3 singular values of the coupling L, from its per-mode 3x6 blocks."""
+    return np.linalg.svd(mode_blocks(model)[..., :3, 3:], compute_uv=False).reshape(-1)
+
+
+def estimate_l_norm(model: HamiltonianModel) -> float:
+    """||L||, the largest singular value of the coupling (exact)."""
+    return float(coupling_singular_values(model).max())
 
 
 @dataclass(frozen=True)
@@ -144,22 +143,36 @@ def leapfrog_step(model: HamiltonianModel, state: PhysicalState,
     return PhysicalState(q=q, r=r)
 
 
-def m_sigma(tau: float, sigma: float) -> np.ndarray:
-    """Restriction of one leapfrog step to a singular pair, in its 2D basis."""
-    x = tau * sigma
-    return np.array([[1 - x**2 / 2, x * (1 - x**2 / 4)],
-                     [-x, 1 - x**2 / 2]])
+def _pair_matrices(a, b, c, d) -> np.ndarray:
+    """Stack of 2x2 matrices [[a, b], [c, d]] over the broadcast shape of the entries."""
+    entries = np.broadcast_arrays(a, b, c, d)
+    return np.stack(entries, axis=-1).reshape(entries[0].shape + (2, 2))
+
+
+def m_sigma(tau: float, sigma) -> np.ndarray:
+    """Restriction of one leapfrog step to a singular pair, in its 2D basis.
+
+    Broadcasts over an array of sigma; the 2x2 axes come last.
+    """
+    x = tau * np.asarray(sigma, dtype=float)
+    diag = 1 - x**2 / 2
+    return _pair_matrices(diag, x * (1 - x**2 / 4), -x, diag)
+
+
+def _flow_sigma(t: float, sigma) -> np.ndarray:
+    """Restriction of the exact flow exp(tK) to a singular pair: a rotation by t*sigma."""
+    x = t * np.asarray(sigma, dtype=float)
+    return _pair_matrices(np.cos(x), np.sin(x), -np.sin(x), np.cos(x))
 
 
 # ---------------------------------------------------------------------------
-# dense oracles (small sectors only)
+# dense references (tests only, n <= DENSE_MAX_N)
 # ---------------------------------------------------------------------------
 
 def dense_coupling(model: HamiltonianModel) -> np.ndarray:
-    """Dense matrix of the coupling L (oracle path, capped sector size)."""
-    points = model.shape.points
-    if 9 * points**3 > DENSE_SECTOR_CAP:
-        raise ValueError(f"sector dimension 9*{points}^3 exceeds the dense cap")
+    """Dense matrix of the coupling L (test reference)."""
+    if model.shape.n > DENSE_MAX_N:
+        raise ValueError(f"dense coupling needs n <= {DENSE_MAX_N}, got n={model.shape.n}")
     l_mat = None
     for axis in (1, 2, 3):
         block = sp.kron(sp.csr_matrix(velocity_coupling(model, axis)),
@@ -265,88 +278,39 @@ def power_bound_certificate(model: HamiltonianModel, config: LeapfrogConfig,
                  ("l_norm", config.l_norm), ("probes", probes.shape[1])))
 
 
+def _pair_defect(sigma: np.ndarray, t: float, tau: float, steps: int) -> float:
+    """||exp(tK) - leapfrog(tau)^steps||_2 as the worst 2x2 singular-pair block."""
+    gap = _flow_sigma(t, sigma) - np.linalg.matrix_power(m_sigma(tau, sigma), steps)
+    return float(np.linalg.norm(gap, 2, axis=(-2, -1)).max())
+
+
 def local_error_certificate(model: HamiltonianModel, tau: float) -> CertificateReport:
-    """Dense one-step defect ||exp(tau K) - leapfrog|| vs (1/2) tau^3 ||L||^3."""
-    l_norm = estimate_l_norm(model)
+    """One-step defect ||exp(tau K) - leapfrog|| vs (1/2) tau^3 ||L||^3."""
+    sigma = coupling_singular_values(model)
+    l_norm = float(sigma.max())
     if tau * l_norm > 1.0:
         raise ValueError(f"local error bound needs tau * ||L|| <= 1, got {tau * l_norm:.6g}")
-    exact = Propagator(model).evolve(np.eye(9 * model.shape.points**3), tau)
-    defect = float(np.linalg.norm(exact - dense_leapfrog_matrix(model, tau), 2))
     certified = 0.5 * tau**3 * l_norm**3
-    return CertificateReport(name="local-error", measured=defect, certified=certified,
-                             method="dense", details=(("tau", tau), ("l_norm", l_norm)))
+    return CertificateReport(name="local-error", measured=_pair_defect(sigma, tau, tau, 1),
+                             certified=certified, method="spectral",
+                             details=(("tau", tau), ("l_norm", l_norm)))
 
 
-def _adjoint_leapfrog_step(model: HamiltonianModel, state: PhysicalState,
-                           tau: float) -> PhysicalState:
-    """Adjoint of one leapfrog step (the split is palindromic, so same shape)."""
-    r_half = state.r + (tau / 2) * apply_L_adjoint(model, state.q)
-    q_next = state.q - tau * apply_L(model, r_half)
-    r_next = r_half + (tau / 2) * apply_L_adjoint(model, q_next)
-    return PhysicalState(q=q_next, r=r_next)
-
-
-#: Above this sector dimension the global certificate switches from the exact
-#: operator norm of the defect to a probe/power-iteration lower bound.
-EXACT_DEFECT_NORM_CAP = 1024
-
-
-def global_error_certificate(model: HamiltonianModel, config: LeapfrogConfig,
-                             n_probes: int = 32, seed: int = 0,
-                             power_iters: int = 12,
-                             exact_cap: int = EXACT_DEFECT_NORM_CAP) -> CertificateReport:
-    """Final-time defect ||exp(T K) - leapfrog^M|| vs (C_eta/2) T tau^2 ||L||^3.
-
-    Small sectors measure the exact operator norm of the defect; larger ones
-    report a lower bound from random unit probes sharpened by power iteration
-    on the defect operator.
-    """
+def global_error_certificate(model: HamiltonianModel,
+                             config: LeapfrogConfig) -> CertificateReport:
+    """Final-time defect ||exp(T K) - leapfrog^M|| vs (C_eta/2) T tau^2 ||L||^3."""
     if config.tau * config.l_norm > min(1.0, config.eta):
         raise ValueError("global error bound needs tau * ||L|| <= min(1, eta)")
     steps = round(config.T / config.tau)
     if abs(steps * config.tau - config.T) > 1e-9 * max(1.0, config.T):
         raise ValueError(f"tau={config.tau} does not divide T={config.T}")
-    points = model.shape.points
-    dim = 9 * points**3
-    detail = (("T", config.T), ("tau", config.tau), ("steps", steps),
-              ("eta", config.eta), ("l_norm", config.l_norm),
-              ("l_norm_bound", operator_norm_bound(model)))
+    measured = _pair_defect(coupling_singular_values(model), config.T, config.tau, steps)
     certified = config.c_eta / 2 * config.T * config.tau**2 * config.l_norm**3
-
-    propagator = Propagator(model)
-    if dim <= exact_cap:
-        exact = propagator.evolve(np.eye(dim), config.T)
-        psi_m = np.linalg.matrix_power(dense_leapfrog_matrix(model, config.tau), steps)
-        measured = float(np.linalg.norm(exact - psi_m, 2))
-        return CertificateReport(name="global-error", measured=measured,
-                                 certified=certified, method="dense", details=detail)
-
-    def defect(vec: np.ndarray, adjoint: bool = False) -> np.ndarray:
-        exact = propagator.evolve(vec, -config.T if adjoint else config.T)
-        st = PhysicalState.from_flat(vec, points)
-        step = _adjoint_leapfrog_step if adjoint else leapfrog_step
-        for _ in range(steps):
-            st = step(model, st, config.tau)
-        return exact - st.flat()
-
-    probes = _orthonormal_probes(dim, min(n_probes, dim), seed)
-    measured, top = 0.0, probes[:, 0]
-    for i in range(probes.shape[1]):
-        norm = float(np.linalg.norm(defect(probes[:, i])))
-        if norm > measured:
-            measured, top = norm, probes[:, i]
-    # sharpen the lower bound: power iteration on the defect operator,
-    # seeded with the best probe
-    v = top
-    for _ in range(power_iters):
-        w = defect(defect(v), adjoint=True)
-        nw = np.linalg.norm(w)
-        if nw == 0:
-            break
-        v = w / nw
-    measured = max(measured, float(np.linalg.norm(defect(v))))
-    return CertificateReport(name="global-error", measured=measured,
-                             certified=certified, method="probe", details=detail)
+    return CertificateReport(
+        name="global-error", measured=measured, certified=certified, method="spectral",
+        details=(("T", config.T), ("tau", config.tau), ("steps", steps),
+                 ("eta", config.eta), ("l_norm", config.l_norm),
+                 ("l_norm_bound", operator_norm_bound(model))))
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ step-size jobs in `run`.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -20,10 +21,8 @@ from .classical import (
     make_leapfrog_config,
     power_bound_certificate,
 )
-from .experiments import ExperimentConfig, run_experiment
+from .experiments import ExperimentConfig, config_model, run_experiment
 from .hamiltonian import HamiltonianModel, format_cost_report, steps_and_cost
-from .lattice import LatticeShape
-from .media import MaterialParams
 
 _BOUND_SCHEMES = ("first-norm", "first-commutator", "second")
 
@@ -80,19 +79,26 @@ def build_parser() -> argparse.ArgumentParser:
 
 _RUN_DEFAULTS = ExperimentConfig(n=2)
 
+#: Config fields a JSON file or a flag may set, and the flags whose name differs.
+_CONFIG_FIELDS = tuple(f.name for f in dataclasses.fields(ExperimentConfig)
+                       if f.name != "dry_run")
+_FLAG_NAMES = {"taus": "tau", "out_dir": "out"}
+
+_MODEL_FIELDS = ("n", "h", "rho", "E", "nu", "T")
+
+
+def _given_flags(args: argparse.Namespace, names: tuple[str, ...]) -> dict:
+    """Config fields set explicitly on the command line."""
+    values = {name: getattr(args, _FLAG_NAMES.get(name, name)) for name in names}
+    return {name: value for name, value in values.items() if value is not None}
+
 
 def _merged_run_config(args: argparse.Namespace) -> ExperimentConfig:
-    values = {
-        "n": _RUN_DEFAULTS.n, "h": _RUN_DEFAULTS.h, "rho": _RUN_DEFAULTS.rho,
-        "E": _RUN_DEFAULTS.E, "nu": _RUN_DEFAULTS.nu, "T": _RUN_DEFAULTS.T,
-        "taus": _RUN_DEFAULTS.taus, "init": _RUN_DEFAULTS.init,
-        "scheme": _RUN_DEFAULTS.scheme, "oracle": _RUN_DEFAULTS.oracle,
-        "out_dir": _RUN_DEFAULTS.out_dir, "clip": _RUN_DEFAULTS.clip,
-    }
+    values = {}
     if args.config:
         with open(args.config) as fh:
             loaded = json.load(fh)
-        unknown = set(loaded) - set(values)
+        unknown = set(loaded) - set(_CONFIG_FIELDS)
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
         values.update(loaded)
@@ -100,27 +106,15 @@ def _merged_run_config(args: argparse.Namespace) -> ExperimentConfig:
         values.update(FULL_SCALE)
         print("warning: full-scale run (19 qubits, T=30); expect a long wall time",
               file=sys.stderr)
-    flag_map = {
-        "n": args.n, "h": args.h, "rho": args.rho, "E": args.E, "nu": args.nu,
-        "T": args.T, "taus": tuple(args.tau) if args.tau else None,
-        "init": args.init, "scheme": args.scheme, "oracle": args.oracle,
-        "out_dir": args.out, "clip": args.clip,
-    }
-    values.update({k: v for k, v in flag_map.items() if v is not None})
-    values["taus"] = tuple(values["taus"])
-    return ExperimentConfig(dry_run=args.dry_run, **values)
+    values.update(_given_flags(args, _CONFIG_FIELDS))
+    if "taus" in values:
+        values["taus"] = tuple(values["taus"])
+    return dataclasses.replace(_RUN_DEFAULTS, dry_run=args.dry_run, **values)
 
 
 def _model_from_args(args: argparse.Namespace) -> tuple[HamiltonianModel, float]:
-    n = args.n if args.n is not None else 2
-    h = args.h if args.h is not None else 1.0
-    rho = args.rho if args.rho is not None else 1.0
-    e = args.E if args.E is not None else 0.646
-    nu = args.nu if args.nu is not None else 0.255
-    t = args.T if args.T is not None else 10.0
-    model = HamiltonianModel.build(LatticeShape(n=n, h=h),
-                                   MaterialParams(rho=rho, E=e, nu=nu))
-    return model, t
+    config = dataclasses.replace(_RUN_DEFAULTS, **_given_flags(args, _MODEL_FIELDS))
+    return config_model(config), config.T
 
 
 def _cmd_run(args: argparse.Namespace) -> int:

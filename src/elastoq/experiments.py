@@ -19,6 +19,7 @@ import numpy as np
 
 from .circuits import DenseSpectrum, apply_block_fast
 from .hamiltonian import (
+    DENSE_MAX_N,
     HamiltonianModel,
     Propagator,
     qubit_count,
@@ -29,7 +30,6 @@ from .lattice import LatticeShape
 from .media import MaterialParams, STATE_DIM
 
 THREADS_ENV_VAR = "ELASTOQ_THREADS"
-DENSE_ORACLE_CAP = 4096
 
 #: State-register component indices of the reconstructed fields.
 FIELD_COMPONENTS = {"v_z": 2, "sigma_zz": 5}
@@ -81,10 +81,9 @@ def validate_config(config: ExperimentConfig) -> None:
                              "into an integer number of steps")
     if not 0 <= config.clip < 1:
         raise ValueError(f"clip fraction must lie in [0, 1), got {config.clip}")
-    dim = 1 << qubit_count(config.n)
-    if config.oracle == "dense" and dim > DENSE_ORACLE_CAP:
-        raise ValueError(f"dense oracle rejected: dimension {dim} exceeds "
-                         f"{DENSE_ORACLE_CAP}; use auto")
+    if config.oracle == "dense" and config.n > DENSE_MAX_N:
+        raise ValueError(f"oracle='dense' needs n <= {DENSE_MAX_N}, got n={config.n}; "
+                         "use auto")
 
 
 def config_model(config: ExperimentConfig) -> HamiltonianModel:

@@ -38,6 +38,10 @@ ZERO_EIGENVALUE_TOL = 1e-13
 #: Default cap on dense/sparse materialization of the full Hamiltonian.
 DEFAULT_H_MATERIALIZE_MAX_N = 4
 
+#: Largest n at which dense reference paths (dense eigh of H, dense sector
+#: matrices, exact Trotter-defect SVD) run: 2^(3n+4) = 4096 rows at n = 2.
+DENSE_MAX_N = 2
+
 
 @dataclass(frozen=True)
 class TermKey:
@@ -132,6 +136,19 @@ def _dst(grid: np.ndarray) -> np.ndarray:
     return scipy.fft.dstn(grid, type=1, axes=(1, 2, 3), norm="ortho")
 
 
+def mode_blocks(model: HamiltonianModel) -> np.ndarray:
+    """Physical 9x9 generator block sum_a mu_{m_a} M_a of every 3D mode.
+
+    Shape (N, N, N, 9, 9); mu and M_a as in Propagator.  The [:3, 3:] corner
+    of a block is the 3x6 velocity/stress coupling of that mode.
+    """
+    points = model.shape.points
+    mu = -np.cos(np.pi * np.arange(1, points + 1) / (points + 1)) / model.shape.h
+    m1, m2, m3 = (np.multiply.outer(mu, model.axis_matrix(axis)[:PHYSICAL_DIM, :PHYSICAL_DIM])
+                  for axis in (1, 2, 3))
+    return m1[:, None, None] + m2[None, :, None] + m3[None, None, :]
+
+
 @dataclass(frozen=True, eq=False, init=False)
 class Propagator:
     """Exact propagator exp(-iHt) of the generator, diagonalised once.
@@ -159,14 +176,7 @@ class Propagator:
 
     def __init__(self, model: HamiltonianModel):
         points = model.shape.points
-        mu = -np.cos(np.pi * np.arange(1, points + 1) / (points + 1)) / model.shape.h
-        blocks = np.zeros((points, points, points, PHYSICAL_DIM, PHYSICAL_DIM))
-        for axis in (1, 2, 3):
-            grid_shape = [1, 1, 1, 1, 1]
-            grid_shape[axis - 1] = points
-            phys = model.axis_matrix(axis)[:PHYSICAL_DIM, :PHYSICAL_DIM]
-            blocks += mu.reshape(grid_shape) * phys
-        lambdas, vectors = np.linalg.eigh(blocks)
+        lambdas, vectors = np.linalg.eigh(mode_blocks(model))
         eigenvalues = np.zeros((STATE_DIM, points**3))
         eigenvalues[:PHYSICAL_DIM] = lambdas.reshape(points**3, PHYSICAL_DIM).T
         j = np.arange(points)
@@ -414,18 +424,17 @@ class DefectEstimate:
 
 
 def empirical_trotter_error(model: HamiltonianModel, tau: float, scheme: str,
-                            dense_dim_cap: int = 4096, n_probes: int = 32,
-                            seed: int = 0) -> DefectEstimate:
+                            n_probes: int = 32, seed: int = 0) -> DefectEstimate:
     """Measure ||U(tau) - exact one-step propagator|| for scheme 'u1' or 'u2'.
 
-    Exact largest singular value when the dimension fits the dense cap,
-    otherwise a lower bound from random unit probes.
+    Exact largest singular value up to n = DENSE_MAX_N, otherwise a lower
+    bound from random unit probes.
     """
     from .circuits import apply_block_fast, scheme_unitary
 
     dim = model.dim
     propagator = Propagator(model)
-    if dim <= dense_dim_cap:
+    if model.shape.n <= DENSE_MAX_N:
         u_trotter = scheme_unitary(model, scheme, tau)
         u_exact = propagator.evolve(np.eye(dim), tau)
         value = float(np.linalg.norm(u_trotter - u_exact, 2))

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from elastoq.circuits import (
     Gate,
@@ -420,3 +422,82 @@ class TestSerialization:
     def test_rejects_garbage(self):
         with pytest.raises(ValueError, match="header"):
             parse_program("not a program\n")
+
+    @pytest.mark.parametrize("edit, match", [
+        (lambda lines: lines[:-13], "unitary"),  # 3 of the last block's 16 rows
+        (lambda lines: [f"gates {len(lines)}" if l.startswith("gates ") else l
+                        for l in lines], "gates"),
+        (lambda lines: [l for l in lines if not l.startswith("gates ")], "gates"),
+        (lambda lines: [l for l in lines if not l.startswith("tau ")], "tau"),
+        (lambda lines: [" ".join(l.split()[:3]) if l.startswith("PCRZ") else l
+                        for l in lines], "PCRZ"),
+        (lambda lines: [l.replace(" p", " p990", 1) if l.startswith("PCRZ") else l
+                        for l in lines], "p990"),
+        (lambda lines: [l.replace(" u0", " u7") for l in lines], "unitary 7"),
+        (lambda lines: [l.replace("SDG", "SDG 1", 1) for l in lines], "SDG"),
+        (lambda lines: lines + ["%unitary"], "trailer"),
+    ], ids=["truncated-unitary", "gates-past-end", "missing-gates", "missing-tau",
+            "short-pcrz", "pattern-out-of-range", "missing-payload", "extra-token",
+            "bare-trailer"])
+    def test_rejects_malformed(self, edit, match):
+        model = build_model(1, 1.0, REFERENCE_MEDIUM)
+        lines = serialize_program(build_U1(model, 0.3)).splitlines()
+        with pytest.raises(ValueError, match=match):
+            parse_program("\n".join(edit(lines)) + "\n")
+
+
+_FLOATS = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def gate_programs(draw):
+    """Small programs over every gate kind; V4 payloads may be shared."""
+    n = draw(st.integers(1, 2))
+    qubits = 3 * n + 4
+    scale = draw(st.sampled_from((1e-300, 1.0, 1e300)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    payloads = [scale * rng.standard_normal((16, 32)).view(complex)
+                for _ in range(draw(st.integers(1, 2)))]
+    gates = []
+    for _ in range(draw(st.integers(0, 12))):
+        kind = draw(st.sampled_from(("h", "s", "sdg", "cnot", "mcrz", "pcrz", "v4", "v4dg")))
+        wires = draw(st.permutations(range(1, qubits + 1)))
+        if kind in ("h", "s", "sdg"):
+            gates.append(Gate(kind, target=wires[0]))
+        elif kind == "cnot":
+            gates.append(Gate(kind, target=wires[0], controls=(wires[1],)))
+        elif kind in ("mcrz", "pcrz"):
+            controls = tuple(wires[1:1 + draw(st.integers(0, 3))])
+            pattern = draw(st.integers(0, 15)) if kind == "pcrz" else None
+            gates.append(Gate(kind, target=wires[0], controls=controls, pattern=pattern,
+                              angle=draw(_FLOATS)))
+        else:
+            gates.append(Gate(kind, targets=(1, 2, 3, 4),
+                              unitary=draw(st.sampled_from(payloads))))
+    return GateProgram(n=n, scheme=draw(st.sampled_from(("u1", "u2"))), tau=draw(_FLOATS),
+                       gates=tuple(gates), cnot_account=draw(st.integers(0, 10**6)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(program=gate_programs())
+def test_property_text_round_trip(program):
+    back = parse_program(serialize_program(program))
+    assert (back.n, back.scheme, back.cnot_account) == (
+        program.n, program.scheme, program.cnot_account)
+    assert back.tau == program.tau
+    assert len(back.gates) == len(program.gates)
+    for a, b in zip(program.gates, back.gates):
+        assert (a.kind, a.target, a.controls, a.pattern, a.targets) == (
+            b.kind, b.target, b.controls, b.pattern, b.targets)
+        assert a.angle == b.angle
+        if a.unitary is not None:
+            assert np.array_equal(a.unitary, b.unitary)
+
+
+@settings(max_examples=20, deadline=None)
+@given(program=gate_programs())
+def test_property_every_truncation_rejected(program):
+    lines = serialize_program(program).splitlines()
+    for cut in range(len(lines)):
+        with pytest.raises(ValueError):
+            parse_program("\n".join(lines[:cut]) + "\n")

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from elastoq.classical import (
     PhysicalState,
@@ -10,8 +11,10 @@ from elastoq.classical import (
     apply_L,
     apply_L_adjoint,
     cost_model,
+    coupling_singular_values,
     dense_coupling,
     dense_generator,
+    dense_leapfrog_matrix,
     estimate_l_norm,
     exact_sector_evolve,
     global_error_certificate,
@@ -46,6 +49,16 @@ class TestCoupling:
     def test_norm_bounded(self):
         model = build_model(2, 0.5, REFERENCE_MEDIUM)
         assert estimate_l_norm(model) <= operator_norm_bound(model) + 1e-9
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_singular_values_match_dense_svd(self, n):
+        for h in (1.0, 0.7):
+            model = build_model(n, h, REFERENCE_MEDIUM)
+            dense = np.linalg.svd(dense_coupling(model), compute_uv=False)
+            sigma = coupling_singular_values(model)
+            assert sigma.shape == (3 * model.shape.points**3,)
+            assert np.abs(np.sort(sigma) - np.sort(dense)).max() <= 1e-12 * dense.max()
+            assert estimate_l_norm(model) == pytest.approx(dense.max(), rel=1e-12)
 
     def test_adjoint_pairing(self):
         model = build_model(2, 1.0, REFERENCE_MEDIUM)
@@ -106,6 +119,13 @@ class TestLeapfrogStep:
         m = m_sigma(1.0, 1.0)
         assert np.array_equal(m, [[0.5, 0.75], [-1.0, 0.5]])
         assert np.linalg.det(m) == pytest.approx(1.0, abs=1e-15)
+
+    def test_m_sigma_broadcasts(self):
+        sigma = np.array([[0.1, 0.5, 1.0], [1.5, 0.0, 2.0]])
+        stack = m_sigma(0.7, sigma)
+        assert stack.shape == (2, 3, 2, 2)
+        for idx in np.ndindex(sigma.shape):
+            assert np.array_equal(stack[idx], m_sigma(0.7, float(sigma[idx])))
 
     def test_step_halving_richardson_ratio(self):
         # the gap between one tau-step and two tau/2-steps is O(tau^3), so it
@@ -191,7 +211,18 @@ class TestErrorCertificates:
         model = build_model(1, 1.0, REFERENCE_MEDIUM)
         report = local_error_certificate(model, 0.4)
         assert report.passed
-        assert report.method == "dense"
+        assert report.method == "spectral"
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_local_defect_matches_dense_norm(self, n):
+        for h in (1.0, 0.7):
+            model = build_model(n, h, REFERENCE_MEDIUM)
+            tau = 0.5 / estimate_l_norm(model)
+            gap = (scipy.linalg.expm(tau * dense_generator(model))
+                   - dense_leapfrog_matrix(model, tau))
+            dense = np.linalg.norm(gap, 2)
+            assert local_error_certificate(model, tau).measured == pytest.approx(
+                dense, rel=1e-10)
 
     def test_local_error_precondition(self):
         model = build_model(1, 1.0, REFERENCE_MEDIUM)
@@ -220,18 +251,19 @@ class TestErrorCertificates:
         assert 3.0 <= errors[0] / errors[1] <= 5.0
         assert 3.0 <= errors[1] / errors[2] <= 5.0
 
-    def test_probe_branch_matches_dense_norm(self):
-        # force the probe/power-iteration path and compare with the exact norm
-        model = build_model(1, 1.0, REFERENCE_MEDIUM)
-        config = make_leapfrog_config(model, tau=0.25, eta=1.0, T=2.0)
-        exact = global_error_certificate(model, config)
-        probe = global_error_certificate(model, config, exact_cap=0,
-                                         n_probes=8, power_iters=10)
-        assert exact.method == "dense"
-        assert probe.method == "probe"
-        assert probe.passed
-        assert probe.measured <= exact.measured + 1e-10  # lower bound
-        assert probe.measured >= 0.5 * exact.measured    # power iteration sharpens
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_global_defect_matches_dense_norm(self, n):
+        # ||exp(T K) - leapfrog^M||_2 from the dense matrices, M = 8
+        for h in (1.0, 0.7):
+            model = build_model(n, h, REFERENCE_MEDIUM)
+            tau = 0.25 * h
+            config = make_leapfrog_config(model, tau=tau, eta=1.0, T=8 * tau)
+            gap = (scipy.linalg.expm(config.T * dense_generator(model))
+                   - np.linalg.matrix_power(dense_leapfrog_matrix(model, tau), 8))
+            report = global_error_certificate(model, config)
+            assert report.method == "spectral"
+            assert report.passed
+            assert report.measured == pytest.approx(np.linalg.norm(gap, 2), rel=1e-10)
 
     def test_certificate_text_format(self):
         model = build_model(1, 1.0, REFERENCE_MEDIUM)

@@ -19,6 +19,14 @@ class TestBounds:
         out = capsys.readouterr().out
         assert out.count("scheme ") == 1
 
+    def test_defaults_are_the_run_config_defaults(self, capsys):
+        # the model flags default to the ExperimentConfig fields
+        assert main(["bounds"]) == 0
+        implicit = capsys.readouterr().out
+        assert main(["bounds", "--n", "2", "--h", "1.0", "--rho", "1.0", "--E", "0.646",
+                     "--nu", "0.255", "--T", "10.0"]) == 0
+        assert capsys.readouterr().out == implicit
+
 
 class TestRun:
     def test_full_run_and_rerun_identical(self, tmp_path, capsys):
@@ -82,6 +90,15 @@ class TestCertify:
         assert "certificate power-bound" in out
         assert "certificate local-error" in out
         assert "certificate global-error" in out
+        assert "passed False" not in out
+
+    def test_runs_at_n4(self, capsys):
+        # the local and global defects are spectral, so no 9 N^3 dense matrix is built
+        argv = ["certify", "--n", "4", "--T", "1", "--tau", "0.1", "--steps", "2"]
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert out.count("certificate ") == 3
+        assert out.count("method spectral") == 2
         assert "passed False" not in out
 
     def test_unstable_tau_fails(self, capsys):

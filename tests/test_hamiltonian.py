@@ -261,13 +261,15 @@ class TestEmpiricalError:
             assert measured.exact
             assert measured.value <= bound_first_order_commutator(model, tau)
 
-    def test_probe_path_is_labeled(self):
+    def test_probe_path_is_labeled(self, monkeypatch):
         model = build_model(1, 1.0, REFERENCE_MEDIUM)
-        est = empirical_trotter_error(model, 0.05, "u1", dense_dim_cap=64, n_probes=4)
+        exact = empirical_trotter_error(model, 0.05, "u1")
+        monkeypatch.setattr(hamiltonian, "DENSE_MAX_N", 0)
+        est = empirical_trotter_error(model, 0.05, "u1", n_probes=4)
+        assert exact.exact
         assert not est.exact
         assert "lower bound" in est.label
         # a lower bound cannot exceed the exact value
-        exact = empirical_trotter_error(model, 0.05, "u1")
         assert est.value <= exact.value + 1e-12
 
 
