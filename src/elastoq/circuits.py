@@ -37,6 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .hamiltonian import (
+    DENSE_MAX_N,
     HamiltonianModel,
     Propagator,
     TermKey,
@@ -97,13 +98,30 @@ def ladder_qubit(n: int, axis: int, k: int) -> int:
 
 
 def _validate_gate(gate: Gate, qubits: int) -> None:
-    touched = [gate.target] if gate.kind not in ("v4", "v4dg") else list(gate.targets)
+    """Reject a gate whose fields the simulator would misread or ignore."""
+    kind = gate.kind
+    if kind not in GATE_KINDS:
+        raise ValueError(f"unknown gate kind {kind!r}")
+    if kind in ("h", "s", "sdg") and gate.controls:
+        raise ValueError(f"gate {kind} takes no controls, got {gate.controls}")
+    if kind == "cnot" and len(gate.controls) != 1:
+        raise ValueError(f"gate cnot takes exactly one control, got {gate.controls}")
+    if kind == "pcrz" and gate.pattern not in range(STATE_DIM):
+        raise ValueError(f"gate pcrz needs a pattern in 0..{STATE_DIM - 1}, "
+                         f"got {gate.pattern!r}")
+    if kind in ("v4", "v4dg"):
+        if gate.targets != STATE_QUBITS or gate.controls:
+            raise ValueError(f"gate {kind} acts on the state register {STATE_QUBITS} "
+                             f"only, got targets {gate.targets} controls {gate.controls}")
+        if gate.unitary is None or gate.unitary.shape != (STATE_DIM, STATE_DIM):
+            raise ValueError(f"gate {kind} needs a {STATE_DIM}x{STATE_DIM} payload")
+    touched = [gate.target] if kind not in ("v4", "v4dg") else list(gate.targets)
     touched += list(gate.controls)
     if len(set(touched)) != len(touched):
-        raise ValueError(f"gate {gate.kind} touches a qubit twice: {touched}")
+        raise ValueError(f"gate {kind} touches a qubit twice: {touched}")
     for q in touched:
         if not 1 <= q <= qubits:
-            raise ValueError(f"gate {gate.kind} addresses qubit {q} outside 1..{qubits}")
+            raise ValueError(f"gate {kind} addresses qubit {q} outside 1..{qubits}")
 
 
 # ---------------------------------------------------------------------------
@@ -243,9 +261,6 @@ def _apply_gate(state: np.ndarray, nd: np.ndarray, gate: Gate, qubits: int) -> N
         nd[_slicer(qubits, {**fixed, gate.target: 1})] *= np.conj(phase)
     elif kind in ("v4", "v4dg"):
         u = gate.unitary
-        defect = np.linalg.norm(u.conj().T @ u - np.eye(STATE_DIM), 2)
-        if defect > 1e-10:
-            raise ValueError(f"four-qubit payload is not unitary (defect {defect:.3e})")
         mat = u.conj().T if kind == "v4dg" else u
         flat = state.reshape(STATE_DIM, -1)
         flat[:, :] = mat @ flat
@@ -254,13 +269,25 @@ def _apply_gate(state: np.ndarray, nd: np.ndarray, gate: Gate, qubits: int) -> N
 
 
 def simulate(program: GateProgram, psi: np.ndarray) -> np.ndarray:
-    """Apply the program to a state (dim,) or a batch of columns (dim, b)."""
+    """Apply the program to a state (dim,) or a batch of columns (dim, b).
+
+    Every gate is validated first, and each distinct payload is checked for
+    unitarity once, so a bad program raises before any gate runs.
+    """
     if psi.shape[0] != program.dim:
         raise ValueError(f"state length {psi.shape[0]} != 2^{program.qubits}")
+    payloads = {}
+    for gate in program.gates:
+        _validate_gate(gate, program.qubits)
+        if gate.kind in ("v4", "v4dg"):
+            payloads[id(gate.unitary)] = gate.unitary
+    for u in payloads.values():
+        defect = np.linalg.norm(u.conj().T @ u - np.eye(STATE_DIM), 2)
+        if defect > 1e-10:
+            raise ValueError(f"four-qubit payload is not unitary (defect {defect:.3e})")
     state = np.array(psi, dtype=complex)
     nd = state.reshape((2,) * program.qubits + state.shape[1:])
     for gate in program.gates:
-        _validate_gate(gate, program.qubits)
         _apply_gate(state, nd, gate, program.qubits)
     return state
 
@@ -368,12 +395,12 @@ def apply_block_fast(model: HamiltonianModel, scheme: str, tau: float,
 
 
 def scheme_unitary(model: HamiltonianModel, scheme: str, tau: float) -> np.ndarray:
-    """Dense matrix of one Trotter step via the fast path (test/oracle sizes)."""
+    """Dense matrix of one Trotter step via the fast path (test/reference sizes)."""
     return apply_block_fast(model, scheme, tau, np.eye(model.dim, dtype=complex))
 
 
 # ---------------------------------------------------------------------------
-# exact evolution oracle
+# exact evolution
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -384,47 +411,25 @@ class EvolveResult:
     method: str
 
 
-@dataclass(frozen=True, eq=False)
-class DenseSpectrum:
-    """Dense eigendecomposition of the materialized generator.
-
-    The independent reference for the spectral Propagator, with the same
-    spectral-coordinate interface (to_spectral, from_spectral, phases).
-    """
-
-    eigenvalues: np.ndarray
-    vectors: np.ndarray
-
-    @classmethod
-    def build(cls, model: HamiltonianModel) -> "DenseSpectrum":
-        evals, evecs = np.linalg.eigh(materialize_sparse_H(model).toarray())
-        return cls(evals, evecs)
-
-    def to_spectral(self, psi: np.ndarray) -> np.ndarray:
-        return self.vectors.conj().T @ psi
-
-    def from_spectral(self, coeffs: np.ndarray) -> np.ndarray:
-        return self.vectors @ coeffs
-
-    def phases(self, t: float) -> np.ndarray:
-        return np.exp(-1j * t * self.eigenvalues)
-
-
 def exact_evolve(model: HamiltonianModel, T: float, psi: np.ndarray,
                  method: str = "auto") -> EvolveResult:
     """Evolve a state (dim,) or batch (dim, b) by the exact propagator over time T.
 
     "auto" uses the spectral Propagator at any size; "dense" eigendecomposes
-    the materialized generator (the independent test oracle; small models only).
+    the materialized generator, the independent test reference, up to
+    n = DENSE_MAX_N.
     """
     if psi.shape[0] != model.dim:
         raise ValueError(f"state length {psi.shape[0]} != 2^{model.qubits}")
     if method == "auto":
         return EvolveResult(state=Propagator(model).evolve(psi, T), method="spectral")
     if method == "dense":
-        dense = DenseSpectrum.build(model)
-        phases = dense.phases(T).reshape((-1,) + (1,) * (psi.ndim - 1))
-        out = dense.from_spectral(phases * dense.to_spectral(psi.astype(complex)))
+        if model.shape.n > DENSE_MAX_N:
+            raise ValueError(f"method='dense' needs n <= {DENSE_MAX_N}, "
+                             f"got n={model.shape.n}; use auto")
+        evals, evecs = np.linalg.eigh(materialize_sparse_H(model).toarray())
+        phases = np.exp(-1j * T * evals).reshape((-1,) + (1,) * (psi.ndim - 1))
+        out = evecs @ (phases * (evecs.conj().T @ psi.astype(complex)))
         return EvolveResult(state=out, method="dense")
     raise ValueError(f"method must be auto or dense, got {method!r}")
 

@@ -48,7 +48,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="Trotter step size (repeatable)")
     run.add_argument("--init", choices=["pulse", "p", "s"], default=None)
     run.add_argument("--scheme", choices=["u1", "u2"], default=None)
-    run.add_argument("--oracle", choices=["auto", "dense"], default=None)
     run.add_argument("--out", default=None, help="output directory")
     run.add_argument("--clip", type=float, default=None,
                      help="clip fraction for exported field values")

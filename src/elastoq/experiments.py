@@ -17,9 +17,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .circuits import DenseSpectrum, apply_block_fast
+from .circuits import apply_block_fast
 from .hamiltonian import (
-    DENSE_MAX_N,
     HamiltonianModel,
     Propagator,
     qubit_count,
@@ -50,7 +49,6 @@ class ExperimentConfig:
     taus: tuple[float, ...] = (0.1,)
     init: str = "pulse"
     scheme: str = "u1"
-    oracle: str = "auto"
     out_dir: str = "elastoq-out"
     clip: float = 0.02
     dry_run: bool = False
@@ -61,8 +59,6 @@ def validate_config(config: ExperimentConfig) -> None:
         raise ValueError(f"init must be pulse, p, or s, got {config.init!r}")
     if config.scheme not in ("u1", "u2"):
         raise ValueError(f"scheme must be u1 or u2, got {config.scheme!r}")
-    if config.oracle not in ("auto", "dense"):
-        raise ValueError(f"oracle must be auto or dense, got {config.oracle!r}")
     if config.init == "pulse" and config.n < 2:
         raise ValueError("pulse initial state needs n >= 2")
     if config.init in ("p", "s") and config.n < 3:
@@ -81,9 +77,6 @@ def validate_config(config: ExperimentConfig) -> None:
                              "into an integer number of steps")
     if not 0 <= config.clip < 1:
         raise ValueError(f"clip fraction must lie in [0, 1), got {config.clip}")
-    if config.oracle == "dense" and config.n > DENSE_MAX_N:
-        raise ValueError(f"oracle='dense' needs n <= {DENSE_MAX_N}, got n={config.n}; "
-                         "use auto")
 
 
 def config_model(config: ExperimentConfig) -> HamiltonianModel:
@@ -200,15 +193,6 @@ def b_weighted_norm_sq(model: HamiltonianModel, psi: np.ndarray,
 # fidelity sweep
 # ---------------------------------------------------------------------------
 
-def _exact_oracle(model: HamiltonianModel, oracle: str) -> Propagator | DenseSpectrum:
-    """The exact propagator of a sweep: spectral for auto, dense eigh on request."""
-    if oracle == "auto":
-        return Propagator(model)
-    if oracle == "dense":
-        return DenseSpectrum.build(model)
-    raise ValueError(f"oracle must be auto or dense, got {oracle!r}")
-
-
 @dataclass(frozen=True)
 class FidelityCurve:
     """Fidelity time series of one Trotter step size against the exact flow."""
@@ -224,19 +208,18 @@ class FidelityCurve:
 
 
 def fidelity_curve(model: HamiltonianModel, prepared: PreparedState, scheme: str,
-                   tau: float, T: float, oracle: str = "auto",
+                   tau: float, T: float,
                    snapshot_times: tuple[float, ...] = ()) -> FidelityCurve:
     """Walk one step size to the horizon, recording fidelity at every step.
 
     snapshot_times (multiples of tau) capture (trotter, exact) state pairs for
     later field reconstruction.
     """
-    return _walk(model, prepared, scheme, tau, T, _exact_oracle(model, oracle),
-                 snapshot_times)
+    return _walk(model, prepared, scheme, tau, T, Propagator(model), snapshot_times)
 
 
 def _walk(model: HamiltonianModel, prepared: PreparedState, scheme: str, tau: float,
-          T: float, exact: Propagator | DenseSpectrum,
+          T: float, exact: Propagator,
           snapshot_times: tuple[float, ...]) -> FidelityCurve:
     """fidelity_curve against an already factored exact propagator."""
     steps = round(T / tau)
@@ -282,8 +265,8 @@ def run_fidelity_sweep(config: ExperimentConfig,
 
 def _sweep(config: ExperimentConfig, model: HamiltonianModel, prepared: PreparedState,
            snapshot_times: tuple[float, ...]) -> dict[float, FidelityCurve]:
-    """run_fidelity_sweep on a built model and state; one exact oracle for all tau."""
-    exact = _exact_oracle(model, config.oracle)
+    """run_fidelity_sweep on a built model and state; one propagator for all tau."""
+    exact = Propagator(model)
     tau_min = min(config.taus)
 
     def job(tau: float) -> FidelityCurve:

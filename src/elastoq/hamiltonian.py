@@ -35,11 +35,8 @@ BoundScheme = Literal["first-norm", "first-commutator", "second"]
 #: sector; the simulator may skip them, cost accounting never does.
 ZERO_EIGENVALUE_TOL = 1e-13
 
-#: Default cap on dense/sparse materialization of the full Hamiltonian.
-DEFAULT_H_MATERIALIZE_MAX_N = 4
-
 #: Largest n at which dense reference paths (dense eigh of H, dense sector
-#: matrices, exact Trotter-defect SVD) run: 2^(3n+4) = 4096 rows at n = 2.
+#: matrices, exact Trotter-defect SVD) run: 2^(3n+4) = 1024 rows at n = 2.
 DENSE_MAX_N = 2
 
 
@@ -52,9 +49,13 @@ class TermKey:
     k: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HamiltonianModel:
-    """Immutable bundle of lattice shape, material, and cell eigensystems."""
+    """Immutable bundle of lattice shape, material, and cell eigensystems.
+
+    Compared and hashed by identity, like Propagator: two builds of the same
+    model are distinct objects.
+    """
 
     shape: LatticeShape
     params: MaterialParams
@@ -238,19 +239,12 @@ class Propagator:
                                   * self.to_spectral(psi))
 
 
-def materialize_sparse_H(model: HamiltonianModel,
-                         max_n: int = DEFAULT_H_MATERIALIZE_MAX_N) -> sp.csr_matrix:
-    """Sparse Hermitian matrix of the generator (oracle/test path only)."""
-    n = model.shape.n
-    if n > max_n:
-        raise ValueError(
-            f"materializing the full generator for n={n} exceeds the cap n<={max_n}"
-        )
+def materialize_sparse_H(model: HamiltonianModel) -> sp.csr_matrix:
+    """Sparse Hermitian matrix of the generator (test reference only)."""
     h = None
     for axis in (1, 2, 3):
         m_cell = sp.csr_matrix(model.axis_matrix(axis))
-        block = sp.kron(m_cell, 1j * d_axis_matrix(axis, model.shape, max_n=max_n),
-                        format="csr")
+        block = sp.kron(m_cell, 1j * d_axis_matrix(axis, model.shape), format="csr")
         h = block if h is None else h + block
     residual = abs(h - h.getH())
     if residual.nnz and residual.max() > 1e-14:
@@ -258,13 +252,12 @@ def materialize_sparse_H(model: HamiltonianModel,
     return ((h + h.getH()) * 0.5).tocsr()
 
 
-def materialize_term(model: HamiltonianModel, key: TermKey,
-                     max_n: int = DEFAULT_H_MATERIALIZE_MAX_N) -> sp.csr_matrix:
-    """Sparse matrix of a single projector term (test oracle)."""
+def materialize_term(model: HamiltonianModel, key: TermKey) -> sp.csr_matrix:
+    """Sparse matrix of a single projector term (test reference)."""
     eig = model.eigensystems[key.axis - 1]
     phi = eig.v[:, key.j]
     proj = sp.csr_matrix(np.outer(phi, phi))
-    s_mat = s_axis_matrix(LadderTerm(key.axis, key.k), model.shape, max_n=max_n)
+    s_mat = s_axis_matrix(LadderTerm(key.axis, key.k), model.shape)
     coeff = 1j * eig.lambdas[key.j] / (2 * model.shape.h)
     return sp.kron(proj, coeff * s_mat, format="csr")
 

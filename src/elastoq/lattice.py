@@ -5,7 +5,7 @@ splits into n anti-symmetric ladder terms S_k, k = 1..n.  S_k couples exactly
 the index pairs (j-1, j) with j = 2^(k-1) mod 2^k, acting as [[0, 1], [-1, 0]]
 on each pair; every pair of adjacent grid indices is covered by exactly one k.
 Application is index arithmetic on arrays (apply_pair_rotation, apply_d_axis);
-sparse materialization exists only for oracles and tests.
+sparse materialization exists only for test references.
 
 Register layout used throughout the package: the spatial index of a 3D grid
 point is j = j_x * N^2 + j_y * N + j_z (axis 1 = x most significant), and
@@ -19,9 +19,9 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-#: Materialization guard: refuse to build 3D operators beyond this many
-#: qubits per axis unless the caller raises the cap explicitly.
-DEFAULT_MATERIALIZE_MAX_N = 5
+#: Largest n at which sparse 3D operators (2^(3n) rows per axis lift, and
+#: the 2^(3n+4)-row generator built from them) are materialized.
+MATERIALIZE_MAX_N = 4
 
 
 @dataclass(frozen=True)
@@ -104,12 +104,10 @@ def _check_axis(axis: int) -> None:
         raise ValueError(f"axis must be 1..3, got {axis}")
 
 
-def _check_materialize_cap(n: int, max_n: int) -> None:
-    if n > max_n:
-        raise ValueError(
-            f"materializing 3D operators for n={n} exceeds the cap n<={max_n}; "
-            "raise max_n explicitly if you really want a 2^(3n) matrix"
-        )
+def _check_materialize_cap(n: int) -> None:
+    if n > MATERIALIZE_MAX_N:
+        raise ValueError(f"materializing 3D operators for n={n} exceeds the cap "
+                         f"n<={MATERIALIZE_MAX_N}")
 
 
 def s_cell_matrix(k: int, n: int) -> sp.csr_matrix:
@@ -131,11 +129,10 @@ def d_cell_matrix(shape: LatticeShape) -> sp.csr_matrix:
     return sp.diags([off, -off], [1, -1], format="csr")
 
 
-def s_axis_matrix(term: LadderTerm, shape: LatticeShape,
-                  max_n: int = DEFAULT_MATERIALIZE_MAX_N) -> sp.csr_matrix:
+def s_axis_matrix(term: LadderTerm, shape: LatticeShape) -> sp.csr_matrix:
     """Sparse 2^{3n} x 2^{3n} lift of S_k onto the given axis."""
     _check_axis(term.axis)
-    _check_materialize_cap(shape.n, max_n)
+    _check_materialize_cap(shape.n)
     points = shape.points
     left = sp.identity(points ** (term.axis - 1), format="csr")
     right = sp.identity(points ** (3 - term.axis), format="csr")
@@ -144,11 +141,10 @@ def s_axis_matrix(term: LadderTerm, shape: LatticeShape,
     return out
 
 
-def d_axis_matrix(axis: int, shape: LatticeShape,
-                  max_n: int = DEFAULT_MATERIALIZE_MAX_N) -> sp.csr_matrix:
+def d_axis_matrix(axis: int, shape: LatticeShape) -> sp.csr_matrix:
     """Sparse 2^{3n} x 2^{3n} central difference along the given axis."""
     _check_axis(axis)
-    _check_materialize_cap(shape.n, max_n)
+    _check_materialize_cap(shape.n)
     points = shape.points
     left = sp.identity(points ** (axis - 1), format="csr")
     right = sp.identity(points ** (3 - axis), format="csr")

@@ -202,6 +202,19 @@ class TestSimulator:
         with pytest.raises(ValueError, match="outside"):
             simulate(prog, np.zeros(model.dim, dtype=complex))
 
+    @pytest.mark.parametrize("gate, kind", [
+        (Gate("cnot", target=2, controls=(1, 3)), "cnot"),
+        (Gate("h", target=2, controls=(1,)), "h"),
+        (Gate("v4", targets=(4, 5, 6, 7), unitary=np.eye(16)), "v4"),
+        (Gate("pcrz", target=5, pattern=99, angle=0.1), "pcrz"),
+        (Gate("pcrz", target=5, pattern=None, angle=0.1), "pcrz"),
+    ])
+    def test_misread_gates_rejected(self, gate, kind):
+        # each of these used to run as a different gate (or raise TypeError)
+        model = build_model(1, 1.0, IDENTITY_MEDIUM)
+        with pytest.raises(ValueError, match=f"gate {kind} "):
+            simulate(block_program(model, [gate]), np.zeros(model.dim, dtype=complex))
+
     def test_ladder_qubit_layout(self):
         # level 1 sits at the bottom of each axis block
         assert ladder_qubit(2, 1, 1) == 6
@@ -373,6 +386,12 @@ class TestExactEvolve:
         assert exact_evolve(model, 0.1, psi).method == "spectral"
         with pytest.raises(ValueError, match="method"):
             exact_evolve(model, 0.1, psi, method="krylov")
+
+    def test_dense_refuses_beyond_cap(self):
+        # n = 3 would factor a dense 8192^2 complex matrix; refused before building it
+        model = build_model(3, 1.0, REFERENCE_MEDIUM)
+        with pytest.raises(ValueError, match="n=3"):
+            exact_evolve(model, 0.1, np.zeros(model.dim, dtype=complex), method="dense")
 
     def test_eigenvector_input_picks_up_phase(self):
         model = build_model(1, 1.0, REFERENCE_MEDIUM)

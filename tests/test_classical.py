@@ -7,6 +7,7 @@ import scipy.linalg
 from elastoq.classical import (
     PhysicalState,
     _leapfrog_core,
+    _orthonormal_probes,
     apply_K,
     apply_L,
     apply_L_adjoint,
@@ -170,6 +171,21 @@ class TestStabilityCertificates:
         report = power_bound_certificate(model, config, m_max=300)
         assert report.passed
         assert report.measured <= config.c_eta + 1e-8
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_power_bound_batch_matches_probe_loop(self, n):
+        model = build_model(n, 1.0, REFERENCE_MEDIUM)
+        config = make_leapfrog_config(model, tau=0.1, eta=1.0, T=1.0)
+        report = power_bound_certificate(model, config, m_max=20)
+        points = model.shape.points
+        probes = _orthonormal_probes(9 * points**3, 16, 0)
+        growth = 0.0
+        for i in range(probes.shape[1]):
+            state = PhysicalState.from_flat(probes[:, i], points)
+            for _ in range(20):
+                state = leapfrog_step(model, state, config.tau)
+                growth = max(growth, state.norm)
+        assert report.measured == pytest.approx(growth, rel=1e-12)
 
     def test_near_unitary_regime(self):
         # at tau * ||L|| = 0.01 the growth envelope is C_eta(0.01) ~ 1 + 1.25e-5;

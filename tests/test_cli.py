@@ -1,6 +1,8 @@
 import json
 from pathlib import Path
 
+import pytest
+
 from elastoq.cli import main
 
 
@@ -79,6 +81,20 @@ class TestRun:
         cfg_path.write_text(json.dumps({"bogus": 1}))
         assert main(["run", "--config", str(cfg_path)]) == 1
         assert "bogus" in capsys.readouterr().err
+
+    def test_oracle_flag_refused(self, tmp_path, capsys):
+        # the propagator is the only exact reference of a run
+        argv = ["run", "--n", "2", "--T", "2", "--tau", "1.0", "--oracle", "dense",
+                "--out", str(tmp_path / "o")]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "--oracle" in capsys.readouterr().err
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps({"oracle": "dense"}))
+        assert main(["run", "--config", str(cfg_path)]) == 1
+        assert "oracle" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
 
 class TestCertify:

@@ -3,8 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from elastoq.circuits import exact_evolve
-from elastoq.hamiltonian import Propagator
+from elastoq.circuits import apply_block_fast, exact_evolve
+from elastoq.hamiltonian import Propagator, materialize_sparse_H
 from elastoq.experiments import (
     ExperimentConfig,
     b_weighted_norm_sq,
@@ -56,14 +56,6 @@ class TestValidation:
     def test_bad_clip(self):
         with pytest.raises(ValueError, match="clip"):
             validate_config(identity_config(clip=1.0))
-
-    def test_dense_oracle_dimension_guard(self):
-        with pytest.raises(ValueError, match="dense"):
-            validate_config(identity_config(n=4, oracle="dense", taus=(0.5,)))
-
-    def test_krylov_oracle_rejected(self):
-        with pytest.raises(ValueError, match="oracle"):
-            validate_config(identity_config(oracle="krylov"))
 
     def test_bad_choices(self):
         with pytest.raises(ValueError, match="init"):
@@ -144,13 +136,19 @@ class TestFidelity:
         model = config_model(config)
         prepared = build_initial_state(config, model)
         snaps = (1.0, 2.0)
-        dense = fidelity_curve(model, prepared, "u1", 0.5, config.T, oracle="dense",
-                               snapshot_times=snaps)
-        spectral = fidelity_curve(model, prepared, "u1", 0.5, config.T, oracle="auto",
-                                  snapshot_times=snaps)
-        assert np.abs(dense.fidelities - spectral.fidelities).max() < 1e-8
-        for t in snaps:
-            assert np.abs(dense.snapshots[t][1] - spectral.snapshots[t][1]).max() < 1e-8
+        curve = fidelity_curve(model, prepared, "u1", 0.5, config.T, snapshot_times=snaps)
+        # independent reference: one dense eigh of the materialized generator
+        evals, evecs = np.linalg.eigh(materialize_sparse_H(model).toarray())
+        coeffs = evecs.conj().T @ prepared.psi
+        psi_trotter = prepared.psi
+        for m, t in enumerate(curve.times):
+            if m:
+                psi_trotter = apply_block_fast(model, "u1", 0.5, psi_trotter)
+            psi_exact = evecs @ (np.exp(-1j * t * evals) * coeffs)
+            fidelity = abs(np.vdot(psi_exact, psi_trotter)) ** 2
+            assert abs(curve.fidelities[m] - fidelity) < 1e-8
+            if t in snaps:
+                assert np.abs(curve.snapshots[t][1] - psi_exact).max() < 1e-8
 
 
 class TestFieldReconstruction:

@@ -40,6 +40,14 @@ class TestModel:
         assert model.term_count == 144
         assert len(list(model.term_keys())) == 144
 
+    def test_identity_semantics(self):
+        # like Propagator: hashable, equal only to itself
+        model = build_model(1, 1.0, REFERENCE_MEDIUM)
+        twin = build_model(1, 1.0, REFERENCE_MEDIUM)
+        assert model == model and model != twin
+        assert hash(model) == hash(model)
+        assert len({model, twin, model}) == 2
+
     def test_term_angle(self):
         model = build_model(2, 1.0, REFERENCE_MEDIUM)
         zero_j = int(np.argmin(np.abs(model.eigensystems[0].lambdas)))

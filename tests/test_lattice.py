@@ -198,8 +198,6 @@ class TestMaterialization:
     def test_cap_enforced(self):
         with pytest.raises(ValueError, match="cap"):
             d_axis_matrix(1, LatticeShape(n=6, h=1.0))
-        # explicit override allows it
-        d_axis_matrix(1, LatticeShape(n=6, h=1.0), max_n=6)
 
 
 class TestNormFacts:
