@@ -338,7 +338,7 @@ def _axis_pass(rows: np.ndarray, vectors: np.ndarray, w_minus_i: np.ndarray,
                proj: np.ndarray, work: np.ndarray, outer: int) -> None:
     """rows <- rows + V (W - I) V^T rows, in place, on the real view of the state.
 
-    rows is the (physical rows, 2 * amplitudes per row) float view; V^T rows
+    rows is the (physical rows, columns) float slab of the state; V^T rows
     lands in proj, seen as (sectors, outer, N, inner) with the rotated axis in
     the middle, so W - I applies by one matmul broadcast over outer, with no
     transposed copy.  proj and work are buffers the caller reuses.
@@ -353,50 +353,89 @@ def _axis_pass(rows: np.ndarray, vectors: np.ndarray, w_minus_i: np.ndarray,
     dgemm(1.0, work.T, vectors.T, beta=1.0, c=rows.T, overwrite_c=True)
 
 
-def apply_block_fast(model: HamiltonianModel, scheme: str, tau: float,
-                     psi: np.ndarray) -> np.ndarray:
-    """Apply one u1/u2 step as composed pair rotations on the live sectors.
+@dataclass(frozen=True, eq=False, init=False)
+class TrotterStep:
+    """One u1/u2 step of a model at one tau, planned once and applied to any state.
 
     Mathematically identical to simulating the gate program.  Per axis the
     step is x <- x + V_l (W - I) V_l^T x: V_l holds the real eigenvectors of
     the live sectors, and W the n level rotations of each sector composed into
-    one N x N matrix, applied along that axis by one batched GEMM.  Sectors
-    with |lambda| < ZERO_EIGENVALUE_TOL and the padding components pass
-    through bit-exactly.  Accepts (dim,) states or (dim, b) batches.
+    one N x N matrix, applied along that axis by one batched GEMM.  The plan
+    holds the live sectors and the read-only W - I stacks of every axis pass;
+    apply allocates its own work buffers, so one plan is safe to share across
+    threads.  Sectors with |lambda| < ZERO_EIGENVALUE_TOL and the padding
+    components pass through bit-exactly.
     """
-    if psi.shape[0] != model.dim:
-        raise ValueError(f"state length {psi.shape[0]} != 2^{model.qubits}")
-    if not math.isfinite(tau):
-        raise ValueError(f"tau must be finite, got {tau}")
-    n, h, points = model.shape.n, model.shape.h, model.shape.points
-    up, down = tuple(range(1, n + 1)), tuple(range(n, 0, -1))
-    if scheme == "u1":
-        passes = ((1, tau, up), (2, tau, up), (3, tau, up))
-    elif scheme == "u2":
-        # forward half then reversed half; the two adjacent axis-3 passes
-        # compose into one
-        half = tau / 2
-        passes = ((1, half, up), (2, half, up), (3, half, up + down),
-                  (2, half, down), (1, half, down))
-    else:
-        raise ValueError(f"scheme must be 'u1' or 'u2', got {scheme!r}")
-    state = np.array(psi, dtype=complex)
-    slab = state.reshape(STATE_DIM, -1).view(np.float64)
-    sectors = [_live_sectors(model, axis) for axis in (1, 2, 3)]
-    width = max(len(lambdas) for lambdas, _, _ in sectors)
-    proj = np.empty((width, slab.shape[1]))
-    work = np.empty_like(proj)
-    for axis, step_tau, levels in passes:
-        lambdas, first, vectors = sectors[axis - 1]
-        w_minus_i = _composed_rotation(lambdas * step_tau / (2 * h), points, levels)
-        _axis_pass(slab[first:first + len(vectors)], vectors, w_minus_i,
-                   proj[:len(lambdas)], work[:len(lambdas)], outer=points ** (axis - 1))
-    return state
+
+    model: HamiltonianModel
+    scheme: str
+    tau: float
+    _passes: tuple[tuple[int, np.ndarray, np.ndarray, int], ...]
+
+    def __init__(self, model: HamiltonianModel, scheme: str, tau: float):
+        if not math.isfinite(tau):
+            raise ValueError(f"tau must be finite, got {tau}")
+        n, h, points = model.shape.n, model.shape.h, model.shape.points
+        up, down = tuple(range(1, n + 1)), tuple(range(n, 0, -1))
+        if scheme == "u1":
+            plan = ((1, tau, up), (2, tau, up), (3, tau, up))
+        elif scheme == "u2":
+            # forward half then reversed half; the two adjacent axis-3 passes
+            # compose into one
+            half = tau / 2
+            plan = ((1, half, up), (2, half, up), (3, half, up + down),
+                    (2, half, down), (1, half, down))
+        else:
+            raise ValueError(f"scheme must be 'u1' or 'u2', got {scheme!r}")
+        sectors = [_live_sectors(model, axis) for axis in (1, 2, 3)]
+        passes = []
+        for axis, step_tau, levels in plan:
+            lambdas, first, vectors = sectors[axis - 1]
+            w_minus_i = _composed_rotation(lambdas * step_tau / (2 * h), points, levels)
+            w_minus_i.setflags(write=False)
+            passes.append((first, vectors, w_minus_i, points ** (axis - 1)))
+        for name, value in (("model", model), ("scheme", scheme), ("tau", tau),
+                            ("_passes", tuple(passes))):
+            object.__setattr__(self, name, value)
+
+    def apply(self, psi: np.ndarray) -> np.ndarray:
+        """The stepped copy of a (dim,) state or (dim, b) batch.
+
+        A real state comes back float64, stepped with one slab column per
+        amplitude; a complex one comes back complex, stepped on its float
+        view with two columns per amplitude.
+        """
+        if psi.shape[0] != self.model.dim:
+            raise ValueError(f"state length {psi.shape[0]} != 2^{self.model.qubits}")
+        if np.iscomplexobj(psi):
+            state = np.array(psi, dtype=complex)
+            slab = state.reshape(STATE_DIM, -1).view(np.float64)
+        else:
+            state = np.array(psi, dtype=np.float64)
+            slab = state.reshape(STATE_DIM, -1)
+        width = max(len(w_minus_i) for _, _, w_minus_i, _ in self._passes)
+        proj = np.empty((width, slab.shape[1]))
+        work = np.empty_like(proj)
+        for first, vectors, w_minus_i, outer in self._passes:
+            sectors = len(w_minus_i)
+            _axis_pass(slab[first:first + len(vectors)], vectors, w_minus_i,
+                       proj[:sectors], work[:sectors], outer)
+        return state
+
+
+def apply_block_fast(model: HamiltonianModel, scheme: str, tau: float,
+                     psi: np.ndarray) -> np.ndarray:
+    """Apply one u1/u2 step to a (dim,) state or (dim, b) batch (see TrotterStep).
+
+    A real state comes back real.  To step many states with one (scheme, tau),
+    build one TrotterStep and reuse it.
+    """
+    return TrotterStep(model, scheme, tau).apply(psi)
 
 
 def scheme_unitary(model: HamiltonianModel, scheme: str, tau: float) -> np.ndarray:
-    """Dense matrix of one Trotter step via the fast path (test/reference sizes)."""
-    return apply_block_fast(model, scheme, tau, np.eye(model.dim, dtype=complex))
+    """Dense (real orthogonal) matrix of one Trotter step via the fast path."""
+    return apply_block_fast(model, scheme, tau, np.eye(model.dim))
 
 
 # ---------------------------------------------------------------------------

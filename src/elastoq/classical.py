@@ -120,8 +120,8 @@ def make_leapfrog_config(model: HamiltonianModel, tau: float, eta: float,
     """Build a config, enforcing the stability condition tau * ||L|| <= eta < 2."""
     if not 0 < eta < 2:
         raise ValueError(f"eta must lie in (0, 2), got {eta}")
-    if not tau > 0 or not T > 0:
-        raise ValueError(f"tau and T must be positive, got tau={tau}, T={T}")
+    if not (0 < tau < math.inf and 0 < T < math.inf):
+        raise ValueError(f"tau and T must be positive and finite, got tau={tau}, T={T}")
     l_norm = estimate_l_norm(model)
     if tau * l_norm > eta:
         raise ValueError(
@@ -377,6 +377,10 @@ def cost_model(model: HamiltonianModel, T: float, epsilon: float,
     """Classical work/memory for the same semidiscrete system at accuracy epsilon."""
     if not 0 < eta <= 1:
         raise ValueError(f"eta must lie in (0, 1] for the error bound, got {eta}")
+    if not 0 < T < math.inf:
+        raise ValueError(f"T must be positive and finite, got {T}")
+    if not 0 < epsilon < math.inf:
+        raise ValueError(f"epsilon must be positive and finite, got {epsilon}")
     l_norm = estimate_l_norm(model)
     c_eta = (1.0 - eta**2 / 4.0) ** -0.5
     tau_max = min(eta / l_norm, math.sqrt(2 * epsilon / (c_eta * T * l_norm**3)))

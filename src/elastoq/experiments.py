@@ -9,6 +9,7 @@ Trotterized walk against the exact propagator at every step.
 from __future__ import annotations
 
 import json
+import math
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -17,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .circuits import apply_block_fast
+from .circuits import TrotterStep
 from .hamiltonian import (
     HamiltonianModel,
     Propagator,
@@ -64,13 +65,13 @@ def validate_config(config: ExperimentConfig) -> None:
     if config.init in ("p", "s") and config.n < 3:
         raise ValueError(f"{config.init}-wave initial state needs n >= 3 "
                          "(the bulk index set is empty below that)")
-    if not config.T > 0:
-        raise ValueError(f"T must be positive, got {config.T}")
+    if not 0 < config.T < math.inf:
+        raise ValueError(f"T must be positive and finite, got {config.T}")
     if not config.taus:
         raise ValueError("at least one tau is required")
     for tau in config.taus:
-        if not tau > 0:
-            raise ValueError(f"tau must be positive, got {tau}")
+        if not 0 < tau < math.inf:
+            raise ValueError(f"tau must be positive and finite, got {tau}")
         steps = config.T / tau
         if abs(steps - round(steps)) > 1e-9 or round(steps) < 1:
             raise ValueError(f"tau={tau} does not divide T={config.T} "
@@ -128,7 +129,7 @@ def build_initial_state(config: ExperimentConfig,
     w /= np.linalg.norm(w)
     u_tilde = _apply_cell(model.cell.b_sqrt, w)
     factor = float(np.linalg.norm(u_tilde))
-    psi = (u_tilde / factor).astype(complex).reshape(-1)
+    psi = (u_tilde / factor).reshape(-1)
     return PreparedState(psi=psi, norm_factor=factor, kind=config.init)
 
 
@@ -160,7 +161,7 @@ def reconstruct_fields(model: HamiltonianModel, psi: np.ndarray, norm_factor: fl
     if not 0 <= plane_index < points:
         raise ValueError(f"plane_index {plane_index} outside 0..{points - 1}")
     grid = psi.reshape(STATE_DIM, points, points, points)
-    w = norm_factor * _apply_cell(model.cell.b_inv_sqrt.astype(complex), grid)
+    w = norm_factor * _apply_cell(model.cell.b_inv_sqrt, grid)
     slices = {}
     for name, comp in FIELD_COMPONENTS.items():
         cube = np.moveaxis(w[comp], _PLANE_AXES[plane_axis], 0)[plane_index]
@@ -184,8 +185,8 @@ def b_weighted_norm_sq(model: HamiltonianModel, psi: np.ndarray,
     """Conserved energy-style quantity <w, B w> of the reconstructed field."""
     points = model.shape.points
     grid = psi.reshape(STATE_DIM, points, points, points)
-    w = norm_factor * _apply_cell(model.cell.b_inv_sqrt.astype(complex), grid)
-    bw = _apply_cell(model.cell.b_cell.astype(complex), w)
+    w = norm_factor * _apply_cell(model.cell.b_inv_sqrt, grid)
+    bw = _apply_cell(model.cell.b_cell, w)
     return float(np.vdot(w, bw).real)
 
 
@@ -223,6 +224,7 @@ def _walk(model: HamiltonianModel, prepared: PreparedState, scheme: str, tau: fl
           snapshot_times: tuple[float, ...]) -> FidelityCurve:
     """fidelity_curve against an already factored exact propagator."""
     steps = round(T / tau)
+    trotter = TrotterStep(model, scheme, tau)
     psi_trotter = prepared.psi.copy()
     # The exact walk stays in spectral coordinates, c(m tau) = e^{-i lambda m tau} c(0),
     # so a step transforms only the Trotter state; the overlap is basis-free.
@@ -237,7 +239,7 @@ def _walk(model: HamiltonianModel, prepared: PreparedState, scheme: str, tau: fl
     if 0 in wanted:
         snapshots[0.0] = (psi_trotter.copy(), prepared.psi.copy())
     for m in range(1, steps + 1):
-        psi_trotter = apply_block_fast(model, scheme, tau, psi_trotter)
+        psi_trotter = trotter.apply(psi_trotter)
         coeffs = step_phases * coeffs
         fidelities[m] = abs(np.vdot(coeffs, exact.to_spectral(psi_trotter))) ** 2
         if m in wanted:

@@ -129,6 +129,11 @@ def operator_norm_bound(model: HamiltonianModel) -> float:
 #: exp(i * pi/2 * r) for r = 0..3, exact; P = diag(i^j) needs no rounding.
 _I_POWERS = np.array([1, 1j, -1, -1j])
 
+#: (Re + Im) of conj(i^r) / 2: folds the real and imaginary parts of P^-1 psi,
+#: for a real psi, into one real array (each cell has only one of them); the
+#: exact factor 1/2 is the one of (G + G~)/2 and (G - G~)/2 (see Propagator).
+_PARITY_SIGNS = np.array([0.5, -0.5, -0.5, 0.5])
+
 
 def _dst(grid: np.ndarray) -> np.ndarray:
     """Orthonormal DST-I over the three spatial axes; its own inverse."""
@@ -168,12 +173,21 @@ class Propagator:
     eigenvalue of every entry (zero on the padding).  States may be the full
     16-component register or the 9-component physical sector (the classical
     q, r layout), each with an optional trailing batch axis.
+
+    A real state needs one real DST-I, not a complex one.  P^-1 psi is real on
+    cells with j1 + j2 + j3 even and imaginary on odd ones, so both parts fit
+    in one real array g; since sin(pi (N+1-m)(j+1)/(N+1)) = (-1)^j
+    sin(pi m (j+1)/(N+1)), G = DST(g) reversed along the three mode axes is
+    the DST of g with its odd cells negated, and the halves of G + G~ and
+    G - G~ are the transforms of the two parts (Martucci, IEEE Trans. Signal
+    Process. 42(5), 1994, on the DST-I symmetries).
     """
 
     model: HamiltonianModel
     eigenvalues: np.ndarray
     _vectors: np.ndarray
     _phase: np.ndarray
+    _parity: np.ndarray
 
     def __init__(self, model: HamiltonianModel):
         points = model.shape.points
@@ -186,23 +200,29 @@ class Propagator:
                             ("eigenvalues", eigenvalues.reshape(-1)),
                             ("_vectors", vectors.reshape(points**3, PHYSICAL_DIM,
                                                          PHYSICAL_DIM)),
-                            ("_phase", _I_POWERS[powers])):
+                            ("_phase", _I_POWERS[powers]),
+                            ("_parity", _PARITY_SIGNS[powers])):
             if isinstance(value, np.ndarray):
                 value.setflags(write=False)
             object.__setattr__(self, name, value)
 
-    def _grid(self, arr: np.ndarray) -> np.ndarray:
-        """Copy of a state as (components, N, N, N, batch...), complex."""
+    def _grid_shape(self, arr: np.ndarray) -> tuple[int, ...]:
+        """Shape (components, N, N, N, batch...) of a state; checks its length."""
         points = self.model.shape.points
         cells = points**3
         if arr.shape[0] not in (STATE_DIM * cells, PHYSICAL_DIM * cells):
             raise ValueError(f"state length {arr.shape[0]} is neither "
                              f"{STATE_DIM}*{cells} nor {PHYSICAL_DIM}*{cells}")
-        return np.array(arr, dtype=complex).reshape(
-            (-1, points, points, points) + arr.shape[1:])
+        return (-1, points, points, points) + arr.shape[1:]
 
-    def _phase_for(self, grid: np.ndarray) -> np.ndarray:
-        return self._phase.reshape(self._phase.shape + (1,) * (grid.ndim - 4))
+    def _grid(self, arr: np.ndarray) -> np.ndarray:
+        """Complex copy of a state as (components, N, N, N, batch...)."""
+        return np.array(arr, dtype=complex).reshape(self._grid_shape(arr))
+
+    @staticmethod
+    def _per_cell(table: np.ndarray, grid: np.ndarray) -> np.ndarray:
+        """A per-cell (N, N, N) table broadcast over the batch axes of grid."""
+        return table.reshape(table.shape + (1,) * (grid.ndim - 4))
 
     def _mix(self, phys: np.ndarray, adjoint: bool) -> np.ndarray:
         """Apply each mode's 9x9 eigenvector block (or its transpose)."""
@@ -215,8 +235,18 @@ class Propagator:
 
     def to_spectral(self, psi: np.ndarray) -> np.ndarray:
         """Coordinates of psi in the eigenbasis of the generator."""
-        grid = self._grid(psi)
-        phys = _dst(grid[:PHYSICAL_DIM] * self._phase_for(grid).conj())
+        if np.iscomplexobj(psi):
+            grid = self._grid(psi)
+            phys = _dst(grid[:PHYSICAL_DIM] * self._per_cell(self._phase, grid).conj())
+        else:
+            real = np.asarray(psi, dtype=np.float64).reshape(self._grid_shape(psi))
+            g = _dst(real[:PHYSICAL_DIM] * self._per_cell(self._parity, real))
+            flipped = g[:, ::-1, ::-1, ::-1]
+            phys = np.empty(g.shape, dtype=complex)
+            np.add(g, flipped, out=phys.real)
+            np.subtract(g, flipped, out=phys.imag)
+            grid = np.empty(real.shape, dtype=complex)
+            grid[PHYSICAL_DIM:] = real[PHYSICAL_DIM:]
         grid[:PHYSICAL_DIM] = self._mix(phys, adjoint=True)
         return grid.reshape(psi.shape)
 
@@ -224,11 +254,13 @@ class Propagator:
         """Inverse of to_spectral (the DST-I is its own inverse)."""
         grid = self._grid(coeffs)
         phys = _dst(self._mix(grid[:PHYSICAL_DIM], adjoint=False))
-        grid[:PHYSICAL_DIM] = phys * self._phase_for(grid)
+        grid[:PHYSICAL_DIM] = phys * self._per_cell(self._phase, grid)
         return grid.reshape(coeffs.shape)
 
     def phases(self, t: float) -> np.ndarray:
         """exp(-i*lambda*t) for every spectral entry of a full-register state."""
+        if not math.isfinite(t):
+            raise ValueError(f"t must be finite, got {t}")
         return np.exp(-1j * t * self.eigenvalues)
 
     def evolve(self, psi: np.ndarray, t: float) -> np.ndarray:
@@ -343,10 +375,10 @@ def trotter_constant(model: HamiltonianModel, scheme: BoundScheme) -> tuple[floa
 def steps_and_cost(model: HamiltonianModel, T: float, epsilon: float,
                    scheme: BoundScheme) -> ErrorBudget:
     """Convert a one-step bound into global step and CNOT counts."""
-    if not T > 0:
-        raise ValueError(f"T must be positive, got {T}")
-    if not epsilon > 0:
-        raise ValueError(f"epsilon must be positive, got {epsilon}")
+    if not 0 < T < math.inf:
+        raise ValueError(f"T must be positive and finite, got {T}")
+    if not 0 < epsilon < math.inf:
+        raise ValueError(f"epsilon must be positive and finite, got {epsilon}")
     c, p = trotter_constant(model, scheme)
     n = model.shape.n
     m_formula = (c * T**p / epsilon) ** (1.0 / (p - 1))

@@ -14,6 +14,7 @@ index.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,8 +35,8 @@ class LatticeShape:
     def __post_init__(self):
         if not (isinstance(self.n, int) and self.n >= 1):
             raise ValueError(f"n must be an integer >= 1, got {self.n}")
-        if not self.h > 0:
-            raise ValueError(f"h must be positive, got {self.h}")
+        if not 0 < self.h < math.inf:
+            raise ValueError(f"h must be positive and finite, got {self.h}")
 
     @property
     def points(self) -> int:

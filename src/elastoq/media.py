@@ -7,6 +7,7 @@ and 9..15 are zero padding that rounds the space up to four qubits.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,10 +33,10 @@ class MaterialParams:
     nu: float
 
     def __post_init__(self):
-        if not self.rho > 0:
-            raise ValueError(f"rho must be positive, got {self.rho}")
-        if not self.E > 0:
-            raise ValueError(f"E must be positive, got {self.E}")
+        if not 0 < self.rho < math.inf:
+            raise ValueError(f"rho must be positive and finite, got {self.rho}")
+        if not 0 < self.E < math.inf:
+            raise ValueError(f"E must be positive and finite, got {self.E}")
         if not -1.0 < self.nu < 0.5:
             raise ValueError(f"nu must lie strictly in (-1, 1/2), got {self.nu}")
 

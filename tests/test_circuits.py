@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from elastoq.circuits import (
     Gate,
     GateProgram,
+    TrotterStep,
     apply_block_fast,
     build_U1,
     build_U2,
@@ -266,6 +267,44 @@ class TestFastPath:
         there = apply_block_fast(model, "u2", 0.3, batch)
         back = apply_block_fast(model, "u2", -0.3, there)
         assert np.abs(back - batch).max() < 1e-12
+        real = batch.real / np.linalg.norm(batch.real, axis=0)
+        back = apply_block_fast(model, "u2", -0.3, apply_block_fast(model, "u2", 0.3, real))
+        assert back.dtype == np.float64
+        assert np.abs(back - real).max() < 1e-12
+
+    @pytest.mark.parametrize("scheme", ["u1", "u2"])
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_real_state_stays_real(self, n, scheme):
+        # the step is real orthogonal: stepping a real state as float64 matches
+        # stepping the same state as complex
+        model = build_model(n, 1.0, REFERENCE_MEDIUM)
+        rng = np.random.default_rng(20 + n)
+        for shape in ((model.dim,), (model.dim, 2)):
+            psi = rng.standard_normal(shape)
+            psi /= np.linalg.norm(psi, axis=0)
+            real = apply_block_fast(model, scheme, 0.3, psi)
+            assert real.dtype == np.float64
+            assert np.abs(real - apply_block_fast(model, scheme, 0.3, psi.astype(complex))
+                          ).max() <= 1e-14
+
+    def test_reused_plan_is_bit_identical(self):
+        model = build_model(3, 1.0, REFERENCE_MEDIUM)
+        psi = np.random.default_rng(21).standard_normal(model.dim)
+        for scheme in ("u1", "u2"):
+            step = TrotterStep(model, scheme, 0.2)
+            planned = direct = psi
+            for _ in range(10):
+                planned = step.apply(planned)
+                direct = apply_block_fast(model, scheme, 0.2, direct)
+            assert np.array_equal(planned, direct)
+            assert step.apply(psi.astype(complex)).dtype == complex
+
+    def test_plan_is_read_only(self):
+        step = TrotterStep(build_model(1, 1.0, REFERENCE_MEDIUM), "u2", 0.1)
+        with pytest.raises(AttributeError):
+            step.tau = 0.2
+        for _, _, w_minus_i, _ in step._passes:
+            assert not w_minus_i.flags.writeable
 
     def test_rejects_nonfinite_tau(self):
         model = build_model(1, 1.0, REFERENCE_MEDIUM)

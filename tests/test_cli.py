@@ -1,9 +1,41 @@
 import json
+import os
+import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import elastoq
 from elastoq.cli import main
+
+
+def test_module_entry_point():
+    # `python -m elastoq` from a source checkout, with no installed script
+    src = Path(elastoq.__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    done = subprocess.run([sys.executable, "-m", "elastoq", "bounds", "--n", "1"],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert "scheme first-norm" in done.stdout
+
+
+@pytest.mark.parametrize("argv,field", [
+    (["bounds", "--rho", "inf"], "rho"),
+    (["bounds", "--E", "inf"], "E"),
+    (["bounds", "--n", "2", "--h", "inf"], "h"),
+    (["run", "--T", "inf", "--dry-run"], "T"),
+    (["bounds", "--T", "inf"], "T"),
+    (["bounds", "--eps", "inf"], "epsilon"),
+    (["certify", "--T", "inf"], "T"),
+    (["compare", "--T", "inf"], "T"),
+])
+def test_nonfinite_input_named(argv, field, capsys):
+    assert main(argv) == 1
+    record = json.loads(capsys.readouterr().err.strip())
+    assert record["error"] == "ValueError"
+    assert re.search(rf"\b{field}\b.* must be positive and finite", record["message"])
 
 
 class TestBounds:

@@ -53,6 +53,15 @@ class TestValidation:
         with pytest.raises(ValueError, match="n >= 3"):
             validate_config(identity_config(init=kind))
 
+    @pytest.mark.parametrize("overrides,field", [
+        (dict(T=float("inf")), "T"),
+        (dict(T=float("nan")), "T"),
+        (dict(taus=(float("inf"),)), "tau"),
+    ])
+    def test_nonfinite_rejected(self, overrides, field):
+        with pytest.raises(ValueError, match=f"{field} must be positive and finite"):
+            validate_config(identity_config(**overrides))
+
     def test_bad_clip(self):
         with pytest.raises(ValueError, match="clip"):
             validate_config(identity_config(clip=1.0))
@@ -68,6 +77,7 @@ class TestInitialStates:
     def test_pulse_support_and_amplitude(self):
         config = identity_config()
         prepared = build_initial_state(config)
+        assert prepared.psi.dtype == np.float64  # real, and the Trotter walk keeps it real
         assert prepared.norm_factor == pytest.approx(1.0, abs=1e-12)
         grid = prepared.psi.reshape(STATE_DIM, 4, 4, 4)
         support = np.abs(grid[2]) > 0

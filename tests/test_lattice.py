@@ -29,6 +29,11 @@ class TestShapeValidation:
         with pytest.raises(ValueError, match="h"):
             LatticeShape(n=2, h=0.0)
 
+    @pytest.mark.parametrize("h", [float("inf"), float("nan")])
+    def test_rejects_nonfinite_h(self, h):
+        with pytest.raises(ValueError, match="h must be positive and finite"):
+            LatticeShape(n=2, h=h)
+
     def test_points(self):
         assert LatticeShape(n=3, h=1.0).points == 8
 

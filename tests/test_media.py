@@ -40,6 +40,17 @@ class TestMaterialParams:
         with pytest.raises(ValueError, match=field):
             MaterialParams(**kwargs)
 
+    @pytest.mark.parametrize("kwargs,field", [
+        (dict(rho=float("inf"), E=1.0, nu=0.1), "rho"),
+        (dict(rho=float("nan"), E=1.0, nu=0.1), "rho"),
+        (dict(rho=1.0, E=float("inf"), nu=0.1), "E"),
+        (dict(rho=1.0, E=float("nan"), nu=0.1), "E"),
+        (dict(rho=1.0, E=1.0, nu=float("nan")), "nu"),
+    ])
+    def test_nonfinite_named(self, kwargs, field):
+        with pytest.raises(ValueError, match=f"^{field} must"):
+            MaterialParams(**kwargs)
+
     def test_boundary_values_accepted(self):
         MaterialParams(rho=1e-9, E=1e-9, nu=0.499999)
         MaterialParams(rho=1.0, E=1.0, nu=-0.999999)

@@ -69,6 +69,39 @@ class TestGenerator:
         prop = Propagator(build_model(1, 1.0, REFERENCE_MEDIUM))
         with pytest.raises(ValueError, match="state length"):
             prop.evolve(np.zeros(100, dtype=complex), 1.0)
+        with pytest.raises(ValueError, match="state length"):
+            prop.to_spectral(np.zeros(100))
+
+    @pytest.mark.parametrize("t", [np.inf, -np.inf, np.nan])
+    def test_rejects_nonfinite_time(self, t):
+        prop = Propagator(build_model(1, 1.0, REFERENCE_MEDIUM))
+        with pytest.raises(ValueError, match="t must be finite"):
+            prop.phases(t)
+        with pytest.raises(ValueError, match="t must be finite"):
+            prop.evolve(np.ones(prop.model.dim) / np.sqrt(prop.model.dim), t)
+
+
+class TestRealInput:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_real_transform_matches_complex(self, n):
+        # one real DST-I (parity folding) against the complex transform
+        model = build_model(n, 1.0, REFERENCE_MEDIUM)
+        prop = Propagator(model)
+        rng = np.random.default_rng(30 + n)
+        sector = 9 * model.shape.points**3
+        for shape in ((model.dim,), (sector,), (model.dim, 3), (sector, 2)):
+            psi = rng.standard_normal(shape)
+            psi /= np.linalg.norm(psi, axis=0)
+            real = prop.to_spectral(psi)
+            assert real.dtype == complex and real.shape == shape
+            assert np.abs(real - prop.to_spectral(psi.astype(complex))).max() <= 1e-15
+
+    def test_evolve_real_state(self):
+        model = build_model(2, 1.0, REFERENCE_MEDIUM)
+        psi = np.random.default_rng(8).standard_normal(model.dim)
+        psi /= np.linalg.norm(psi)
+        dense = exact_evolve(model, 2.5, psi, method="dense").state
+        assert np.abs(Propagator(model).evolve(psi, 2.5) - dense).max() <= 1e-12
 
 
 class TestGroupLaw:
