@@ -37,12 +37,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .hamiltonian import (
-    DENSE_MAX_N,
     HamiltonianModel,
-    Propagator,
     TermKey,
     ZERO_EIGENVALUE_TOL,
-    materialize_sparse_H,
     term_angle,
     u1_step_cnots,
     u2_step_cnots,
@@ -157,17 +154,17 @@ def build_W_jk(model: HamiltonianModel, key: TermKey, tau: float) -> list[Gate]:
 
 
 def build_script_W(model: HamiltonianModel, axis: int, j: int, tau: float,
-                   skip_zero: bool = True, k_descending: bool = False) -> list[Gate]:
+                   k_descending: bool = False) -> list[Gate]:
     """Basis change + all pattern-controlled levels of one eigenindex block.
 
     Equals the ordered product over k of the exact term exponentials for
-    eigenindex j of this axis (identity off the j sector).
+    eigenindex j of this axis (identity off the j sector).  A zero eigenvalue
+    rotates nothing, so its block is the two basis changes alone.
     """
     eig = model.eigensystems[axis - 1]
     n = model.shape.n
     gates = [Gate("v4dg", targets=STATE_QUBITS, unitary=eig.v)]
-    lam = eig.lambdas[j]
-    if not (skip_zero and abs(lam) < ZERO_EIGENVALUE_TOL):
+    if abs(eig.lambdas[j]) >= ZERO_EIGENVALUE_TOL:
         levels = range(n, 0, -1) if k_descending else range(1, n + 1)
         for k in levels:
             theta = term_angle(model, TermKey(axis, j, k), tau)
@@ -176,44 +173,28 @@ def build_script_W(model: HamiltonianModel, axis: int, j: int, tau: float,
     return gates
 
 
-def _sweep_gates(model: HamiltonianModel, tau: float, skip_zero: bool,
-                 forward: bool, elide_basis_changes: bool) -> list[Gate]:
+def _sweep_gates(model: HamiltonianModel, tau: float, forward: bool) -> list[Gate]:
     """One full pass over all (axis, j, k) terms in forward or reversed order."""
     gates: list[Gate] = []
     axes = (1, 2, 3) if forward else (3, 2, 1)
     for axis in axes:
-        eig = model.eigensystems[axis - 1]
         j_values = range(STATE_DIM) if forward else range(STATE_DIM - 1, -1, -1)
-        if elide_basis_changes:
-            gates.append(Gate("v4dg", targets=STATE_QUBITS, unitary=eig.v))
-            for j in j_values:
-                block = build_script_W(model, axis, j, tau, skip_zero=skip_zero,
-                                       k_descending=not forward)
-                gates += block[1:-1]  # interior basis changes cancel
-            gates.append(Gate("v4", targets=STATE_QUBITS, unitary=eig.v))
-        else:
-            for j in j_values:
-                gates += build_script_W(model, axis, j, tau, skip_zero=skip_zero,
-                                        k_descending=not forward)
+        for j in j_values:
+            gates += build_script_W(model, axis, j, tau, k_descending=not forward)
     return gates
 
 
-def build_U1(model: HamiltonianModel, tau: float, skip_zero: bool = True,
-             elide_basis_changes: bool = False) -> GateProgram:
+def build_U1(model: HamiltonianModel, tau: float) -> GateProgram:
     """First-order step: all terms once, axes/eigenindices/levels ascending."""
-    gates = _sweep_gates(model, tau, skip_zero, forward=True,
-                         elide_basis_changes=elide_basis_changes)
-    return GateProgram(n=model.shape.n, scheme="u1", tau=tau, gates=tuple(gates),
+    return GateProgram(n=model.shape.n, scheme="u1", tau=tau,
+                       gates=tuple(_sweep_gates(model, tau, forward=True)),
                        cnot_account=u1_step_cnots(model.shape.n))
 
 
-def build_U2(model: HamiltonianModel, tau: float, skip_zero: bool = True,
-             elide_basis_changes: bool = False) -> GateProgram:
+def build_U2(model: HamiltonianModel, tau: float) -> GateProgram:
     """Symmetric second-order step: forward half then exactly reversed half."""
-    gates = _sweep_gates(model, tau / 2, skip_zero, forward=True,
-                         elide_basis_changes=elide_basis_changes)
-    gates += _sweep_gates(model, tau / 2, skip_zero, forward=False,
-                          elide_basis_changes=elide_basis_changes)
+    gates = (_sweep_gates(model, tau / 2, forward=True)
+             + _sweep_gates(model, tau / 2, forward=False))
     return GateProgram(n=model.shape.n, scheme="u2", tau=tau, gates=tuple(gates),
                        cnot_account=u2_step_cnots(model.shape.n))
 
@@ -436,41 +417,6 @@ def apply_block_fast(model: HamiltonianModel, scheme: str, tau: float,
 def scheme_unitary(model: HamiltonianModel, scheme: str, tau: float) -> np.ndarray:
     """Dense (real orthogonal) matrix of one Trotter step via the fast path."""
     return apply_block_fast(model, scheme, tau, np.eye(model.dim))
-
-
-# ---------------------------------------------------------------------------
-# exact evolution
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class EvolveResult:
-    """Exact-evolution output with the method actually used."""
-
-    state: np.ndarray
-    method: str
-
-
-def exact_evolve(model: HamiltonianModel, T: float, psi: np.ndarray,
-                 method: str = "auto") -> EvolveResult:
-    """Evolve a state (dim,) or batch (dim, b) by the exact propagator over time T.
-
-    "auto" uses the spectral Propagator at any size; "dense" eigendecomposes
-    the materialized generator, the independent test reference, up to
-    n = DENSE_MAX_N.
-    """
-    if psi.shape[0] != model.dim:
-        raise ValueError(f"state length {psi.shape[0]} != 2^{model.qubits}")
-    if method == "auto":
-        return EvolveResult(state=Propagator(model).evolve(psi, T), method="spectral")
-    if method == "dense":
-        if model.shape.n > DENSE_MAX_N:
-            raise ValueError(f"method='dense' needs n <= {DENSE_MAX_N}, "
-                             f"got n={model.shape.n}; use auto")
-        evals, evecs = np.linalg.eigh(materialize_sparse_H(model).toarray())
-        phases = np.exp(-1j * T * evals).reshape((-1,) + (1,) * (psi.ndim - 1))
-        out = evecs @ (phases * (evecs.conj().T @ psi.astype(complex)))
-        return EvolveResult(state=out, method="dense")
-    raise ValueError(f"method must be auto or dense, got {method!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -56,6 +56,9 @@ class ExperimentConfig:
 
 
 def validate_config(config: ExperimentConfig) -> None:
+    # the grid and medium raise naming the bad field, also on a dry run
+    LatticeShape(n=config.n, h=config.h)
+    MaterialParams(rho=config.rho, E=config.E, nu=config.nu)
     if config.init not in ("pulse", "p", "s"):
         raise ValueError(f"init must be pulse, p, or s, got {config.init!r}")
     if config.scheme not in ("u1", "u2"):
@@ -240,7 +243,8 @@ def _walk(model: HamiltonianModel, prepared: PreparedState, scheme: str, tau: fl
         snapshots[0.0] = (psi_trotter.copy(), prepared.psi.copy())
     for m in range(1, steps + 1):
         psi_trotter = trotter.apply(psi_trotter)
-        coeffs = step_phases * coeffs
+        # in place, and rounded as step_phases * coeffs (coeffs *= step_phases is not)
+        np.multiply(step_phases, coeffs, out=coeffs)
         fidelities[m] = abs(np.vdot(coeffs, exact.to_spectral(psi_trotter))) ** 2
         if m in wanted:
             snapshots[float(times[m])] = (psi_trotter.copy(), exact.from_spectral(coeffs))

@@ -32,7 +32,7 @@ from .media import (
 BoundScheme = Literal["first-norm", "first-commutator", "second"]
 
 #: Eigenvalues below this are treated as exact zeros of the padding/kernel
-#: sector; the simulator may skip them, cost accounting never does.
+#: sector; the gate builders and the fast path skip them, cost accounting never does.
 ZERO_EIGENVALUE_TOL = 1e-13
 
 #: Largest n at which dense reference paths (dense eigh of H, dense sector
@@ -282,6 +282,20 @@ def materialize_sparse_H(model: HamiltonianModel) -> sp.csr_matrix:
     if residual.nnz and residual.max() > 1e-14:
         raise AssertionError(f"hermiticity residual {residual.max():.3e} exceeds 1e-14")
     return ((h + h.getH()) * 0.5).tocsr()
+
+
+def dense_evolve(model: HamiltonianModel, t: float, psi: np.ndarray) -> np.ndarray:
+    """exp(-iHt) psi from a dense eigh of the materialized generator (test reference).
+
+    Takes a (dim,) state or (dim, b) batch, up to n = DENSE_MAX_N.
+    """
+    if model.shape.n > DENSE_MAX_N:
+        raise ValueError(f"dense evolution needs n <= {DENSE_MAX_N}, got n={model.shape.n}")
+    if psi.shape[0] != model.dim:
+        raise ValueError(f"state length {psi.shape[0]} != 2^{model.qubits}")
+    evals, evecs = np.linalg.eigh(materialize_sparse_H(model).toarray())
+    phases = np.exp(-1j * t * evals).reshape((-1,) + (1,) * (psi.ndim - 1))
+    return evecs @ (phases * (evecs.conj().T @ psi.astype(complex)))
 
 
 def materialize_term(model: HamiltonianModel, key: TermKey) -> sp.csr_matrix:

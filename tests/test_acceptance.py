@@ -11,12 +11,11 @@ from elastoq.circuits import (
     apply_block_fast,
     build_U1,
     build_U2,
-    exact_evolve,
     simulate,
 )
 from elastoq.classical import (
+    dense_sector_evolve,
     estimate_l_norm,
-    exact_sector_evolve,
     global_error_certificate,
     local_error_certificate,
     m_sigma,
@@ -37,6 +36,7 @@ from elastoq.hamiltonian import (
     bound_first_order_norm,
     bound_second_order,
     build_model,
+    dense_evolve,
     empirical_trotter_error,
     materialize_sparse_H,
     qubit_count,
@@ -120,7 +120,7 @@ def test_3_convergence_orders():
     config = ExperimentConfig(n=2, T=2.0, taus=taus, E=0.646, nu=0.255)
     model = config_model(config)
     prepared = build_initial_state(config, model)
-    reference = exact_evolve(model, config.T, prepared.psi, method="dense").state
+    reference = dense_evolve(model, config.T, prepared.psi)
     slopes = {}
     for scheme in ("u1", "u2"):
         errors = []
@@ -276,8 +276,8 @@ def test_8_quantum_classical_consistency():
     psi[3:9] = state.r
     ok = True
     for horizon in (1.0, 5.0):
-        quantum = exact_evolve(model, horizon, psi.reshape(-1), method="dense").state
-        classical, _ = exact_sector_evolve(model, horizon, state, method="dense")
+        quantum = dense_evolve(model, horizon, psi.reshape(-1))
+        classical = dense_sector_evolve(model, horizon, state)
         grid = quantum.reshape(16, points, points, points)
         ok &= np.abs(grid[0:3] - classical.q).max() < 1e-8
         ok &= np.abs(grid[3:9] - classical.r).max() < 1e-8
@@ -296,7 +296,7 @@ def test_9_field_reconstruction_sanity():
     ok &= np.abs(slices["v_z"].data - expected).max() < 1e-12
     reference = b_weighted_norm_sq(model, prepared.psi, prepared.norm_factor)
     for horizon in (0.5, 1.0, 2.0):
-        psi_t = exact_evolve(model, horizon, prepared.psi, method="dense").state
+        psi_t = dense_evolve(model, horizon, prepared.psi)
         value = b_weighted_norm_sq(model, psi_t, prepared.norm_factor)
         ok &= abs(value - reference) < 1e-8
     _report(9, "field reconstruction sanity", ok, started, 120.0)

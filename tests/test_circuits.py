@@ -13,7 +13,6 @@ from elastoq.circuits import (
     build_U2,
     build_W_jk,
     build_script_W,
-    exact_evolve,
     ladder_qubit,
     parse_program,
     program_unitary,
@@ -22,8 +21,10 @@ from elastoq.circuits import (
     simulate,
 )
 from elastoq.hamiltonian import (
+    Propagator,
     TermKey,
     build_model,
+    dense_evolve,
     materialize_sparse_H,
     materialize_term,
     term_angle,
@@ -88,7 +89,7 @@ class TestScriptW:
         model = build_model(1, 1.0, REFERENCE_MEDIUM)
         eig = model.eigensystems[0]
         zero_j = int(np.argmin(np.abs(eig.lambdas)))
-        gates = build_script_W(model, 1, zero_j, 0.8, skip_zero=False)
+        gates = build_script_W(model, 1, zero_j, 0.8)
         prog = block_program(model, gates)
         rng = np.random.default_rng(1)
         psi = random_state(rng, model.dim)
@@ -104,14 +105,6 @@ class TestScriptW:
             expected = scipy.linalg.expm(
                 -1j * tau * materialize_term(model, TermKey(axis, j, 1)).toarray())
             assert np.abs(u - expected).max() < 1e-10
-
-    def test_interior_basis_change_cancellation(self):
-        model = build_model(1, 1.0, REFERENCE_MEDIUM)
-        rng = np.random.default_rng(2)
-        psi = random_state(rng, model.dim)
-        full = simulate(build_U1(model, 0.3), psi)
-        elided = simulate(build_U1(model, 0.3, elide_basis_changes=True), psi)
-        assert np.abs(full - elided).max() < 1e-12
 
 
 class TestTrotterPrograms:
@@ -398,45 +391,35 @@ class TestExactEvolve:
         model = build_model(1, 1.0, REFERENCE_MEDIUM)
         rng = np.random.default_rng(11)
         psi = random_state(rng, model.dim)
-        out = exact_evolve(model, 0.0, psi)
-        assert np.abs(out.state - psi).max() < 1e-12
+        out = Propagator(model).evolve(psi, 0.0)
+        assert np.abs(out - psi).max() < 1e-12
 
     def test_norm_preserved(self):
         model = build_model(1, 1.0, REFERENCE_MEDIUM)
         rng = np.random.default_rng(12)
         psi = random_state(rng, model.dim)
-        for method, label in (("dense", "dense"), ("auto", "spectral")):
-            out = exact_evolve(model, 3.0, psi, method=method)
-            assert np.linalg.norm(out.state) == pytest.approx(1.0, abs=1e-10)
-            assert out.method == label
+        for out in (dense_evolve(model, 3.0, psi), Propagator(model).evolve(psi, 3.0)):
+            assert np.linalg.norm(out) == pytest.approx(1.0, abs=1e-10)
 
     def test_dense_vs_propagator(self):
         model = build_model(1, 1.0, REFERENCE_MEDIUM)
         rng = np.random.default_rng(13)
         psi = random_state(rng, model.dim)
-        dense = exact_evolve(model, 5.0, psi, method="dense")
-        spectral = exact_evolve(model, 5.0, psi)
-        assert np.abs(dense.state - spectral.state).max() < 1e-8
-
-    def test_auto_is_spectral(self):
-        model = build_model(1, 1.0, REFERENCE_MEDIUM)
-        psi = np.zeros(model.dim, dtype=complex)
-        psi[0] = 1.0
-        assert exact_evolve(model, 0.1, psi).method == "spectral"
-        with pytest.raises(ValueError, match="method"):
-            exact_evolve(model, 0.1, psi, method="krylov")
+        dense = dense_evolve(model, 5.0, psi)
+        spectral = Propagator(model).evolve(psi, 5.0)
+        assert np.abs(dense - spectral).max() < 1e-8
 
     def test_dense_refuses_beyond_cap(self):
         # n = 3 would factor a dense 8192^2 complex matrix; refused before building it
         model = build_model(3, 1.0, REFERENCE_MEDIUM)
         with pytest.raises(ValueError, match="n=3"):
-            exact_evolve(model, 0.1, np.zeros(model.dim, dtype=complex), method="dense")
+            dense_evolve(model, 0.1, np.zeros(model.dim, dtype=complex))
 
     def test_eigenvector_input_picks_up_phase(self):
         model = build_model(1, 1.0, REFERENCE_MEDIUM)
         evals, evecs = np.linalg.eigh(materialize_sparse_H(model).toarray())
         vec = evecs[:, -1].astype(complex)
-        out = exact_evolve(model, 2.0, vec).state
+        out = Propagator(model).evolve(vec, 2.0)
         assert np.abs(out - np.exp(-1j * evals[-1] * 2.0) * vec).max() < 1e-10
 
 

@@ -16,8 +16,8 @@ from elastoq.classical import (
     dense_coupling,
     dense_generator,
     dense_leapfrog_matrix,
+    dense_sector_evolve,
     estimate_l_norm,
-    exact_sector_evolve,
     global_error_certificate,
     leapfrog_flops_per_point,
     leapfrog_step,
@@ -26,8 +26,7 @@ from elastoq.classical import (
     make_leapfrog_config,
     power_bound_certificate,
 )
-from elastoq.circuits import exact_evolve
-from elastoq.hamiltonian import build_model, operator_norm_bound
+from elastoq.hamiltonian import Propagator, build_model, dense_evolve, operator_norm_bound
 from elastoq.media import MaterialParams
 
 REFERENCE_MEDIUM = MaterialParams(rho=1.0, E=0.646, nu=0.255)
@@ -178,7 +177,7 @@ class TestStabilityCertificates:
         config = make_leapfrog_config(model, tau=0.1, eta=1.0, T=1.0)
         report = power_bound_certificate(model, config, m_max=20)
         points = model.shape.points
-        probes = _orthonormal_probes(9 * points**3, 16, 0)
+        probes = _orthonormal_probes(9 * points**3, 16)
         growth = 0.0
         for i in range(probes.shape[1]):
             state = PhysicalState.from_flat(probes[:, i], points)
@@ -186,6 +185,14 @@ class TestStabilityCertificates:
                 state = leapfrog_step(model, state, config.tau)
                 growth = max(growth, state.norm)
         assert report.measured == pytest.approx(growth, rel=1e-12)
+
+    @pytest.mark.parametrize("m_max", [0, -5])
+    def test_power_bound_needs_a_step(self, m_max):
+        # with no step the growth would read 0.0 and pass vacuously
+        model = build_model(1, 1.0, REFERENCE_MEDIUM)
+        config = make_leapfrog_config(model, tau=0.1, eta=1.0, T=1.0)
+        with pytest.raises(ValueError, match="m_max"):
+            power_bound_certificate(model, config, m_max=m_max)
 
     def test_near_unitary_regime(self):
         # at tau * ||L|| = 0.01 the growth envelope is C_eta(0.01) ~ 1 + 1.25e-5;
@@ -202,8 +209,7 @@ class TestStabilityCertificates:
         model = build_model(1, 1.0, REFERENCE_MEDIUM)
         rng = np.random.default_rng(6)
         st = random_sector_state(rng, 2)
-        out, method = exact_sector_evolve(model, 4.0, st)
-        assert method == "spectral"
+        out = PhysicalState.from_flat(Propagator(model).evolve(st.flat(), 4.0), 2)
         assert out.norm == pytest.approx(st.norm, abs=1e-10)
 
     def test_unit_circle_eigenvalues(self):
@@ -299,8 +305,8 @@ class TestQuantumClassicalConsistency:
         psi = np.zeros((16, points, points, points), dtype=complex)
         psi[0:3] = st.q
         psi[3:9] = st.r
-        quantum = exact_evolve(model, T, psi.reshape(-1), method="dense").state
-        classical, _ = exact_sector_evolve(model, T, st, method="dense")
+        quantum = dense_evolve(model, T, psi.reshape(-1))
+        classical = dense_sector_evolve(model, T, st)
         grid = quantum.reshape(16, points, points, points)
         assert np.abs(grid[0:3] - classical.q).max() < 1e-8
         assert np.abs(grid[3:9] - classical.r).max() < 1e-8

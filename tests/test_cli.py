@@ -38,6 +38,22 @@ def test_nonfinite_input_named(argv, field, capsys):
     assert re.search(rf"\b{field}\b.* must be positive and finite", record["message"])
 
 
+@pytest.mark.parametrize("argv,field", [
+    (["run", "--n", "2", "--h", "-1", "--dry-run"], "h"),
+    (["run", "--n", "2", "--rho", "-3", "--nu", "0.7", "--dry-run"], "rho"),
+    (["run", "--n", "2", "--E", "0", "--dry-run"], "E"),
+    (["run", "--n", "2", "--nu", "0.7", "--dry-run"], "nu"),
+])
+def test_dry_run_rejects_bad_medium(argv, field, capsys):
+    # a dry run refuses what the real run refuses, before printing a plan
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    record = json.loads(captured.err.strip())
+    assert record["error"] == "ValueError"
+    assert re.match(rf"{field}\b", record["message"])
+    assert captured.out == ""
+
+
 class TestBounds:
     def test_reports_all_schemes(self, capsys):
         assert main(["bounds", "--n", "5", "--T", "10", "--eps", "0.1"]) == 0
@@ -148,6 +164,14 @@ class TestCertify:
         assert out.count("certificate ") == 3
         assert out.count("method spectral") == 2
         assert "passed False" not in out
+
+    @pytest.mark.parametrize("steps", ["0", "-5"])
+    def test_no_power_bound_steps_refused(self, steps, capsys):
+        argv = ["certify", "--n", "1", "--T", "2", "--tau", "0.25", "--steps", steps]
+        assert main(argv) == 1
+        record = json.loads(capsys.readouterr().err.strip())
+        assert record["error"] == "ValueError"
+        assert "m_max" in record["message"]
 
     def test_unstable_tau_fails(self, capsys):
         argv = ["certify", "--n", "1", "--T", "2", "--tau", "5.0"]

@@ -3,8 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from elastoq.circuits import apply_block_fast, exact_evolve
-from elastoq.hamiltonian import Propagator, materialize_sparse_H
+from elastoq.circuits import apply_block_fast
+from elastoq.hamiltonian import Propagator, dense_evolve, materialize_sparse_H
 from elastoq.experiments import (
     ExperimentConfig,
     b_weighted_norm_sq,
@@ -125,7 +125,7 @@ class TestFidelity:
         propagator = Propagator(model)
         for _ in range(8):
             psi = propagator.evolve(psi, 0.25)
-        one_shot = exact_evolve(model, 2.0, prepared.psi, method="dense").state
+        one_shot = dense_evolve(model, 2.0, prepared.psi)
         assert abs(np.vdot(one_shot, psi)) ** 2 == pytest.approx(1.0, abs=1e-10)
 
     def test_fidelity_deficit_scales_quadratically(self):
@@ -179,7 +179,7 @@ class TestFieldReconstruction:
         config = identity_config()
         model = config_model(config)
         prepared = build_initial_state(config, model)
-        psi_t = exact_evolve(model, 1.0, prepared.psi, method="dense").state
+        psi_t = dense_evolve(model, 1.0, prepared.psi)
         slices = reconstruct_fields(model, psi_t, prepared.norm_factor)
         grid = psi_t.reshape(STATE_DIM, 4, 4, 4)
         assert np.abs(slices["v_z"].data - grid[2][1].real).max() < 1e-12
@@ -191,7 +191,7 @@ class TestFieldReconstruction:
         config = identity_config(E=0.646, nu=0.255)
         model = config_model(config)
         prepared = build_initial_state(config, model)
-        psi_t = exact_evolve(model, 2.0, prepared.psi, method="dense").state
+        psi_t = dense_evolve(model, 2.0, prepared.psi)
         slices = reconstruct_fields(model, psi_t, prepared.norm_factor)
         for slc in slices.values():
             assert slc.max_imag < 1e-8
@@ -203,7 +203,7 @@ class TestFieldReconstruction:
         reference = b_weighted_norm_sq(model, prepared.psi, prepared.norm_factor)
         psi = prepared.psi.copy()
         for t in (0.5, 1.0, 2.0):
-            psi_t = exact_evolve(model, t, prepared.psi, method="dense").state
+            psi_t = dense_evolve(model, t, prepared.psi)
             assert b_weighted_norm_sq(model, psi_t, prepared.norm_factor) == pytest.approx(
                 reference, abs=1e-8)
 

@@ -4,9 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from elastoq.circuits import exact_evolve
-from elastoq.classical import PhysicalState, dense_generator, exact_sector_evolve
-from elastoq.hamiltonian import Propagator, apply_H, build_model
+from elastoq.classical import PhysicalState, dense_generator
+from elastoq.hamiltonian import Propagator, apply_H, build_model, dense_evolve
 from elastoq.media import MaterialParams
 
 REFERENCE_MEDIUM = MaterialParams(rho=1.0, E=0.646, nu=0.255)
@@ -28,13 +27,13 @@ class TestAgainstDense:
     def test_matches_dense_oracle(self, n, T):
         model = build_model(n, 1.0, REFERENCE_MEDIUM)
         psi = random_states(np.random.default_rng(n), model.dim)
-        dense = exact_evolve(model, T, psi, method="dense").state
+        dense = dense_evolve(model, T, psi)
         assert np.abs(Propagator(model).evolve(psi, T) - dense).max() <= 1e-12
 
     def test_batch_columns(self):
         model = build_model(1, 0.7, REFERENCE_MEDIUM)
         batch = random_states(np.random.default_rng(3), model.dim, batch=3)
-        dense = exact_evolve(model, 2.0, batch, method="dense").state
+        dense = dense_evolve(model, 2.0, batch)
         assert np.abs(Propagator(model).evolve(batch, 2.0) - dense).max() <= 1e-12
 
 
@@ -100,7 +99,7 @@ class TestRealInput:
         model = build_model(2, 1.0, REFERENCE_MEDIUM)
         psi = np.random.default_rng(8).standard_normal(model.dim)
         psi /= np.linalg.norm(psi)
-        dense = exact_evolve(model, 2.5, psi, method="dense").state
+        dense = dense_evolve(model, 2.5, psi)
         assert np.abs(Propagator(model).evolve(psi, 2.5) - dense).max() <= 1e-12
 
 
@@ -135,8 +134,7 @@ class TestSectorFlow:
         for T in (0.4, 10.0):
             expected = evecs @ (np.exp(-1j * evals * T) * (evecs.conj().T @ vec))
             state = PhysicalState.from_flat(vec, points)
-            flowed, method = exact_sector_evolve(model, T, state)
-            assert method == "spectral"
+            flowed = PhysicalState.from_flat(Propagator(model).evolve(state.flat(), T), points)
             assert np.abs(flowed.flat() - expected).max() <= 1e-12
 
 
