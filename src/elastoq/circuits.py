@@ -299,18 +299,20 @@ def _live_sectors(model: HamiltonianModel, axis: int) -> tuple[np.ndarray, int, 
 
 
 def _composed_rotation(theta: np.ndarray, points: int,
-                       levels: tuple[int, ...]) -> np.ndarray:
-    """W - I per sector angle theta; W composes the level rotations in step order.
+                       stages: tuple[tuple[int, int, int], ...]) -> np.ndarray:
+    """W - I per sector angle theta; W composes the level rotations in stage order.
 
-    Levels of one axis do not commute, so W is built by running the rotations,
-    first level first, on an identity stack (one N x N matrix per sector).
+    Levels of one axis do not commute, so W is built by running the rotations
+    on an identity stack (one N x N matrix per sector).  Stage (k, start, stop)
+    rotates level k of the sectors start:stop, so one call serves every pass
+    of a step plan that runs level k at that point of its level order.
     """
     cos_t = np.cos(theta)[:, None, None]
     sin_t = np.sin(theta)[:, None, None]
     eye = np.eye(points)
     w = np.repeat(eye[None], len(theta), axis=0)
-    for k in levels:
-        apply_pair_rotation(w, 1, k, cos_t, sin_t)
+    for k, start, stop in stages:
+        apply_pair_rotation(w[start:stop], 1, k, cos_t[start:stop], sin_t[start:stop])
     w -= eye
     return w
 
@@ -322,14 +324,21 @@ def _axis_pass(rows: np.ndarray, vectors: np.ndarray, w_minus_i: np.ndarray,
     rows is the (physical rows, columns) float slab of the state; V^T rows
     lands in proj, seen as (sectors, outer, N, inner) with the rotated axis in
     the middle, so W - I applies by one matmul broadcast over outer, with no
-    transposed copy.  proj and work are buffers the caller reuses.
+    transposed copy.  With one column per cell on the last grid axis inner is
+    1, and that broadcast would be outer separate matrix-vector products;
+    there W - I applies as one (outer, N) @ (W - I)^T GEMM per sector instead.
+    proj and work are buffers the caller reuses.
     """
     from scipy.linalg.blas import dgemm  # deferred, like scipy.fft in the propagator
 
     sectors, points = w_minus_i.shape[:2]
     np.matmul(vectors.T, rows, out=proj)
-    np.matmul(w_minus_i[:, None], proj.reshape(sectors, outer, points, -1),
-              out=work.reshape(sectors, outer, points, -1))
+    if proj.shape[1] == outer * points:
+        np.matmul(proj.reshape(sectors, outer, points), w_minus_i.transpose(0, 2, 1),
+                  out=work.reshape(sectors, outer, points))
+    else:
+        np.matmul(w_minus_i[:, None], proj.reshape(sectors, outer, points, -1),
+                  out=work.reshape(sectors, outer, points, -1))
     # rows^T += work^T V^T: rows^T is F-ordered, so BLAS accumulates in place
     dgemm(1.0, work.T, vectors.T, beta=1.0, c=rows.T, overwrite_c=True)
 
@@ -342,7 +351,8 @@ class TrotterStep:
     step is x <- x + V_l (W - I) V_l^T x: V_l holds the real eigenvectors of
     the live sectors, and W the n level rotations of each sector composed into
     one N x N matrix, applied along that axis by one batched GEMM.  The plan
-    holds the live sectors and the read-only W - I stacks of every axis pass;
+    holds the live sectors and one read-only W - I stack, built with one
+    pair-rotation call per level stage over all passes and sliced per pass;
     apply allocates its own work buffers, so one plan is safe to share across
     threads.  Sectors with |lambda| < ZERO_EIGENVALUE_TOL and the padding
     components pass through bit-exactly.
@@ -358,23 +368,29 @@ class TrotterStep:
             raise ValueError(f"tau must be finite, got {tau}")
         n, h, points = model.shape.n, model.shape.h, model.shape.points
         up, down = tuple(range(1, n + 1)), tuple(range(n, 0, -1))
+        # a stage (k, p, q) rotates level k in the passes p..q-1, in stage order
         if scheme == "u1":
-            plan = ((1, tau, up), (2, tau, up), (3, tau, up))
+            plan = ((1, tau), (2, tau), (3, tau))
+            stage_passes = [(k, 0, 3) for k in up]
         elif scheme == "u2":
             # forward half then reversed half; the two adjacent axis-3 passes
-            # compose into one
+            # compose into one, which runs the up levels and then the down ones
             half = tau / 2
-            plan = ((1, half, up), (2, half, up), (3, half, up + down),
-                    (2, half, down), (1, half, down))
+            plan = ((1, half), (2, half), (3, half), (2, half), (1, half))
+            stage_passes = [(k, 0, 3) for k in up] + [(k, 2, 5) for k in down]
         else:
             raise ValueError(f"scheme must be 'u1' or 'u2', got {scheme!r}")
         sectors = [_live_sectors(model, axis) for axis in (1, 2, 3)]
+        thetas = [sectors[axis - 1][0] * step_tau / (2 * h) for axis, step_tau in plan]
+        bounds = np.cumsum([0] + [len(theta) for theta in thetas])
+        stages = tuple((k, bounds[p], bounds[q]) for k, p, q in stage_passes)
+        stack = _composed_rotation(np.concatenate(thetas), points, stages)
+        stack.setflags(write=False)
         passes = []
-        for axis, step_tau, levels in plan:
-            lambdas, first, vectors = sectors[axis - 1]
-            w_minus_i = _composed_rotation(lambdas * step_tau / (2 * h), points, levels)
-            w_minus_i.setflags(write=False)
-            passes.append((first, vectors, w_minus_i, points ** (axis - 1)))
+        for p, (axis, _) in enumerate(plan):
+            _, first, vectors = sectors[axis - 1]
+            passes.append((first, vectors, stack[bounds[p]:bounds[p + 1]],
+                           points ** (axis - 1)))
         for name, value in (("model", model), ("scheme", scheme), ("tau", tau),
                             ("_passes", tuple(passes))):
             object.__setattr__(self, name, value)
@@ -384,7 +400,9 @@ class TrotterStep:
 
         A real state comes back float64, stepped with one slab column per
         amplitude; a complex one comes back complex, stepped on its float
-        view with two columns per amplitude.
+        view with two columns per amplitude.  Finiteness is not checked here,
+        since this runs once per step: a NaN spreads over its sector rows.
+        fidelity_curve and Propagator.evolve refuse a non-finite state.
         """
         if psi.shape[0] != self.model.dim:
             raise ValueError(f"state length {psi.shape[0]} != 2^{self.model.qubits}")

@@ -217,7 +217,7 @@ def fidelity_curve(model: HamiltonianModel, prepared: PreparedState, scheme: str
     """Walk one step size to the horizon, recording fidelity at every step.
 
     snapshot_times (multiples of tau) capture (trotter, exact) state pairs for
-    later field reconstruction.
+    later field reconstruction.  A non-finite prepared.psi raises ValueError.
     """
     return _walk(model, prepared, scheme, tau, T, Propagator(model), snapshot_times)
 
@@ -226,6 +226,9 @@ def _walk(model: HamiltonianModel, prepared: PreparedState, scheme: str, tau: fl
           T: float, exact: Propagator,
           snapshot_times: tuple[float, ...]) -> FidelityCurve:
     """fidelity_curve against an already factored exact propagator."""
+    # checked once per walk, not per step: a NaN would spread over every entry
+    if not np.isfinite(prepared.psi).all():
+        raise ValueError("psi must be finite: the prepared state holds NaN or inf entries")
     steps = round(T / tau)
     trotter = TrotterStep(model, scheme, tau)
     psi_trotter = prepared.psi.copy()

@@ -234,7 +234,11 @@ class Propagator:
         return out.transpose(1, 0, 2).reshape(phys.shape)
 
     def to_spectral(self, psi: np.ndarray) -> np.ndarray:
-        """Coordinates of psi in the eigenbasis of the generator."""
+        """Coordinates of psi in the eigenbasis of the generator.
+
+        Finiteness is not checked here, since a walk calls this once per step;
+        evolve checks it once per call.
+        """
         if np.iscomplexobj(psi):
             grid = self._grid(psi)
             phys = _dst(grid[:PHYSICAL_DIM] * self._per_cell(self._phase, grid).conj())
@@ -264,7 +268,9 @@ class Propagator:
         return np.exp(-1j * t * self.eigenvalues)
 
     def evolve(self, psi: np.ndarray, t: float) -> np.ndarray:
-        """exp(-iHt) psi for any real t; no substeps."""
+        """exp(-iHt) psi for any real t; no substeps.  psi must be finite."""
+        if not np.isfinite(psi).all():
+            raise ValueError("psi must be finite: it holds NaN or inf entries")
         # a 9-component sector state takes the leading (physical) entries
         phases = self.phases(t)[:psi.shape[0]]
         return self.from_spectral(phases.reshape(phases.shape + (1,) * (psi.ndim - 1))

@@ -73,15 +73,20 @@ def apply_pair_rotation(arr: np.ndarray, axis: int, k: int, cos_t, sin_t) -> Non
     Realizes exp(theta * S_k) on that axis for cos_t = cos(theta),
     sin_t = sin(theta): new[j-1] = c*old[j-1] + s*old[j].  cos_t and sin_t
     may be arrays broadcasting against arr with that axis moved last, which
-    gives each slice its own angle.
+    gives each slice its own angle.  The pairs are strided views of arr.
     """
+    points = arr.shape[axis]
+    levels = (points - 1).bit_length()  # log2(N) on a 2^n axis
+    if not 1 <= k <= levels:
+        raise ValueError(f"level k must lie in 1..{levels} on an axis of {points} "
+                         f"points, got {k}")
     view = np.moveaxis(arr, axis, -1)
-    hi = _pair_indices(k, arr.shape[axis])
-    lo = hi - 1
-    a = view[..., lo]
-    b = view[..., hi]
-    view[..., lo] = cos_t * a + sin_t * b
-    view[..., hi] = -sin_t * a + cos_t * b
+    half = 1 << (k - 1)
+    a = view[..., half - 1:-1:2 * half]
+    b = view[..., half::2 * half]
+    new_a = cos_t * a + sin_t * b
+    b[...] = -sin_t * a + cos_t * b
+    a[...] = new_a
 
 
 def apply_d_axis(axis: int, shape: LatticeShape, grid: np.ndarray) -> np.ndarray:

@@ -23,13 +23,14 @@ from elastoq.circuits import (
 from elastoq.hamiltonian import (
     Propagator,
     TermKey,
+    ZERO_EIGENVALUE_TOL,
     build_model,
     dense_evolve,
     materialize_sparse_H,
     materialize_term,
     term_angle,
 )
-from elastoq.lattice import s_cell_matrix
+from elastoq.lattice import apply_pair_rotation, s_cell_matrix
 from elastoq.media import AxisEigenSystem, MaterialParams, degenerate_clusters
 
 REFERENCE_MEDIUM = MaterialParams(rho=1.0, E=0.646, nu=0.255)
@@ -341,6 +342,80 @@ class TestFastPath:
             timings.append(best)
         slope = np.polyfit([3, 4, 5], np.log2(timings), 1)[0]
         assert slope > 1.0
+
+
+class TestStepPlan:
+    @pytest.mark.parametrize("scheme", ["u1", "u2"])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_real_vector_batch_and_complex_agree(self, n, scheme):
+        # a real (dim,) state and a (dim, 1) batch take the last-axis GEMM, a
+        # complex state the broadcast; all three step the same way
+        model = build_model(n, 1.0, REFERENCE_MEDIUM)
+        step = TrotterStep(model, scheme, 0.3)
+        psi = np.random.default_rng(40 + n).standard_normal(model.dim)
+        psi /= np.linalg.norm(psi)
+        vector = step.apply(psi)
+        column = step.apply(psi[:, None])
+        complex_ = step.apply(psi.astype(complex))
+        assert vector.dtype == column.dtype == np.float64
+        assert column.shape == (model.dim, 1)
+        assert np.abs(vector - column[:, 0]).max() <= 1e-14
+        assert np.abs(vector - complex_).max() <= 1e-14
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_real_state_matches_gate_program(self, n):
+        model = build_model(n, 1.0, REFERENCE_MEDIUM)
+        psi = np.random.default_rng(50 + n).standard_normal(model.dim)
+        psi /= np.linalg.norm(psi)
+        for scheme, builder in (("u1", build_U1), ("u2", build_U2)):
+            gates = simulate(builder(model, 0.3), psi)
+            assert np.abs(TrotterStep(model, scheme, 0.3).apply(psi) - gates).max() < 1e-12
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_rotation_stack_matches_per_pass_build(self, n, monkeypatch):
+        # one stack, one pair-rotation call per level stage: n for u1, 2n for
+        # u2 (the composed z pass runs up then down); each pass's W - I equals
+        # its own identity stack rotated level by level, bit for bit
+        import elastoq.circuits as circuits
+
+        model = build_model(n, 1.0, REFERENCE_MEDIUM)
+        calls = []
+
+        def counted(*args):
+            calls.append(args[2])
+            apply_pair_rotation(*args)
+
+        monkeypatch.setattr(circuits, "apply_pair_rotation", counted)
+        for scheme, expected_calls in (("u1", n), ("u2", 2 * n)):
+            calls.clear()
+            step = TrotterStep(model, scheme, 0.3)
+            assert len(calls) == expected_calls
+            reference = _per_pass_rotations(model, scheme, 0.3)
+            assert len(step._passes) == len(reference)
+            for (_, _, w_minus_i, _), w_ref in zip(step._passes, reference):
+                assert np.array_equal(w_minus_i, w_ref)
+
+
+def _per_pass_rotations(model, scheme, tau):
+    """W - I of every axis pass, each built on its own identity stack."""
+    n, h, points = model.shape.n, model.shape.h, model.shape.points
+    up, down = tuple(range(1, n + 1)), tuple(range(n, 0, -1))
+    if scheme == "u1":
+        plan = ((1, tau, up), (2, tau, up), (3, tau, up))
+    else:
+        half = tau / 2
+        plan = ((1, half, up), (2, half, up), (3, half, up + down),
+                (2, half, down), (1, half, down))
+    stacks = []
+    for axis, step_tau, levels in plan:
+        lambdas = model.eigensystems[axis - 1].lambdas
+        theta = lambdas[np.abs(lambdas) >= ZERO_EIGENVALUE_TOL] * step_tau / (2 * h)
+        cos_t, sin_t = np.cos(theta)[:, None, None], np.sin(theta)[:, None, None]
+        w = np.repeat(np.eye(points)[None], len(theta), axis=0)
+        for k in levels:
+            apply_pair_rotation(w, 1, k, cos_t, sin_t)
+        stacks.append(w - np.eye(points))
+    return stacks
 
 
 def _timed(fn):

@@ -7,6 +7,7 @@ from elastoq.circuits import apply_block_fast
 from elastoq.hamiltonian import Propagator, dense_evolve, materialize_sparse_H
 from elastoq.experiments import (
     ExperimentConfig,
+    PreparedState,
     b_weighted_norm_sq,
     build_initial_state,
     bulk_indices,
@@ -127,6 +128,18 @@ class TestFidelity:
             psi = propagator.evolve(psi, 0.25)
         one_shot = dense_evolve(model, 2.0, prepared.psi)
         assert abs(np.vdot(one_shot, psi)) ** 2 == pytest.approx(1.0, abs=1e-10)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_nonfinite_state(self, bad):
+        config = identity_config(E=0.646, nu=0.255)
+        model = config_model(config)
+        prepared = build_initial_state(config, model)
+        psi = prepared.psi.copy()
+        psi[7] = bad
+        broken = PreparedState(psi=psi, norm_factor=prepared.norm_factor,
+                               kind=prepared.kind)
+        with pytest.raises(ValueError, match="psi must be finite"):
+            fidelity_curve(model, broken, "u1", 0.5, config.T)
 
     def test_fidelity_deficit_scales_quadratically(self):
         # deficit 1 - F ~ (global error)^2 ~ tau^2 for the first-order scheme

@@ -267,3 +267,47 @@ class TestPairRotation:
                              for t, row in zip(thetas, arr)])
         apply_pair_rotation(arr, 1, k, np.cos(thetas)[:, None], np.sin(thetas)[:, None])
         assert np.abs(arr - expected).max() < 1e-12
+
+    def test_slices_match_gathered_pairs(self):
+        # the strided-slice pairs against the gather/scatter form, bit for bit,
+        # for every level of every axis, with scalar and per-slice angles
+        rng = np.random.default_rng(13)
+        base = rng.standard_normal((4, 8, 16))
+        for axis in range(3):
+            for k in range(1, base.shape[axis].bit_length()):
+                theta = rng.uniform(-1, 1, size=np.moveaxis(base, axis, -1).shape[:-1])
+                for cos_t, sin_t in ((np.cos(theta[(0,) * theta.ndim]),
+                                      np.sin(theta[(0,) * theta.ndim])),
+                                     (np.cos(theta)[..., None], np.sin(theta)[..., None])):
+                    arr, expected = base.copy(), base.copy()
+                    apply_pair_rotation(arr, axis, k, cos_t, sin_t)
+                    _gathered_rotation(expected, axis, k, cos_t, sin_t)
+                    assert np.array_equal(arr, expected)
+
+    def test_updates_a_moved_view_in_place(self):
+        rng = np.random.default_rng(14)
+        base = rng.standard_normal((8, 6, 4))
+        view = np.moveaxis(base, 0, -1)  # non-contiguous, rotated axis last
+        assert not view.flags.c_contiguous
+        expected = view.copy()
+        _gathered_rotation(expected, 2, 2, np.cos(0.3), np.sin(0.3))
+        apply_pair_rotation(view, 2, 2, np.cos(0.3), np.sin(0.3))
+        assert np.array_equal(np.moveaxis(base, 0, -1), expected)
+
+    @pytest.mark.parametrize("k", [0, 4])
+    def test_rejects_level_outside_axis(self, k):
+        arr = np.arange(8.0)[None, :]
+        with pytest.raises(ValueError, match=f"level k must lie in 1..3 .* got {k}"):
+            apply_pair_rotation(arr, 1, k, 1.0, 0.0)
+        assert np.array_equal(arr[0], np.arange(8.0))
+
+
+def _gathered_rotation(arr, axis, k, cos_t, sin_t):
+    """Pair rotation by fancy-index gather and scatter (reference form)."""
+    view = np.moveaxis(arr, axis, -1)
+    hi = np.arange(1 << (k - 1), arr.shape[axis], 1 << k)
+    lo = hi - 1
+    a = view[..., lo]
+    b = view[..., hi]
+    view[..., lo] = cos_t * a + sin_t * b
+    view[..., hi] = -sin_t * a + cos_t * b

@@ -79,6 +79,16 @@ class TestGenerator:
         with pytest.raises(ValueError, match="t must be finite"):
             prop.evolve(np.ones(prop.model.dim) / np.sqrt(prop.model.dim), t)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_rejects_nonfinite_state(self, bad, dtype):
+        # one bad entry would come back spread over whole sectors
+        prop = Propagator(build_model(2, 1.0, REFERENCE_MEDIUM))
+        psi = np.zeros(prop.model.dim, dtype=dtype)
+        psi[5] = bad
+        with pytest.raises(ValueError, match="psi must be finite"):
+            prop.evolve(psi, 1.0)
+
 
 class TestRealInput:
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
