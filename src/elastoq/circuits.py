@@ -406,15 +406,18 @@ class TrotterStep:
         """
         if psi.shape[0] != self.model.dim:
             raise ValueError(f"state length {psi.shape[0]} != 2^{self.model.qubits}")
+        # proj and work share one buffer, allocated before the state copy: the
+        # buffer freed at the end of a step leaves a hole that the next step's
+        # buffer fills, so a walk of steps holds a steady peak memory
+        columns = (2 if np.iscomplexobj(psi) else 1) * (psi.size // STATE_DIM)
+        width = max(len(w_minus_i) for _, _, w_minus_i, _ in self._passes)
+        proj, work = np.empty((2, width, columns))
         if np.iscomplexobj(psi):
             state = np.array(psi, dtype=complex)
             slab = state.reshape(STATE_DIM, -1).view(np.float64)
         else:
             state = np.array(psi, dtype=np.float64)
             slab = state.reshape(STATE_DIM, -1)
-        width = max(len(w_minus_i) for _, _, w_minus_i, _ in self._passes)
-        proj = np.empty((width, slab.shape[1]))
-        work = np.empty_like(proj)
         for first, vectors, w_minus_i, outer in self._passes:
             sectors = len(w_minus_i)
             _axis_pass(slab[first:first + len(vectors)], vectors, w_minus_i,
