@@ -211,8 +211,8 @@ def _slicer(qubits: int, fixed: dict[int, int]) -> tuple:
     return tuple(idx)
 
 
-def _apply_gate(state: np.ndarray, nd: np.ndarray, gate: Gate, qubits: int) -> None:
-    """Apply one gate in place; nd is the state reshaped to (2,)*qubits (+batch)."""
+def _apply_gate(nd: np.ndarray, gate: Gate, qubits: int) -> None:
+    """Apply one non-payload gate in place; nd is the state as (2,)*qubits (+batch)."""
     kind = gate.kind
     if kind == "h":
         i0 = _slicer(qubits, {gate.target: 0})
@@ -240,36 +240,55 @@ def _apply_gate(state: np.ndarray, nd: np.ndarray, gate: Gate, qubits: int) -> N
         phase = np.exp(1j * gate.angle)
         nd[_slicer(qubits, {**fixed, gate.target: 0})] *= phase
         nd[_slicer(qubits, {**fixed, gate.target: 1})] *= np.conj(phase)
-    elif kind in ("v4", "v4dg"):
-        u = gate.unitary
-        mat = u.conj().T if kind == "v4dg" else u
-        flat = state.reshape(STATE_DIM, -1)
-        flat[:, :] = mat @ flat
     else:
         raise ValueError(f"unknown gate kind {kind!r}")
+
+
+def _check_state(psi: np.ndarray, qubits: int) -> None:
+    """Refuse a state that is not a (2^qubits,) vector or a (2^qubits, b) batch."""
+    if psi.ndim == 0:
+        raise ValueError("state must be a (dim,) vector or a (dim, b) batch, "
+                         "got a 0-d array")
+    if psi.shape[0] != 1 << qubits:
+        raise ValueError(f"state length {psi.shape[0]} != 2^{qubits}")
 
 
 def simulate(program: GateProgram, psi: np.ndarray) -> np.ndarray:
     """Apply the program to a state (dim,) or a batch of columns (dim, b).
 
     Every gate is validated first, and each distinct payload is checked for
-    unitarity once, so a bad program raises before any gate runs.
+    unitarity once, so a bad program raises before any gate runs.  Each run
+    of adjacent payload gates applies as one 16x16 product on the state
+    register, written into a second buffer that then becomes the state.
     """
-    if psi.shape[0] != program.dim:
-        raise ValueError(f"state length {psi.shape[0]} != 2^{program.qubits}")
-    payloads = {}
+    _check_state(psi, program.qubits)
+    adjoints = {}
     for gate in program.gates:
         _validate_gate(gate, program.qubits)
-        if gate.kind in ("v4", "v4dg"):
-            payloads[id(gate.unitary)] = gate.unitary
-    for u in payloads.values():
-        defect = np.linalg.norm(u.conj().T @ u - np.eye(STATE_DIM), 2)
-        if defect > 1e-10:
-            raise ValueError(f"four-qubit payload is not unitary (defect {defect:.3e})")
+        if gate.kind in ("v4", "v4dg") and id(gate.unitary) not in adjoints:
+            u = gate.unitary
+            adjoint = u.conj().T
+            defect = np.linalg.norm(adjoint @ u - np.eye(STATE_DIM), 2)
+            if defect > 1e-10:
+                raise ValueError(f"four-qubit payload is not unitary (defect {defect:.3e})")
+            adjoints[id(u)] = adjoint
     state = np.array(psi, dtype=complex)
-    nd = state.reshape((2,) * program.qubits + state.shape[1:])
-    for gate in program.gates:
-        _apply_gate(state, nd, gate, program.qubits)
+    spare = np.empty_like(state) if adjoints else None
+    nd_shape = (2,) * program.qubits + state.shape[1:]
+    nd = state.reshape(nd_shape)
+    run = None  # product of the payload run so far, in gate order
+    for gate in program.gates + (None,):
+        if gate is not None and gate.kind in ("v4", "v4dg"):
+            mat = adjoints[id(gate.unitary)] if gate.kind == "v4dg" else gate.unitary
+            run = mat if run is None else mat @ run
+            continue
+        if run is not None:
+            np.matmul(run, state.reshape(STATE_DIM, -1), out=spare.reshape(STATE_DIM, -1))
+            state, spare = spare, state
+            nd = state.reshape(nd_shape)
+            run = None
+        if gate is not None:
+            _apply_gate(nd, gate, program.qubits)
     return state
 
 
@@ -404,8 +423,7 @@ class TrotterStep:
         since this runs once per step: a NaN spreads over its sector rows.
         fidelity_curve and Propagator.evolve refuse a non-finite state.
         """
-        if psi.shape[0] != self.model.dim:
-            raise ValueError(f"state length {psi.shape[0]} != 2^{self.model.qubits}")
+        _check_state(psi, self.model.qubits)
         # proj and work share one buffer, allocated before the state copy: the
         # buffer freed at the end of a step leaves a hole that the next step's
         # buffer fills, so a walk of steps holds a steady peak memory
@@ -497,7 +515,7 @@ def serialize_program(program: GateProgram) -> str:
 _GATE_TOKENS = {"h": (2, 2), "s": (2, 2), "sdg": (2, 2), "cnot": (3, 3),
                 "mcrz": (3, math.inf), "pcrz": (4, math.inf), "v4": (6, 6), "v4dg": (6, 6)}
 
-_METADATA_KEYS = ("n", "scheme", "tau", "cnot_account", "gates")
+_METADATA_KEYS = ("n", "qubits", "scheme", "tau", "cnot_account", "gates")
 
 
 def _parse_gate(line: str, payloads: dict[int, np.ndarray]) -> Gate:
@@ -545,10 +563,23 @@ def parse_program(text: str) -> GateProgram:
     missing = [key for key in _METADATA_KEYS if key not in meta]
     if missing:
         raise ValueError(f"missing metadata lines: {missing}")
-    n_gates = int(meta["gates"])
-    if not 0 <= n_gates <= len(lines) - pos:
-        raise ValueError(f"gates {n_gates} does not fit the {len(lines) - pos} lines "
-                         "after the gates line")
+
+    def field(key: str, convert, valid, expected: str):
+        try:
+            value = convert(meta[key])
+            if valid(value):
+                return value
+        except ValueError:
+            pass
+        raise ValueError(f"metadata {key} must be {expected}, got {meta[key]!r}")
+
+    n = field("n", int, lambda v: v >= 1, "an integer >= 1")
+    field("qubits", int, lambda v: v == 3 * n + 4, f"3n + 4 = {3 * n + 4}")
+    scheme = field("scheme", str, lambda v: v in ("u1", "u2"), "u1 or u2")
+    tau = field("tau", float, math.isfinite, "a finite number")
+    cnot_account = field("cnot_account", int, lambda v: v >= 0, "an integer >= 0")
+    n_gates = field("gates", int, lambda v: 0 <= v <= len(lines) - pos,
+                    f"a count that fits the {len(lines) - pos} lines after it")
     gate_lines = lines[pos:pos + n_gates]
     pos += n_gates
 
@@ -571,5 +602,4 @@ def parse_program(text: str) -> GateProgram:
         payloads[idx] = np.array([[float(tok) for tok in row] for row in rows]).view(complex)
 
     gates = tuple(_parse_gate(line, payloads) for line in gate_lines)
-    return GateProgram(n=int(meta["n"]), scheme=meta["scheme"], tau=float(meta["tau"]),
-                       gates=gates, cnot_account=int(meta["cnot_account"]))
+    return GateProgram(n=n, scheme=scheme, tau=tau, gates=gates, cnot_account=cnot_account)

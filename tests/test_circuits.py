@@ -217,6 +217,92 @@ class TestSimulator:
         assert ladder_qubit(2, 3, 1) == 10
 
 
+def random_unitary(rng):
+    mat = rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16))
+    q, _ = np.linalg.qr(mat)
+    return q
+
+
+def per_gate_reference(program, psi):
+    """Each payload gate applied on its own as one 16x16 product; the other
+    gates through simulate, which has no payload run to fold between them."""
+    state = np.array(psi, dtype=complex)
+    pending = []
+    for gate in program.gates + (None,):
+        if gate is not None and gate.kind not in ("v4", "v4dg"):
+            pending.append(gate)
+            continue
+        if pending:
+            state = simulate(GateProgram(n=program.n, scheme=program.scheme, tau=0.0,
+                                         gates=tuple(pending), cnot_account=0), state)
+            pending = []
+        if gate is not None:
+            mat = gate.unitary.conj().T if gate.kind == "v4dg" else gate.unitary
+            state = (mat @ state.reshape(16, -1)).reshape(state.shape)
+    return state
+
+
+class TestFusedSimulator:
+    """A run of adjacent payload gates applies as one product."""
+
+    @staticmethod
+    def payload_run(rng, length):
+        us = [random_unitary(rng) for _ in range(2)]
+        return [Gate("v4dg" if i % 3 == 1 else "v4", targets=(1, 2, 3, 4),
+                     unitary=us[i % 2]) for i in range(length)]
+
+    @staticmethod
+    def other_gates():
+        return [Gate("h", target=5), Gate("cnot", target=6, controls=(5,)),
+                Gate("pcrz", target=7, pattern=5, controls=(6,), angle=0.3),
+                Gate("s", target=2), Gate("mcrz", target=1, controls=(3,), angle=-0.7)]
+
+    @pytest.mark.parametrize("where", ["start", "middle", "end", "whole", "alternating"])
+    def test_matches_per_gate_loop(self, where):
+        model = build_model(1, 1.0, REFERENCE_MEDIUM)
+        rng = np.random.default_rng(21)
+        run, rest = self.payload_run(rng, 4), self.other_gates()
+        gates = {"start": run + rest, "middle": rest[:2] + run + rest[2:],
+                 "end": rest + run, "whole": run,
+                 "alternating": [g for pair in zip(run, rest) for g in pair]}[where]
+        program = block_program(model, gates)
+        batch = np.stack([random_state(rng, model.dim) for _ in range(3)], axis=1)
+        for psi in (batch[:, 0], batch):
+            expected = per_gate_reference(program, psi)
+            assert np.abs(simulate(program, psi) - expected).max() < 1e-14
+
+    def test_input_neither_changed_nor_returned(self):
+        model = build_model(1, 1.0, REFERENCE_MEDIUM)
+        rng = np.random.default_rng(22)
+        # one run makes the output the spare buffer, two runs swap it back
+        for runs in (1, 2):
+            gates = self.payload_run(rng, 3) + self.other_gates()[:1]
+            program = block_program(model, gates * runs)
+            psi = random_state(rng, model.dim)
+            kept = psi.copy()
+            out = simulate(program, psi)
+            assert out is not psi and not np.shares_memory(out, psi)
+            assert np.array_equal(psi, kept)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_workload_programs_match_per_gate_loop(self, n):
+        model = build_model(n, 1.0, REFERENCE_MEDIUM)
+        rng = np.random.default_rng(23)
+        batch = np.stack([random_state(rng, model.dim) for _ in range(4)], axis=1)
+        for tau in (0.1, 0.5):
+            for builder in (build_U1, build_U2):
+                program = builder(model, tau)
+                expected = per_gate_reference(program, batch)
+                assert np.abs(simulate(program, batch) - expected).max() < 1e-14
+
+    def test_rejects_zero_dim_state(self):
+        model = build_model(1, 1.0, REFERENCE_MEDIUM)
+        with pytest.raises(ValueError, match="state"):
+            simulate(build_U1(model, 0.1), np.array(1.0 + 0j))
+        with pytest.raises(ValueError, match="state"):
+            TrotterStep(model, "u1", 0.1).apply(np.array(1.0))
+
+
 class TestFastPath:
     @pytest.mark.parametrize("scheme", ["u1", "u2"])
     def test_agrees_with_gate_simulation(self, scheme):
@@ -560,6 +646,24 @@ class TestSerialization:
         lines = serialize_program(build_U1(model, 0.3)).splitlines()
         with pytest.raises(ValueError, match=match):
             parse_program("\n".join(edit(lines)) + "\n")
+
+    @pytest.mark.parametrize("key, value", [
+        ("scheme", "u3"), ("n", "0"), ("n", "-2"), ("n", "two"), ("qubits", "99"),
+        ("qubits", "10"), ("tau", "nan"), ("tau", "inf"), ("tau", "fast"),
+        ("cnot_account", "-1"), ("cnot_account", "1.5"), ("gates", "-1"),
+    ])
+    def test_rejects_bad_metadata(self, key, value):
+        model = build_model(1, 1.0, REFERENCE_MEDIUM)
+        lines = [f"{key} {value}" if line.startswith(key + " ") else line
+                 for line in serialize_program(build_U1(model, 0.3)).splitlines()]
+        with pytest.raises(ValueError, match=f"metadata {key} "):
+            parse_program("\n".join(lines) + "\n")
+
+    def test_requires_qubits_line(self):
+        model = build_model(1, 1.0, REFERENCE_MEDIUM)
+        lines = serialize_program(build_U1(model, 0.3)).splitlines()
+        with pytest.raises(ValueError, match="qubits"):
+            parse_program("\n".join(l for l in lines if not l.startswith("qubits ")) + "\n")
 
 
 _FLOATS = st.floats(allow_nan=False, allow_infinity=False)

@@ -25,8 +25,10 @@ from elastoq.classical import (
     m_sigma,
     make_leapfrog_config,
     power_bound_certificate,
+    velocity_coupling,
 )
 from elastoq.hamiltonian import Propagator, build_model, dense_evolve, operator_norm_bound
+from elastoq.lattice import apply_d_axis
 from elastoq.media import MaterialParams
 
 REFERENCE_MEDIUM = MaterialParams(rho=1.0, E=0.646, nu=0.255)
@@ -86,6 +88,51 @@ class TestCoupling:
         q = rng.standard_normal((3, 2, 2, 2))
         assert np.abs(l_mat.T @ q.reshape(-1)
                       - apply_L_adjoint(model, q).reshape(-1)).max() < 1e-12
+
+
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("h", [1.0, 0.7])
+    def test_single_and_batch_match_dense(self, n, h):
+        # h != 1 checks the 1/(2h) folded into the stacked component matrix
+        model = build_model(n, h, REFERENCE_MEDIUM)
+        l_mat = dense_coupling(model)
+        grid = (model.shape.points,) * 3
+        rng = np.random.default_rng(2)
+        r = rng.standard_normal((6,) + grid)
+        q = rng.standard_normal((3,) + grid)
+        scale = np.abs(l_mat).max()
+        assert np.abs(apply_L(model, r).reshape(-1) - l_mat @ r.reshape(-1)).max() \
+            <= 1e-13 * scale
+        assert np.abs(apply_L_adjoint(model, q).reshape(-1) - l_mat.T @ q.reshape(-1)).max() \
+            <= 1e-13 * scale
+        batch = 5
+        rb = rng.standard_normal((6, batch) + grid) + 1j * rng.standard_normal((6, batch) + grid)
+        qb = rng.standard_normal((3, batch) + grid) + 1j * rng.standard_normal((3, batch) + grid)
+        lr, ltq = apply_L(model, rb), apply_L_adjoint(model, qb)
+        assert lr.shape == (3, batch) + grid and ltq.shape == (6, batch) + grid
+        for b in range(batch):
+            assert np.abs(lr[:, b].reshape(-1) - l_mat @ rb[:, b].reshape(-1)).max() \
+                <= 1e-13 * scale
+            assert np.abs(ltq[:, b].reshape(-1) - l_mat.T @ qb[:, b].reshape(-1)).max() \
+                <= 1e-13 * scale
+
+    def test_per_axis_sum_at_n3(self):
+        # beyond the dense cap: the sum over axes of C_a (D_a r), as one
+        # difference per axis followed by the component contraction
+        model = build_model(3, 0.7, REFERENCE_MEDIUM)
+        rng = np.random.default_rng(3)
+        r = rng.standard_normal((6, 2, 8, 8, 8)) + 1j * rng.standard_normal((6, 2, 8, 8, 8))
+        q = rng.standard_normal((3, 8, 8, 8))
+        expect_l = sum(np.tensordot(velocity_coupling(model, a),
+                                    apply_d_axis(a, model.shape, r), axes=(1, 0))
+                       for a in (1, 2, 3))
+        expect_lt = -sum(np.tensordot(velocity_coupling(model, a).T,
+                                      apply_d_axis(a, model.shape, q), axes=(1, 0))
+                         for a in (1, 2, 3))
+        for got, expect in ((apply_L(model, r), expect_l),
+                            (apply_L_adjoint(model, q), expect_lt)):
+            assert got.shape == expect.shape
+            assert np.abs(got - expect).max() <= 1e-13 * np.abs(expect).max()
 
 
 class TestLeapfrogStep:
