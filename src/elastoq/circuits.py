@@ -40,6 +40,7 @@ from .hamiltonian import (
     HamiltonianModel,
     TermKey,
     ZERO_EIGENVALUE_TOL,
+    qubit_count,
     term_angle,
     u1_step_cnots,
     u2_step_cnots,
@@ -51,6 +52,8 @@ _SQRT_HALF = 1.0 / math.sqrt(2.0)
 STATE_QUBITS = (1, 2, 3, 4)
 
 GATE_KINDS = ("h", "s", "sdg", "cnot", "mcrz", "pcrz", "v4", "v4dg")
+_ROTATIONS = ("mcrz", "pcrz")
+_PAYLOADS = ("v4", "v4dg")
 
 
 @dataclass(frozen=True, eq=False)
@@ -82,7 +85,7 @@ class GateProgram:
 
     @property
     def qubits(self) -> int:
-        return 3 * self.n + 4
+        return qubit_count(self.n)
 
     @property
     def dim(self) -> int:
@@ -95,7 +98,7 @@ def ladder_qubit(n: int, axis: int, k: int) -> int:
 
 
 def _validate_gate(gate: Gate, qubits: int) -> None:
-    """Reject a gate whose fields the simulator would misread or ignore."""
+    """Reject a gate the simulator would misread or ignore (simulate, parse_program)."""
     kind = gate.kind
     if kind not in GATE_KINDS:
         raise ValueError(f"unknown gate kind {kind!r}")
@@ -106,13 +109,15 @@ def _validate_gate(gate: Gate, qubits: int) -> None:
     if kind == "pcrz" and gate.pattern not in range(STATE_DIM):
         raise ValueError(f"gate pcrz needs a pattern in 0..{STATE_DIM - 1}, "
                          f"got {gate.pattern!r}")
-    if kind in ("v4", "v4dg"):
+    if kind in _ROTATIONS and not math.isfinite(gate.angle):
+        raise ValueError(f"gate {kind} needs a finite angle, got {gate.angle}")
+    if kind in _PAYLOADS:
         if gate.targets != STATE_QUBITS or gate.controls:
             raise ValueError(f"gate {kind} acts on the state register {STATE_QUBITS} "
                              f"only, got targets {gate.targets} controls {gate.controls}")
         if gate.unitary is None or gate.unitary.shape != (STATE_DIM, STATE_DIM):
             raise ValueError(f"gate {kind} needs a {STATE_DIM}x{STATE_DIM} payload")
-    touched = [gate.target] if kind not in ("v4", "v4dg") else list(gate.targets)
+    touched = list(gate.targets) if kind in _PAYLOADS else [gate.target]
     touched += list(gate.controls)
     if len(set(touched)) != len(touched):
         raise ValueError(f"gate {kind} touches a qubit twice: {touched}")
@@ -232,7 +237,7 @@ def _apply_gate(nd: np.ndarray, gate: Gate, qubits: int) -> None:
         tmp = nd[i10].copy()
         nd[i10] = nd[i11]
         nd[i11] = tmp
-    elif kind in ("mcrz", "pcrz"):
+    elif kind in _ROTATIONS:
         fixed = {c: 1 for c in gate.controls}
         if kind == "pcrz":
             for q in STATE_QUBITS:
@@ -256,17 +261,20 @@ def _check_state(psi: np.ndarray, qubits: int) -> None:
 def simulate(program: GateProgram, psi: np.ndarray) -> np.ndarray:
     """Apply the program to a state (dim,) or a batch of columns (dim, b).
 
-    Every gate is validated first, and each distinct payload is checked for
-    unitarity once, so a bad program raises before any gate runs.  Each run
-    of adjacent payload gates applies as one 16x16 product on the state
-    register, written into a second buffer that then becomes the state.
+    Every gate is validated first, and each distinct payload is checked once
+    for finite entries and unitarity, so a bad program raises before any gate
+    runs.  Each run of adjacent payload gates applies as one 16x16 product on
+    the state register, written into a second buffer that then becomes the
+    state.
     """
     _check_state(psi, program.qubits)
     adjoints = {}
     for gate in program.gates:
         _validate_gate(gate, program.qubits)
-        if gate.kind in ("v4", "v4dg") and id(gate.unitary) not in adjoints:
+        if gate.kind in _PAYLOADS and id(gate.unitary) not in adjoints:
             u = gate.unitary
+            if not np.isfinite(u).all():
+                raise ValueError("four-qubit payload holds a non-finite entry")
             adjoint = u.conj().T
             defect = np.linalg.norm(adjoint @ u - np.eye(STATE_DIM), 2)
             if defect > 1e-10:
@@ -278,7 +286,7 @@ def simulate(program: GateProgram, psi: np.ndarray) -> np.ndarray:
     nd = state.reshape(nd_shape)
     run = None  # product of the payload run so far, in gate order
     for gate in program.gates + (None,):
-        if gate is not None and gate.kind in ("v4", "v4dg"):
+        if gate is not None and gate.kind in _PAYLOADS:
             mat = adjoints[id(gate.unitary)] if gate.kind == "v4dg" else gate.unitary
             run = mat if run is None else mat @ run
             continue
@@ -467,16 +475,8 @@ def _fmt(x: float) -> str:
 
 
 def serialize_program(program: GateProgram) -> str:
-    """Render a program in the line-oriented text format (module docstring)."""
-    payloads: list[np.ndarray] = []
-    payload_ids: dict[int, int] = {}
-
-    def ref(u: np.ndarray) -> int:
-        if id(u) not in payload_ids:
-            payload_ids[id(u)] = len(payloads)
-            payloads.append(u)
-        return payload_ids[id(u)]
-
+    """Render a program in the text format (module docstring); parse_program checks it."""
+    payloads: dict[int, tuple[int, np.ndarray]] = {}  # id -> (index, payload)
     lines = [
         "ELASTOQ-PROGRAM v1",
         f"n {program.n}",
@@ -487,64 +487,57 @@ def serialize_program(program: GateProgram) -> str:
         f"gates {len(program.gates)}",
     ]
     for g in program.gates:
-        if g.kind in ("h", "s", "sdg"):
-            lines.append(f"{g.kind.upper()} {g.target}")
-        elif g.kind == "cnot":
-            lines.append(f"CNOT {g.target} {g.controls[0]}")
-        elif g.kind == "mcrz":
-            ctrl = " ".join(str(c) for c in g.controls)
-            lines.append(f"MCRZ {g.target}{' ' + ctrl if ctrl else ''} {_fmt(g.angle)}")
-        elif g.kind == "pcrz":
-            ctrl = " ".join(str(c) for c in g.controls)
-            lines.append(f"PCRZ {g.target} p{g.pattern}"
-                         f"{' ' + ctrl if ctrl else ''} {_fmt(g.angle)}")
-        elif g.kind in ("v4", "v4dg"):
-            tgt = " ".join(str(t) for t in g.targets)
-            lines.append(f"{g.kind.upper()} {tgt} u{ref(g.unitary)}")
-        else:
-            raise ValueError(f"unknown gate kind {g.kind!r}")
-    for idx, u in enumerate(payloads):
+        # every kind by one rule: wires, p<j>, controls, angle, u<i>
+        wires = g.targets if g.kind in _PAYLOADS else (g.target,)
+        toks = [g.kind.upper(), *map(str, wires)]
+        if g.kind == "pcrz":
+            toks.append(f"p{g.pattern}")
+        toks += map(str, g.controls)
+        if g.kind in _ROTATIONS:
+            toks.append(_fmt(g.angle))
+        if g.kind in _PAYLOADS:
+            index, _ = payloads.setdefault(id(g.unitary), (len(payloads), g.unitary))
+            toks.append(f"u{index}")
+        lines.append(" ".join(toks))
+    for idx, u in payloads.values():
         lines.append(f"%unitary {idx}")
-        mat = np.asarray(u, dtype=complex)
-        for row in mat:
+        for row in np.asarray(u, dtype=complex):
             lines.append(" ".join(f"{_fmt(z.real)} {_fmt(z.imag)}" for z in row))
     return "\n".join(lines) + "\n"
 
 
-#: Token count (min, max) of each gate line kind; the rotations take any controls.
-_GATE_TOKENS = {"h": (2, 2), "s": (2, 2), "sdg": (2, 2), "cnot": (3, 3),
-                "mcrz": (3, math.inf), "pcrz": (4, math.inf), "v4": (6, 6), "v4dg": (6, 6)}
-
 _METADATA_KEYS = ("n", "qubits", "scheme", "tau", "cnot_account", "gates")
 
 
-def _parse_gate(line: str, payloads: dict[int, np.ndarray]) -> Gate:
+def _index(tok: str, prefix: str) -> int:
+    if not tok.startswith(prefix):
+        raise ValueError(f"{tok!r} lacks the {prefix} prefix")
+    return int(tok[len(prefix):])
+
+
+def _parse_gate(line: str, payloads: dict[int, np.ndarray], qubits: int) -> Gate:
+    """Read a gate line by serialize_program's rule and check it as simulate does."""
     toks = line.split()
     kind = toks[0].lower() if toks else ""
-    if kind not in _GATE_TOKENS:
-        raise ValueError(f"unknown gate line: {line!r}")
-    low, high = _GATE_TOKENS[kind]
-    if not low <= len(toks) <= high:
-        raise ValueError(f"gate line {line!r} has {len(toks)} tokens, "
-                         f"{kind.upper()} takes {low}{'' if low == high else ' or more'}")
-    if kind in ("h", "s", "sdg"):
-        return Gate(kind, target=int(toks[1]))
-    if kind == "cnot":
-        return Gate("cnot", target=int(toks[1]), controls=(int(toks[2]),))
-    if kind == "mcrz":
-        return Gate("mcrz", target=int(toks[1]), controls=tuple(int(t) for t in toks[2:-1]),
-                    angle=float(toks[-1]))
-    if kind == "pcrz":
-        pattern = int(toks[2][1:])
-        if not 0 <= pattern < STATE_DIM:
-            raise ValueError(f"pattern p{pattern} outside p0..p{STATE_DIM - 1} "
-                             f"in gate line {line!r}")
-        return Gate("pcrz", target=int(toks[1]), pattern=pattern,
-                    controls=tuple(int(t) for t in toks[3:-1]), angle=float(toks[-1]))
-    payload = int(toks[5][1:])
-    if payload not in payloads:
-        raise ValueError(f"gate line {line!r} refers to a missing %unitary {payload}")
-    return Gate(kind, targets=tuple(int(t) for t in toks[1:5]), unitary=payloads[payload])
+    rest = toks[1:]
+    try:
+        if kind in _PAYLOADS:
+            payload = _index(rest.pop(), "u")
+            if payload not in payloads:
+                raise ValueError(f"missing %unitary {payload}")
+            gate = Gate(kind, targets=tuple(map(int, rest)), unitary=payloads[payload])
+        else:
+            target = int(rest.pop(0))
+            pattern = _index(rest.pop(0), "p") if kind == "pcrz" else None
+            angle = float(rest.pop()) if kind in _ROTATIONS else 0.0
+            gate = Gate(kind, target=target, controls=tuple(map(int, rest)),
+                        pattern=pattern, angle=angle)
+        _validate_gate(gate, qubits)
+    except IndexError:
+        raise ValueError(f"gate line {line!r} has too few tokens") from None
+    except ValueError as err:
+        raise ValueError(f"gate line {line!r}: {err}") from None
+    return gate
 
 
 def parse_program(text: str) -> GateProgram:
@@ -574,7 +567,7 @@ def parse_program(text: str) -> GateProgram:
         raise ValueError(f"metadata {key} must be {expected}, got {meta[key]!r}")
 
     n = field("n", int, lambda v: v >= 1, "an integer >= 1")
-    field("qubits", int, lambda v: v == 3 * n + 4, f"3n + 4 = {3 * n + 4}")
+    qubits = field("qubits", int, lambda v: v == qubit_count(n), f"3n + 4 = {qubit_count(n)}")
     scheme = field("scheme", str, lambda v: v in ("u1", "u2"), "u1 or u2")
     tau = field("tau", float, math.isfinite, "a finite number")
     cnot_account = field("cnot_account", int, lambda v: v >= 0, "an integer >= 0")
@@ -590,7 +583,7 @@ def parse_program(text: str) -> GateProgram:
         if not line:
             continue
         toks = line.split()
-        if len(toks) != 2 or toks[0] != "%unitary":
+        if len(toks) != 2 or toks[0] != "%unitary" or not toks[1].isdecimal():
             raise ValueError(f"unexpected trailer line: {line!r}")
         idx = int(toks[1])
         rows = [row.split() for row in lines[pos:pos + STATE_DIM]]
@@ -598,8 +591,14 @@ def parse_program(text: str) -> GateProgram:
         if len(rows) != STATE_DIM or any(len(row) != 2 * STATE_DIM for row in rows):
             raise ValueError(f"%unitary {idx} needs {STATE_DIM} rows of "
                              f"{2 * STATE_DIM} floats")
+        try:
+            values = np.array([[float(tok) for tok in row] for row in rows])
+            if not np.isfinite(values).all():
+                raise ValueError("a non-finite entry")
+        except ValueError as err:
+            raise ValueError(f"%unitary {idx}: {err}") from None
         # each row is re im re im ..., exactly the memory layout of complex128
-        payloads[idx] = np.array([[float(tok) for tok in row] for row in rows]).view(complex)
+        payloads[idx] = values.view(complex)
 
-    gates = tuple(_parse_gate(line, payloads) for line in gate_lines)
+    gates = tuple(_parse_gate(line, payloads, qubits) for line in gate_lines)
     return GateProgram(n=n, scheme=scheme, tau=tau, gates=gates, cnot_account=cnot_account)

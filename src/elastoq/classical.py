@@ -123,6 +123,14 @@ def estimate_l_norm(model: HamiltonianModel) -> float:
     return float(coupling_singular_values(model).max())
 
 
+def _c_eta(eta: float) -> float:
+    """C_eta = (1 - eta^2/4)^(-1/2), the leapfrog's power bound at margin eta."""
+    return (1.0 - eta**2 / 4.0) ** -0.5
+
+
+_COST_ETA = 1.0  # the cost model's stability margin, the largest its error bound admits
+
+
 @dataclass(frozen=True)
 class LeapfrogConfig:
     """Validated step size, stability margin, and horizon for the leapfrog."""
@@ -134,7 +142,7 @@ class LeapfrogConfig:
 
     @property
     def c_eta(self) -> float:
-        return (1.0 - self.eta**2 / 4.0) ** -0.5
+        return _c_eta(self.eta)
 
 
 def make_leapfrog_config(model: HamiltonianModel, tau: float, eta: float,
@@ -391,23 +399,20 @@ class ClassicalCostReport:
         return "\n".join(f"{key} {value}" for key, value in rows)
 
 
-def cost_model(model: HamiltonianModel, T: float, epsilon: float,
-               eta: float = 1.0) -> ClassicalCostReport:
+def cost_model(model: HamiltonianModel, T: float, epsilon: float) -> ClassicalCostReport:
     """Classical work/memory for the same semidiscrete system at accuracy epsilon."""
-    if not 0 < eta <= 1:
-        raise ValueError(f"eta must lie in (0, 1] for the error bound, got {eta}")
     if not 0 < T < math.inf:
         raise ValueError(f"T must be positive and finite, got {T}")
     if not 0 < epsilon < math.inf:
         raise ValueError(f"epsilon must be positive and finite, got {epsilon}")
     l_norm = estimate_l_norm(model)
-    c_eta = (1.0 - eta**2 / 4.0) ** -0.5
-    tau_max = min(eta / l_norm, math.sqrt(2 * epsilon / (c_eta * T * l_norm**3)))
+    c_eta = _c_eta(_COST_ETA)
+    tau_max = min(_COST_ETA / l_norm, math.sqrt(2 * epsilon / (c_eta * T * l_norm**3)))
     steps = max(1, math.ceil(T / tau_max * (1.0 - 1e-12)))
     points = model.shape.points
     per_step = leapfrog_flops_per_point() * points**3
     return ClassicalCostReport(
-        n=model.shape.n, points=points, T=T, epsilon=epsilon, eta=eta,
+        n=model.shape.n, points=points, T=T, epsilon=epsilon, eta=_COST_ETA,
         l_norm=l_norm, l_norm_bound=operator_norm_bound(model), tau_max=tau_max,
         steps=steps, flops_per_step=per_step, total_flops=steps * per_step,
         memory_complex=9 * points**3)

@@ -34,8 +34,6 @@ THREADS_ENV_VAR = "ELASTOQ_THREADS"
 #: State-register component indices of the reconstructed fields.
 FIELD_COMPONENTS = {"v_z": 2, "sigma_zz": 5}
 
-_PLANE_AXES = {"x": 0, "y": 1, "z": 2}
-
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -106,7 +104,6 @@ class PreparedState:
 
     psi: np.ndarray
     norm_factor: float
-    kind: str
 
 
 def _apply_cell(mat16: np.ndarray, grid: np.ndarray) -> np.ndarray:
@@ -133,7 +130,7 @@ def build_initial_state(config: ExperimentConfig,
     u_tilde = _apply_cell(model.cell.b_sqrt, w)
     factor = float(np.linalg.norm(u_tilde))
     psi = (u_tilde / factor).reshape(-1)
-    return PreparedState(psi=psi, norm_factor=factor, kind=config.init)
+    return PreparedState(psi=psi, norm_factor=factor)
 
 
 # ---------------------------------------------------------------------------
@@ -152,22 +149,21 @@ class FieldSlice:
     max_imag: float
 
 
-def reconstruct_fields(model: HamiltonianModel, psi: np.ndarray, norm_factor: float,
-                       plane_axis: str = "x",
-                       plane_index: int | None = None) -> dict[str, FieldSlice]:
+def _field_plane(n: int) -> tuple[str, int]:
+    """The plane every field is cut on: x at the first central index N/2 - 1."""
+    return "x", central_indices(n)[0]
+
+
+def reconstruct_fields(model: HamiltonianModel, psi: np.ndarray,
+                       norm_factor: float) -> dict[str, FieldSlice]:
     """Map a state back to the physical frame and slice out v_z and sigma_zz."""
-    if plane_axis not in _PLANE_AXES:
-        raise ValueError(f"plane_axis must be one of x, y, z, got {plane_axis!r}")
     points = model.shape.points
-    if plane_index is None:
-        plane_index = points // 2 - 1
-    if not 0 <= plane_index < points:
-        raise ValueError(f"plane_index {plane_index} outside 0..{points - 1}")
+    plane_axis, plane_index = _field_plane(model.shape.n)
     grid = psi.reshape(STATE_DIM, points, points, points)
     w = norm_factor * _apply_cell(model.cell.b_inv_sqrt, grid)
     slices = {}
     for name, comp in FIELD_COMPONENTS.items():
-        cube = np.moveaxis(w[comp], _PLANE_AXES[plane_axis], 0)[plane_index]
+        cube = w[comp, plane_index]  # x is the first grid axis
         slices[name] = FieldSlice(
             component=name, plane_axis=plane_axis, plane_index=plane_index,
             data=np.real(cube).copy(), norm_factor=norm_factor,
@@ -211,26 +207,21 @@ class FidelityCurve:
         return float(self.fidelities[-1])
 
 
-def fidelity_curve(model: HamiltonianModel, prepared: PreparedState, scheme: str,
+def fidelity_curve(exact: Propagator, prepared: PreparedState, scheme: str,
                    tau: float, T: float,
                    snapshot_times: tuple[float, ...] = ()) -> FidelityCurve:
     """Walk one step size to the horizon, recording fidelity at every step.
 
-    snapshot_times (multiples of tau) capture (trotter, exact) state pairs for
-    later field reconstruction.  A non-finite prepared.psi raises ValueError.
+    The Trotter walk steps exact.model, so one factored propagator serves
+    every tau.  snapshot_times (multiples of tau) capture (trotter, exact)
+    state pairs for later field reconstruction.  A non-finite prepared.psi
+    raises ValueError.
     """
-    return _walk(model, prepared, scheme, tau, T, Propagator(model), snapshot_times)
-
-
-def _walk(model: HamiltonianModel, prepared: PreparedState, scheme: str, tau: float,
-          T: float, exact: Propagator,
-          snapshot_times: tuple[float, ...]) -> FidelityCurve:
-    """fidelity_curve against an already factored exact propagator."""
     # checked once per walk, not per step: a NaN would spread over every entry
     if not np.isfinite(prepared.psi).all():
         raise ValueError("psi must be finite: the prepared state holds NaN or inf entries")
     steps = round(T / tau)
-    trotter = TrotterStep(model, scheme, tau)
+    trotter = TrotterStep(exact.model, scheme, tau)
     psi_trotter = prepared.psi.copy()
     # The exact walk stays in spectral coordinates, c(m tau) = e^{-i lambda m tau} c(0),
     # so a step transforms only the Trotter state; the overlap is basis-free.
@@ -280,7 +271,7 @@ def _sweep(config: ExperimentConfig, model: HamiltonianModel, prepared: Prepared
 
     def job(tau: float) -> FidelityCurve:
         snaps = snapshot_times if tau == tau_min else ()
-        return _walk(model, prepared, config.scheme, tau, config.T, exact, snaps)
+        return fidelity_curve(exact, prepared, config.scheme, tau, config.T, snaps)
 
     workers = _worker_count(len(config.taus))
     if workers > 1:
@@ -379,11 +370,12 @@ def run_experiment(config: ExperimentConfig) -> dict:
                 _write_json(out / fname, _field_record(slc, source, t, config.clip))
                 snapshot_files.append(fname)
 
+    plane_axis, plane_index = _field_plane(config.n)
     manifest = {
         "config": asdict(config),
         "qubits": qubit_count(config.n),
         "norm_factor": prepared.norm_factor,
-        "plane": {"axis": "x", "index": model.shape.points // 2 - 1},
+        "plane": {"axis": plane_axis, "index": plane_index},
         "snapshot_times": list(snapshot_times),
         "snapshot_tau": tau_min,
         "curves": curve_meta,

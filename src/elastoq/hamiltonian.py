@@ -74,7 +74,7 @@ class HamiltonianModel:
 
     @property
     def qubits(self) -> int:
-        return 3 * self.shape.n + 4
+        return qubit_count(self.shape.n)
 
     @property
     def dim(self) -> int:

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -45,6 +47,11 @@ def random_state(rng, dim):
 def block_program(model, gates):
     return GateProgram(n=model.shape.n, scheme="block", tau=0.0,
                        gates=tuple(gates), cnot_account=0)
+
+
+def replace_first_gate(lines, line):
+    """Program text lines with the first gate line (after the 7 header lines) replaced."""
+    return lines[:7] + [line] + lines[8:]
 
 
 def exact_step_matrix(model, tau):
@@ -203,12 +210,27 @@ class TestSimulator:
         (Gate("v4", targets=(4, 5, 6, 7), unitary=np.eye(16)), "v4"),
         (Gate("pcrz", target=5, pattern=99, angle=0.1), "pcrz"),
         (Gate("pcrz", target=5, pattern=None, angle=0.1), "pcrz"),
+        # a NaN angle used to return an all-NaN state, inf only a RuntimeWarning
+        (Gate("mcrz", target=5, angle=np.nan), "mcrz"),
+        (Gate("mcrz", target=5, controls=(6,), angle=np.inf), "mcrz"),
+        (Gate("pcrz", target=5, pattern=3, angle=np.nan), "pcrz"),
+        (Gate("pcrz", target=5, pattern=3, angle=-np.inf), "pcrz"),
     ])
     def test_misread_gates_rejected(self, gate, kind):
         # each of these used to run as a different gate (or raise TypeError)
         model = build_model(1, 1.0, IDENTITY_MEDIUM)
         with pytest.raises(ValueError, match=f"gate {kind} "):
             simulate(block_program(model, [gate]), np.zeros(model.dim, dtype=complex))
+
+    def test_nonfinite_payload_rejected(self):
+        # used to die in the unitarity check's SVD with LinAlgError
+        model = build_model(1, 1.0, IDENTITY_MEDIUM)
+        u = np.eye(16, dtype=complex)
+        u[3, 3] = np.nan
+        gates = [Gate("v4", targets=(1, 2, 3, 4), unitary=u),
+                 Gate("v4dg", targets=(1, 2, 3, 4), unitary=u)]
+        with pytest.raises(ValueError, match="payload holds a non-finite entry"):
+            simulate(block_program(model, gates), np.ones(model.dim, dtype=complex))
 
     def test_ladder_qubit_layout(self):
         # level 1 sits at the bottom of each axis block
@@ -584,6 +606,11 @@ class TestExactEvolve:
         assert np.abs(out - np.exp(-1j * evals[-1] * 2.0) * vec).max() < 1e-10
 
 
+#: Gate lines that parse_program refuses by the simulator's rules at n = 1 (7 qubits).
+_REFUSED_GATE_LINES = ("H 0", "H 99", "CNOT 5 5", "V4 4 5 6 7 u0", "MCRZ 5 nan", "H x",
+                       "PCRZ 5 x7 0.1", "V4 1 2 3 4 x0")
+
+
 class TestSerialization:
     def test_round_trip(self):
         model = build_model(2, 1.0, REFERENCE_MEDIUM)
@@ -638,9 +665,18 @@ class TestSerialization:
         (lambda lines: [l.replace(" u0", " u7") for l in lines], "unitary 7"),
         (lambda lines: [l.replace("SDG", "SDG 1", 1) for l in lines], "SDG"),
         (lambda lines: lines + ["%unitary"], "trailer"),
+        (lambda lines: [l.replace("%unitary 1", "%unitary x") for l in lines], "%unitary x"),
+        (lambda lines: lines[:-1] + [" ".join(["1.0x"] + lines[-1].split()[1:])],
+         "%unitary 2: .*1.0x"),
+        (lambda lines: lines[:-1] + [" ".join(["nan"] + lines[-1].split()[1:])],
+         "%unitary 2: a non-finite entry"),
+        # each gate line below used to parse and fail only in simulate, or not at all
+        *((lambda lines, line=line: replace_first_gate(lines, line), re.escape(f"'{line}'"))
+          for line in _REFUSED_GATE_LINES),
     ], ids=["truncated-unitary", "gates-past-end", "missing-gates", "missing-tau",
             "short-pcrz", "pattern-out-of-range", "missing-payload", "extra-token",
-            "bare-trailer"])
+            "bare-trailer", "bad-payload-index", "bad-payload-entry", "nonfinite-payload-entry",
+            *(line.replace(" ", "-") for line in _REFUSED_GATE_LINES)])
     def test_rejects_malformed(self, edit, match):
         model = build_model(1, 1.0, REFERENCE_MEDIUM)
         lines = serialize_program(build_U1(model, 0.3)).splitlines()
@@ -721,3 +757,34 @@ def test_property_every_truncation_rejected(program):
     for cut in range(len(lines)):
         with pytest.raises(ValueError):
             parse_program("\n".join(lines[:cut]) + "\n")
+
+
+_N1_PROGRAM_LINES = {
+    scheme: serialize_program(build(build_model(1, 1.0, REFERENCE_MEDIUM), 0.3)).splitlines()
+    for scheme, build in (("u1", build_U1), ("u2", build_U2))}
+
+_TOKENS = st.one_of(
+    st.integers(-3, 12).map(str), st.integers().map(str), st.floats().map(repr),
+    st.sampled_from(("H", "s", "SDG", "CNOT", "MCRZ", "PCRZ", "V4", "V4DG", "p3", "p16",
+                     "u0", "u2", "u3", "x", "nan", "-inf")),
+    st.from_regex(r"[A-Za-z0-9_.+-]{1,6}", fullmatch=True))
+
+
+@settings(max_examples=200, deadline=None)
+@given(scheme=st.sampled_from(("u1", "u2")), data=st.data(), token=_TOKENS)
+def test_property_edited_gate_line_parses_valid_or_is_quoted(scheme, data, token):
+    # the text format and the simulator share one set of gate rules: an edited
+    # gate line either parses into a program simulate runs, or raises naming it
+    lines = list(_N1_PROGRAM_LINES[scheme])
+    row = data.draw(st.integers(7, 6 + int(lines[6].split()[1])))
+    toks = lines[row].split()
+    toks[data.draw(st.integers(0, len(toks) - 1))] = token
+    lines[row] = " ".join(toks)
+    try:
+        program = parse_program("\n".join(lines) + "\n")
+    except ValueError as err:
+        assert repr(lines[row]) in str(err)
+        return
+    psi = random_state(np.random.default_rng(row), program.dim)
+    out = simulate(program, psi)
+    assert abs(np.linalg.norm(out) - 1.0) < 1e-12

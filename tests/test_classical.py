@@ -389,11 +389,6 @@ class TestCostModel:
         for key in ("m_cl", "flops_per_step", "memory_complex", "l_norm_bound"):
             assert any(line.startswith(key + " ") for line in text.splitlines())
 
-    def test_eta_validation(self):
-        model = build_model(1, 1.0, REFERENCE_MEDIUM)
-        with pytest.raises(ValueError, match="eta"):
-            cost_model(model, 1.0, 0.1, eta=1.5)
-
 
 class TestEnergyConservation:
     def test_leapfrog_energy_bounded(self):

@@ -118,7 +118,7 @@ class TestFidelity:
         config = identity_config(E=0.646, nu=0.255, taus=(0.25,))
         model = config_model(config)
         prepared = build_initial_state(config, model)
-        curve = fidelity_curve(model, prepared, "u1", 0.25, config.T)
+        curve = fidelity_curve(Propagator(model), prepared, "u1", 0.25, config.T)
         assert np.all(curve.fidelities >= 0.0)
         assert np.all(curve.fidelities <= 1.0 + 1e-12)
         # stepping the exact propagator matches the one-shot exact state
@@ -136,10 +136,9 @@ class TestFidelity:
         prepared = build_initial_state(config, model)
         psi = prepared.psi.copy()
         psi[7] = bad
-        broken = PreparedState(psi=psi, norm_factor=prepared.norm_factor,
-                               kind=prepared.kind)
+        broken = PreparedState(psi=psi, norm_factor=prepared.norm_factor)
         with pytest.raises(ValueError, match="psi must be finite"):
-            fidelity_curve(model, broken, "u1", 0.5, config.T)
+            fidelity_curve(Propagator(model), broken, "u1", 0.5, config.T)
 
     def test_fidelity_deficit_scales_quadratically(self):
         # deficit 1 - F ~ (global error)^2 ~ tau^2 for the first-order scheme
@@ -159,7 +158,8 @@ class TestFidelity:
         model = config_model(config)
         prepared = build_initial_state(config, model)
         snaps = (1.0, 2.0)
-        curve = fidelity_curve(model, prepared, "u1", 0.5, config.T, snapshot_times=snaps)
+        curve = fidelity_curve(Propagator(model), prepared, "u1", 0.5, config.T,
+                               snapshot_times=snaps)
         # independent reference: one dense eigh of the materialized generator
         evals, evecs = np.linalg.eigh(materialize_sparse_H(model).toarray())
         coeffs = evecs.conj().T @ prepared.psi
@@ -220,15 +220,6 @@ class TestFieldReconstruction:
             assert b_weighted_norm_sq(model, psi_t, prepared.norm_factor) == pytest.approx(
                 reference, abs=1e-8)
 
-    def test_plane_validation(self):
-        config = identity_config()
-        model = config_model(config)
-        prepared = build_initial_state(config, model)
-        with pytest.raises(ValueError, match="plane_axis"):
-            reconstruct_fields(model, prepared.psi, 1.0, plane_axis="w")
-        with pytest.raises(ValueError, match="plane_index"):
-            reconstruct_fields(model, prepared.psi, 1.0, plane_index=4)
-
     def test_clipping(self):
         data = np.arange(100.0).reshape(10, 10)
         clipped, threshold = clip_values(data, 0.02)
@@ -276,6 +267,13 @@ class TestRunExperiment:
         assert len(record["values"]) == 16
         assert record["plane_axis"] == "x"
         assert record["clip_fraction"] == 0.02
+
+    def test_manifest_plane_is_the_field_plane(self, tmp_path):
+        manifest = run_experiment(identity_config(out_dir=str(tmp_path / "run")))
+        assert manifest["plane"] == {"axis": "x", "index": 1}
+        for name in manifest["files"]:
+            record = json.loads((tmp_path / "run" / name).read_text())
+            assert (record["plane_axis"], record["plane_index"]) == ("x", 1)
 
     def test_dry_run_writes_nothing(self, tmp_path, capsys):
         out = tmp_path / "dry"
