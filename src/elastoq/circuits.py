@@ -27,7 +27,8 @@ Program text format (see serialize_program / parse_program):
     V4 1 2 3 4 u<i>           16x16 unitary payload i on the state register
     V4DG 1 2 3 4 u<i>         its adjoint
     %unitary <i>              payload block: 16 lines of 32 floats (re im),
-                              17 significant digits
+                              17 significant digits; one block per index,
+                              each used by at least one gate
 """
 from __future__ import annotations
 
@@ -356,7 +357,7 @@ def _axis_pass(rows: np.ndarray, vectors: np.ndarray, w_minus_i: np.ndarray,
     there W - I applies as one (outer, N) @ (W - I)^T GEMM per sector instead.
     proj and work are buffers the caller reuses.
     """
-    from scipy.linalg.blas import dgemm  # deferred, like scipy.fft in the propagator
+    from scipy.linalg.blas import dgemm  # deferred: `import elastoq` skips scipy.linalg
 
     sectors, points = w_minus_i.shape[:2]
     np.matmul(vectors.T, rows, out=proj)
@@ -586,6 +587,8 @@ def parse_program(text: str) -> GateProgram:
         if len(toks) != 2 or toks[0] != "%unitary" or not toks[1].isdecimal():
             raise ValueError(f"unexpected trailer line: {line!r}")
         idx = int(toks[1])
+        if idx in payloads:
+            raise ValueError(f"%unitary {idx} appears twice")
         rows = [row.split() for row in lines[pos:pos + STATE_DIM]]
         pos += STATE_DIM
         if len(rows) != STATE_DIM or any(len(row) != 2 * STATE_DIM for row in rows):
@@ -601,4 +604,8 @@ def parse_program(text: str) -> GateProgram:
         payloads[idx] = values.view(complex)
 
     gates = tuple(_parse_gate(line, payloads, qubits) for line in gate_lines)
+    used = {id(g.unitary) for g in gates}
+    for idx, payload in payloads.items():
+        if id(payload) not in used:
+            raise ValueError(f"%unitary {idx} is used by no gate")
     return GateProgram(n=n, scheme=scheme, tau=tau, gates=gates, cnot_account=cnot_account)

@@ -135,13 +135,6 @@ _I_POWERS = np.array([1, 1j, -1, -1j])
 _PARITY_SIGNS = np.array([0.5, -0.5, -0.5, 0.5])
 
 
-def _dst(grid: np.ndarray) -> np.ndarray:
-    """Orthonormal DST-I over the three spatial axes; its own inverse."""
-    import scipy.fft  # deferred: runs that never need the exact propagator skip it
-
-    return scipy.fft.dstn(grid, type=1, axes=(1, 2, 3), norm="ortho")
-
-
 def mode_blocks(model: HamiltonianModel) -> np.ndarray:
     """Physical 9x9 generator block sum_a mu_{m_a} M_a of every 3D mode.
 
@@ -167,6 +160,10 @@ class Propagator:
     9..15, so only the 9x9 physical blocks are factored and the padding
     passes through unchanged.
 
+    Q_jk = sqrt(2/(N+1)) sin(pi (j+1)(k+1)/(N+1)) is symmetric and orthogonal,
+    so it is its own inverse.  It is built once, and the DST-I over the three
+    spatial axes runs as three real GEMMs with it, one per axis.
+
     Spectral coordinates have the layout of the state: the physical part holds
     eigen-coefficients (eigenindex-major, then mode), the padding part the
     untouched amplitudes, and `eigenvalues` gives the matching generator
@@ -188,6 +185,7 @@ class Propagator:
     _vectors: np.ndarray
     _phase: np.ndarray
     _parity: np.ndarray
+    _sine: np.ndarray
 
     def __init__(self, model: HamiltonianModel):
         points = model.shape.points
@@ -196,12 +194,15 @@ class Propagator:
         eigenvalues[:PHYSICAL_DIM] = lambdas.reshape(points**3, PHYSICAL_DIM).T
         j = np.arange(points)
         powers = (j[:, None, None] + j[None, :, None] + j[None, None, :]) % 4
+        k = j + 1  # outer(k, k) is symmetric, so Q is symmetric to the bit
+        sine = np.sqrt(2 / (points + 1)) * np.sin(np.pi * np.outer(k, k) / (points + 1))
         for name, value in (("model", model),
                             ("eigenvalues", eigenvalues.reshape(-1)),
                             ("_vectors", vectors.reshape(points**3, PHYSICAL_DIM,
                                                          PHYSICAL_DIM)),
                             ("_phase", _I_POWERS[powers]),
-                            ("_parity", _PARITY_SIGNS[powers])):
+                            ("_parity", _PARITY_SIGNS[powers]),
+                            ("_sine", sine)):
             if isinstance(value, np.ndarray):
                 value.setflags(write=False)
             object.__setattr__(self, name, value)
@@ -224,6 +225,26 @@ class Propagator:
         """A per-cell (N, N, N) table broadcast over the batch axes of grid."""
         return table.reshape(table.shape + (1,) * (grid.ndim - 4))
 
+    def _dst(self, grid: np.ndarray) -> np.ndarray:
+        """Orthonormal DST-I of a (c, N, N, N, batch...) grid over its three spatial axes.
+
+        One real GEMM per axis with the symmetric sine matrix Q; a complex grid
+        is transformed on its float view, real and imaginary parts as columns.
+        """
+        q = self._sine
+        c, points = grid.shape[0], q.shape[0]
+        x = np.ascontiguousarray(grid)
+        if np.iscomplexobj(x):
+            x = x.reshape(x.shape[:4] + (-1,)).view(np.float64)
+        out = np.matmul(q, x.reshape(c, points, -1))
+        out = np.matmul(q, out.reshape(c * points, points, -1))
+        if x.ndim == 4:  # no column axis: x Q on the last axis is Q x, as Q is symmetric
+            out = out.reshape(-1, points) @ q
+        else:
+            out = np.matmul(q, out.reshape(c * points * points, points, -1))
+        out = out.reshape(x.shape)
+        return (out.view(complex) if np.iscomplexobj(grid) else out).reshape(grid.shape)
+
     def _mix(self, phys: np.ndarray, adjoint: bool) -> np.ndarray:
         """Apply each mode's 9x9 eigenvector block (or its transpose)."""
         v = self._vectors.transpose(0, 2, 1) if adjoint else self._vectors
@@ -241,10 +262,10 @@ class Propagator:
         """
         if np.iscomplexobj(psi):
             grid = self._grid(psi)
-            phys = _dst(grid[:PHYSICAL_DIM] * self._per_cell(self._phase, grid).conj())
+            phys = self._dst(grid[:PHYSICAL_DIM] * self._per_cell(self._phase, grid).conj())
         else:
             real = np.asarray(psi, dtype=np.float64).reshape(self._grid_shape(psi))
-            g = _dst(real[:PHYSICAL_DIM] * self._per_cell(self._parity, real))
+            g = self._dst(real[:PHYSICAL_DIM] * self._per_cell(self._parity, real))
             flipped = g[:, ::-1, ::-1, ::-1]
             phys = np.empty(g.shape, dtype=complex)
             np.add(g, flipped, out=phys.real)
@@ -257,7 +278,7 @@ class Propagator:
     def from_spectral(self, coeffs: np.ndarray) -> np.ndarray:
         """Inverse of to_spectral (the DST-I is its own inverse)."""
         grid = self._grid(coeffs)
-        phys = _dst(self._mix(grid[:PHYSICAL_DIM], adjoint=False))
+        phys = self._dst(self._mix(grid[:PHYSICAL_DIM], adjoint=False))
         grid[:PHYSICAL_DIM] = phys * self._per_cell(self._phase, grid)
         return grid.reshape(coeffs.shape)
 

@@ -547,6 +547,30 @@ def _rotate_degenerate_clusters(model, rng):
     return model.with_eigensystems(new_systems)
 
 
+class TestPaperScale:
+    """Gate-level programs at n = 4 and the paper's n = 5 (19 qubits) against the step plan."""
+
+    @staticmethod
+    def real_unit_state(model, seed):
+        psi = np.random.default_rng(seed).standard_normal(model.dim)
+        return psi / np.linalg.norm(psi)
+
+    @pytest.mark.parametrize("scheme, build", [("u1", build_U1), ("u2", build_U2)])
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_program_matches_step_plan(self, n, scheme, build):
+        model = build_model(n, 1.0, REFERENCE_MEDIUM)
+        psi = self.real_unit_state(model, 60 + n)
+        expected = TrotterStep(model, scheme, 0.3).apply(psi)
+        assert np.abs(simulate(build(model, 0.3), psi) - expected).max() <= 1e-12
+
+    def test_text_round_trip_at_n5(self):
+        model = build_model(5, 1.0, REFERENCE_MEDIUM)
+        back = parse_program(serialize_program(build_U1(model, 0.7)))
+        psi = self.real_unit_state(model, 70)
+        expected = TrotterStep(model, "u1", 0.7).apply(psi)
+        assert np.abs(simulate(back, psi) - expected).max() <= 1e-12
+
+
 class TestEigenbasisFreedom:
     def test_u1_invariant_under_degenerate_rotations(self):
         rng = np.random.default_rng(10)
@@ -670,12 +694,16 @@ class TestSerialization:
          "%unitary 2: .*1.0x"),
         (lambda lines: lines[:-1] + [" ".join(["nan"] + lines[-1].split()[1:])],
          "%unitary 2: a non-finite entry"),
+        # a second block 0 used to replace the first; a block 3 no gate names
+        (lambda lines: lines + ["%unitary 0"] + lines[-16:], "%unitary 0 appears twice"),
+        (lambda lines: lines + ["%unitary 3"] + lines[-16:], "%unitary 3 is used by no gate"),
         # each gate line below used to parse and fail only in simulate, or not at all
         *((lambda lines, line=line: replace_first_gate(lines, line), re.escape(f"'{line}'"))
           for line in _REFUSED_GATE_LINES),
     ], ids=["truncated-unitary", "gates-past-end", "missing-gates", "missing-tau",
             "short-pcrz", "pattern-out-of-range", "missing-payload", "extra-token",
             "bare-trailer", "bad-payload-index", "bad-payload-entry", "nonfinite-payload-entry",
+            "duplicate-payload-block", "unused-payload-block",
             *(line.replace(" ", "-") for line in _REFUSED_GATE_LINES)])
     def test_rejects_malformed(self, edit, match):
         model = build_model(1, 1.0, REFERENCE_MEDIUM)

@@ -233,6 +233,25 @@ class TestStabilityCertificates:
                 growth = max(growth, state.norm)
         assert report.measured == pytest.approx(growth, rel=1e-12)
 
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_power_bound_is_a_batched_leapfrog_step_loop(self, n):
+        # the coupling maps are built once per certificate, not once per step:
+        # the steps must still be leapfrog_step's, to the bit
+        model = build_model(n, 1.0, REFERENCE_MEDIUM)
+        config = make_leapfrog_config(model, tau=0.1, eta=1.0, T=1.0)
+        points = model.shape.points
+        probes = _orthonormal_probes(9 * points**3, 16)
+        grid = np.ascontiguousarray(
+            probes.T.reshape(-1, 9, points, points, points).swapaxes(0, 1))
+        state = PhysicalState(q=grid[:3], r=grid[3:])
+        growth = 0.0
+        for _ in range(20):
+            state = leapfrog_step(model, state, config.tau)
+            norm_sq = sum(np.sum(part.real**2 + part.imag**2, axis=(0, 2, 3, 4))
+                          for part in (state.q, state.r))
+            growth = max(growth, float(np.sqrt(norm_sq).max()))
+        assert power_bound_certificate(model, config, m_max=20).measured == growth
+
     @pytest.mark.parametrize("m_max", [0, -5])
     def test_power_bound_needs_a_step(self, m_max):
         # with no step the growth would read 0.0 and pass vacuously

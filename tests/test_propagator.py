@@ -1,9 +1,16 @@
 """The spectral (DST-I) exact propagator against independent references."""
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+import scipy.fft
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import elastoq
 from elastoq.classical import PhysicalState, dense_generator
 from elastoq.hamiltonian import Propagator, apply_H, build_model, dense_evolve
 from elastoq.media import MaterialParams
@@ -111,6 +118,43 @@ class TestRealInput:
         psi /= np.linalg.norm(psi)
         dense = dense_evolve(model, 2.5, psi)
         assert np.abs(Propagator(model).evolve(psi, 2.5) - dense).max() <= 1e-12
+
+
+class TestMatrixDST:
+    """The three-GEMM DST-I against pocketfft's, which only the tests import."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_matches_scipy_dstn(self, n):
+        prop = Propagator(build_model(n, 1.0, REFERENCE_MEDIUM))
+        points = prop.model.shape.points
+        rng = np.random.default_rng(40 + n)
+        for shape in ((16, points, points, points), (16, points, points, points, 4)):
+            real = rng.standard_normal(shape)
+            for grid in (real, real + 1j * rng.standard_normal(shape)):
+                got = prop._dst(grid)
+                expected = scipy.fft.dstn(grid, type=1, axes=(1, 2, 3), norm="ortho")
+                assert got.dtype == grid.dtype and got.shape == grid.shape
+                assert np.abs(got - expected).max() <= 1e-13 * np.abs(grid).max()
+                assert np.abs(prop._dst(got) - grid).max() <= 1e-13 * np.abs(grid).max()
+
+    def test_sine_matrix_is_read_only(self):
+        prop = Propagator(build_model(2, 1.0, REFERENCE_MEDIUM))
+        assert np.array_equal(prop._sine, prop._sine.T)
+        with pytest.raises(ValueError):
+            prop._sine[0, 0] = 1.0
+
+    def test_run_imports_no_scipy_fft(self, tmp_path):
+        src = Path(elastoq.__file__).resolve().parent.parent
+        script = ("import sys\n"
+                  "from elastoq.cli import main\n"
+                  "argv = ['run', '--n', '3', '--init', 'p', '--T', '1', '--tau', '0.5']\n"
+                  "assert main(argv + ['--out', sys.argv[1]]) == 0\n"
+                  "assert 'scipy.fft' not in sys.modules, 'scipy.fft imported'\n")
+        done = subprocess.run([sys.executable, "-c", script, str(tmp_path)],
+                              env={**os.environ, "PYTHONPATH": str(src)},
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert (tmp_path / "manifest.json").exists()
 
 
 class TestGroupLaw:
