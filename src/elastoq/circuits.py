@@ -16,7 +16,9 @@ x = -theta (rotation matrix [[cos, -sin], [sin, cos]] on each pair).
 
 Program text format (see serialize_program / parse_program):
 
-    ELASTOQ-PROGRAM v1        header, then "key value" metadata lines
+    ELASTOQ-PROGRAM v1        header, then one "key value" line each for
+                              n, qubits (3n + 4), scheme (u1/u2), tau and
+                              cnot_account (the scheme's per-step formula)
     gates <count>             followed by one gate per line:
     H t | S t | SDG t         single-qubit gates on qubit t
     CNOT t c                  target t, control c
@@ -551,6 +553,10 @@ def parse_program(text: str) -> GateProgram:
     while pos < len(lines):
         key, _, value = lines[pos].partition(" ")
         pos += 1
+        if key not in _METADATA_KEYS:
+            raise ValueError(f"metadata {key!r} is not one of {_METADATA_KEYS}")
+        if key in meta:
+            raise ValueError(f"metadata {key} appears twice")
         meta[key] = value
         if key == "gates":
             break
@@ -571,7 +577,9 @@ def parse_program(text: str) -> GateProgram:
     qubits = field("qubits", int, lambda v: v == qubit_count(n), f"3n + 4 = {qubit_count(n)}")
     scheme = field("scheme", str, lambda v: v in ("u1", "u2"), "u1 or u2")
     tau = field("tau", float, math.isfinite, "a finite number")
-    cnot_account = field("cnot_account", int, lambda v: v >= 0, "an integer >= 0")
+    step_cnots = (u1_step_cnots if scheme == "u1" else u2_step_cnots)(n)
+    cnot_account = field("cnot_account", int, lambda v: v == step_cnots,
+                         f"{scheme}_step_cnots(n) = {step_cnots}")
     n_gates = field("gates", int, lambda v: 0 <= v <= len(lines) - pos,
                     f"a count that fits the {len(lines) - pos} lines after it")
     gate_lines = lines[pos:pos + n_gates]

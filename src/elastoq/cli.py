@@ -6,6 +6,12 @@ prints the quantum-vs-classical resource comparison.  All flags mirror
 config fields; a JSON config file can supply any of them, with explicit
 flags taking precedence.  ELASTOQ_THREADS caps the number of parallel
 step-size jobs in `run`.
+
+Each of those jobs also runs OpenBLAS threads.  numpy and scipy load separate
+OpenBLAS builds and the Trotter step alternates between them, so with more
+than one BLAS thread the two thread pools contend and a step runs several
+times slower.  Set OPENBLAS_NUM_THREADS=1 and take parallelism from
+ELASTOQ_THREADS instead; the worker count does not change the output bytes.
 """
 from __future__ import annotations
 

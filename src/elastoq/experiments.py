@@ -70,6 +70,9 @@ def validate_config(config: ExperimentConfig) -> None:
         raise ValueError(f"T must be positive and finite, got {config.T}")
     if not config.taus:
         raise ValueError("at least one tau is required")
+    # one fidelity_tau{tau:g}.csv, manifest curve and summary row per tau
+    if len({f"{tau:g}" for tau in config.taus}) < len(config.taus):
+        raise ValueError(f"taus must name distinct step sizes, got {list(config.taus)}")
     for tau in config.taus:
         if not 0 < tau < math.inf:
             raise ValueError(f"tau must be positive and finite, got {tau}")

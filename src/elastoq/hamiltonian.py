@@ -477,40 +477,12 @@ def format_cost_report(model: HamiltonianModel, T: float, epsilon: float,
     return "\n".join(f"{key} {value}" for key, value in rows)
 
 
-@dataclass(frozen=True)
-class DefectEstimate:
-    """Measured distance between one Trotter step and the exact propagator."""
+def empirical_trotter_error(model: HamiltonianModel, tau: float, scheme: str) -> float:
+    """Exact ||U(tau) - exp(-iH tau)||_2 for scheme 'u1' or 'u2', up to n = DENSE_MAX_N."""
+    if model.shape.n > DENSE_MAX_N:
+        raise ValueError(f"exact Trotter defect needs n <= {DENSE_MAX_N}, got n={model.shape.n}")
+    from .circuits import scheme_unitary
 
-    value: float
-    exact: bool
-
-    @property
-    def label(self) -> str:
-        return "operator-norm (exact SVD)" if self.exact else "probe lower bound"
-
-
-def empirical_trotter_error(model: HamiltonianModel, tau: float, scheme: str,
-                            n_probes: int = 32, seed: int = 0) -> DefectEstimate:
-    """Measure ||U(tau) - exact one-step propagator|| for scheme 'u1' or 'u2'.
-
-    Exact largest singular value up to n = DENSE_MAX_N, otherwise a lower
-    bound from random unit probes.
-    """
-    from .circuits import apply_block_fast, scheme_unitary
-
-    dim = model.dim
-    propagator = Propagator(model)
-    if model.shape.n <= DENSE_MAX_N:
-        u_trotter = scheme_unitary(model, scheme, tau)
-        u_exact = propagator.evolve(np.eye(dim), tau)
-        value = float(np.linalg.norm(u_trotter - u_exact, 2))
-        return DefectEstimate(value=value, exact=True)
-
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(n_probes):
-        v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-        v /= np.linalg.norm(v)
-        diff = apply_block_fast(model, scheme, tau, v) - propagator.evolve(v, tau)
-        worst = max(worst, float(np.linalg.norm(diff)))
-    return DefectEstimate(value=worst, exact=False)
+    u_trotter = scheme_unitary(model, scheme, tau)
+    u_exact = Propagator(model).evolve(np.eye(model.dim), tau)
+    return float(np.linalg.norm(u_trotter - u_exact, 2))

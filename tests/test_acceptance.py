@@ -105,11 +105,11 @@ def test_2_bound_dominance():
                     d1 = empirical_trotter_error(model, tau, "u1")
                     comm = bound_first_order_commutator(model, tau)
                     norm = bound_first_order_norm(model, tau)
-                    if not (d1.exact and d1.value <= comm <= norm):
+                    if not d1 <= comm <= norm:
                         violations += 1
                     d2 = empirical_trotter_error(model, tau, "u2")
                     b2, applicable = bound_second_order(model, tau)
-                    if applicable and not (d2.exact and d2.value <= b2):
+                    if applicable and not d2 <= b2:
                         violations += 1
     _report(2, "bound dominance", violations == 0, started, 600.0)
 

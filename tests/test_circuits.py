@@ -31,6 +31,8 @@ from elastoq.hamiltonian import (
     materialize_sparse_H,
     materialize_term,
     term_angle,
+    u1_step_cnots,
+    u2_step_cnots,
 )
 from elastoq.lattice import apply_pair_rotation, s_cell_matrix
 from elastoq.media import AxisEigenSystem, MaterialParams, degenerate_clusters
@@ -697,6 +699,9 @@ class TestSerialization:
         # a second block 0 used to replace the first; a block 3 no gate names
         (lambda lines: lines + ["%unitary 0"] + lines[-16:], "%unitary 0 appears twice"),
         (lambda lines: lines + ["%unitary 3"] + lines[-16:], "%unitary 3 is used by no gate"),
+        # an unknown key and a second tau line used to parse (the later tau won)
+        (lambda lines: lines[:1] + ["colour red"] + lines[1:], "metadata 'colour'"),
+        (lambda lines: lines[:5] + ["tau 0.5"] + lines[5:], "metadata tau appears twice"),
         # each gate line below used to parse and fail only in simulate, or not at all
         *((lambda lines, line=line: replace_first_gate(lines, line), re.escape(f"'{line}'"))
           for line in _REFUSED_GATE_LINES),
@@ -704,6 +709,7 @@ class TestSerialization:
             "short-pcrz", "pattern-out-of-range", "missing-payload", "extra-token",
             "bare-trailer", "bad-payload-index", "bad-payload-entry", "nonfinite-payload-entry",
             "duplicate-payload-block", "unused-payload-block",
+            "unknown-metadata-key", "repeated-metadata-key",
             *(line.replace(" ", "-") for line in _REFUSED_GATE_LINES)])
     def test_rejects_malformed(self, edit, match):
         model = build_model(1, 1.0, REFERENCE_MEDIUM)
@@ -715,6 +721,8 @@ class TestSerialization:
         ("scheme", "u3"), ("n", "0"), ("n", "-2"), ("n", "two"), ("qubits", "99"),
         ("qubits", "10"), ("tau", "nan"), ("tau", "inf"), ("tau", "fast"),
         ("cnot_account", "-1"), ("cnot_account", "1.5"), ("gates", "-1"),
+        # any count but u1_step_cnots(1) = 810 is refused, u2's 1620 included
+        ("cnot_account", "0"), ("cnot_account", "811"), ("cnot_account", "1620"),
     ])
     def test_rejects_bad_metadata(self, key, value):
         model = build_model(1, 1.0, REFERENCE_MEDIUM)
@@ -758,8 +766,10 @@ def gate_programs(draw):
         else:
             gates.append(Gate(kind, targets=(1, 2, 3, 4),
                               unitary=draw(st.sampled_from(payloads))))
-    return GateProgram(n=n, scheme=draw(st.sampled_from(("u1", "u2"))), tau=draw(_FLOATS),
-                       gates=tuple(gates), cnot_account=draw(st.integers(0, 10**6)))
+    scheme = draw(st.sampled_from(("u1", "u2")))
+    step_cnots = u1_step_cnots if scheme == "u1" else u2_step_cnots
+    return GateProgram(n=n, scheme=scheme, tau=draw(_FLOATS),
+                       gates=tuple(gates), cnot_account=step_cnots(n))
 
 
 @settings(max_examples=40, deadline=None)

@@ -103,6 +103,26 @@ class TestRun:
         assert "0.3" in record["message"]
         assert not (tmp_path / "x").exists()
 
+    @pytest.mark.parametrize("taus", [("0.5", "0.5"), ("0.5", "0.5000000001")])
+    def test_repeated_tau_refused(self, taus, tmp_path, capsys):
+        # both would write one fidelity_tau0.5.csv; the run used to walk twice
+        argv = ["run", "--n", "2", "--T", "1", "--tau", taus[0], "--tau", taus[1],
+                "--out", str(tmp_path / "r")]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        record = json.loads(captured.err.strip())
+        assert record["error"] == "ValueError"
+        assert record["message"].startswith("taus ")
+        assert captured.out == ""
+        assert not (tmp_path / "r").exists()
+
+    def test_dry_run_refuses_repeated_tau(self, tmp_path, capsys):
+        argv = ["run", "--n", "2", "--T", "1", "--tau", "0.5", "--tau", "0.5", "--dry-run"]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert "taus" in json.loads(captured.err.strip())["message"]
+        assert captured.out == ""
+
     def test_dry_run(self, tmp_path, capsys):
         argv = ["run", "--n", "3", "--T", "2", "--tau", "0.5",
                 "--out", str(tmp_path / "d"), "--dry-run"]

@@ -250,15 +250,13 @@ class TestStepsAndCost:
 class TestEmpiricalError:
     def test_zero_tau(self):
         model = build_model(1, 1.0, REFERENCE_MEDIUM)
-        est = empirical_trotter_error(model, 0.0, "u1")
-        assert est.exact
-        assert est.value < 1e-12
+        assert empirical_trotter_error(model, 0.0, "u1") < 1e-12
 
     def test_richardson_ratio_first_order(self):
         model = build_model(1, 1.0, REFERENCE_MEDIUM)
         tau = 0.08
-        e1 = empirical_trotter_error(model, tau, "u1").value
-        e2 = empirical_trotter_error(model, tau / 2, "u1").value
+        e1 = empirical_trotter_error(model, tau, "u1")
+        e2 = empirical_trotter_error(model, tau / 2, "u1")
         assert 3.4 <= e1 / e2 <= 4.6
 
     @pytest.mark.parametrize("n", [1, 2])
@@ -266,19 +264,16 @@ class TestEmpiricalError:
         model = build_model(n, 1.0, REFERENCE_MEDIUM)
         for tau in (0.05, 0.15):
             measured = empirical_trotter_error(model, tau, "u1")
-            assert measured.exact
-            assert measured.value <= bound_first_order_commutator(model, tau)
+            assert measured <= bound_first_order_commutator(model, tau)
 
-    def test_probe_path_is_labeled(self, monkeypatch):
-        model = build_model(1, 1.0, REFERENCE_MEDIUM)
-        exact = empirical_trotter_error(model, 0.05, "u1")
-        monkeypatch.setattr(hamiltonian, "DENSE_MAX_N", 0)
-        est = empirical_trotter_error(model, 0.05, "u1", n_probes=4)
-        assert exact.exact
-        assert not est.exact
-        assert "lower bound" in est.label
-        # a lower bound cannot exceed the exact value
-        assert est.value <= exact.value + 1e-12
+    def test_refuses_past_dense_cap(self, monkeypatch):
+        # refused before any propagator is built: there is no estimate past the cap
+        def no_propagator(model):
+            raise AssertionError("Propagator built")
+        model = build_model(3, 1.0, REFERENCE_MEDIUM)
+        monkeypatch.setattr(hamiltonian, "Propagator", no_propagator)
+        with pytest.raises(ValueError, match=r"n=3"):
+            empirical_trotter_error(model, 0.05, "u1")
 
 
 class TestSectorNormIdentity:

@@ -212,6 +212,13 @@ class TestNormFacts:
         norm = sparse_operator_norm(d_cell_matrix(shape))
         assert norm <= 1 / shape.h + 1e-9
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("h", [0.5, 1.0])
+    def test_difference_norm_closed_form(self, n, h):
+        shape = LatticeShape(n=n, h=h)
+        closed = np.cos(np.pi / (shape.points + 1)) / h
+        assert abs(sparse_operator_norm(d_cell_matrix(shape)) - closed) <= 1e-12
+
     @pytest.mark.parametrize("axis", [1, 2, 3])
     def test_lifted_difference_norm_bounded(self, axis):
         shape = LatticeShape(n=2, h=0.25)
