@@ -6,7 +6,7 @@ semidiscrete system.  The root exports the names of the README example; the
 rest of the library is imported from its submodules.
 """
 
-from .circuits import apply_block_fast, build_U1, simulate
+from .circuits import TrotterStep, build_U1, simulate
 from .hamiltonian import Propagator, build_model, steps_and_cost
 from .media import MaterialParams
 
@@ -15,7 +15,7 @@ __version__ = "0.1.0"
 __all__ = [
     "MaterialParams",
     "Propagator",
-    "apply_block_fast",
+    "TrotterStep",
     "build_U1",
     "build_model",
     "simulate",

@@ -303,11 +303,6 @@ def simulate(program: GateProgram, psi: np.ndarray) -> np.ndarray:
     return state
 
 
-def program_unitary(program: GateProgram) -> np.ndarray:
-    """Dense matrix of the program (columns = simulated basis states)."""
-    return simulate(program, np.eye(program.dim, dtype=complex))
-
-
 # ---------------------------------------------------------------------------
 # structural fast path
 # ---------------------------------------------------------------------------
@@ -456,17 +451,12 @@ class TrotterStep:
 
 def apply_block_fast(model: HamiltonianModel, scheme: str, tau: float,
                      psi: np.ndarray) -> np.ndarray:
-    """Apply one u1/u2 step to a (dim,) state or (dim, b) batch (see TrotterStep).
+    """TrotterStep(model, scheme, tau).apply(psi), building a new plan per call.
 
-    A real state comes back real.  To step many states with one (scheme, tau),
-    build one TrotterStep and reuse it.
+    Kept for the benchmark harness (perfbench/workloads.py), which steps
+    through it; the package steps with TrotterStep.
     """
     return TrotterStep(model, scheme, tau).apply(psi)
-
-
-def scheme_unitary(model: HamiltonianModel, scheme: str, tau: float) -> np.ndarray:
-    """Dense (real orthogonal) matrix of one Trotter step via the fast path."""
-    return apply_block_fast(model, scheme, tau, np.eye(model.dim))
 
 
 # ---------------------------------------------------------------------------

@@ -226,14 +226,10 @@ def dense_generator(model: HamiltonianModel) -> np.ndarray:
 
 def dense_leapfrog_matrix(model: HamiltonianModel, tau: float) -> np.ndarray:
     """Dense one-step leapfrog matrix (I + tau/2 K1)(I + tau K2)(I + tau/2 K1)."""
-    l_mat = dense_coupling(model)
-    nq, nr = l_mat.shape
-    dim = nq + nr
-    k1 = np.zeros((dim, dim))
-    k1[:nq, nq:] = l_mat
-    k2 = np.zeros((dim, dim))
-    k2[nq:, :nq] = -l_mat.T
-    eye = np.eye(dim)
+    k = dense_generator(model)
+    # the zero diagonal blocks leave L strictly above the diagonal and -L* below it
+    k1, k2 = np.triu(k), np.tril(k)
+    eye = np.eye(len(k))
     return (eye + tau / 2 * k1) @ (eye + tau * k2) @ (eye + tau / 2 * k1)
 
 

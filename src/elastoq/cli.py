@@ -27,8 +27,9 @@ from .classical import (
     make_leapfrog_config,
     power_bound_certificate,
 )
-from .experiments import ExperimentConfig, config_model, run_experiment
-from .hamiltonian import HamiltonianModel, format_cost_report, steps_and_cost
+from .experiments import ExperimentConfig, run_experiment
+from .hamiltonian import HamiltonianModel, build_model, format_cost_report, steps_and_cost
+from .media import MaterialParams
 
 _BOUND_SCHEMES = ("first-norm", "first-commutator", "second")
 
@@ -113,13 +114,17 @@ def _merged_run_config(args: argparse.Namespace) -> ExperimentConfig:
               file=sys.stderr)
     values.update(_given_flags(args, _CONFIG_FIELDS))
     if "taus" in values:
+        if not isinstance(values["taus"], (list, tuple)):
+            raise ValueError(f"taus must be a list of step sizes, got {values['taus']!r}")
         values["taus"] = tuple(values["taus"])
     return dataclasses.replace(_RUN_DEFAULTS, dry_run=args.dry_run, **values)
 
 
 def _model_from_args(args: argparse.Namespace) -> tuple[HamiltonianModel, float]:
-    config = dataclasses.replace(_RUN_DEFAULTS, **_given_flags(args, _MODEL_FIELDS))
-    return config_model(config), config.T
+    """Model and horizon of bounds/certify/compare; no run config, so any n and T go."""
+    values = dataclasses.asdict(_RUN_DEFAULTS) | _given_flags(args, _MODEL_FIELDS)
+    params = MaterialParams(rho=values["rho"], E=values["E"], nu=values["nu"])
+    return build_model(values["n"], values["h"], params), values["T"]
 
 
 def _cmd_run(args: argparse.Namespace) -> int:

@@ -37,7 +37,7 @@ FIELD_COMPONENTS = {"v_z": 2, "sigma_zz": 5}
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Full description of one experiment run; validated by validate_config."""
+    """Full description of one experiment run; validated on construction, also by replace."""
 
     n: int
     h: float = 1.0
@@ -52,36 +52,52 @@ class ExperimentConfig:
     clip: float = 0.02
     dry_run: bool = False
 
+    def __post_init__(self):
+        # types first, so a JSON null, bool or string is refused by name, not
+        # by a TypeError of the first comparison (a bool is an int in Python)
+        if isinstance(self.n, bool):
+            raise ValueError(f"n must be an integer >= 1, got {self.n}")
+        for name in ("h", "rho", "E", "nu", "T", "clip"):
+            if not _is_real(getattr(self, name)):
+                raise ValueError(f"{name} must be a real number, got {getattr(self, name)!r}")
+        if not (isinstance(self.taus, tuple) and all(map(_is_real, self.taus))):
+            raise ValueError(f"taus must be a tuple of real numbers, got {self.taus!r}")
+        # init and scheme are refused below unless they are one of their strings
+        if not isinstance(self.out_dir, str):
+            raise ValueError(f"out_dir must be a string, got {self.out_dir!r}")
+        # the grid and medium raise naming the bad field, also on a dry run
+        LatticeShape(n=self.n, h=self.h)
+        MaterialParams(rho=self.rho, E=self.E, nu=self.nu)
+        if self.init not in ("pulse", "p", "s"):
+            raise ValueError(f"init must be pulse, p, or s, got {self.init!r}")
+        if self.scheme not in ("u1", "u2"):
+            raise ValueError(f"scheme must be u1 or u2, got {self.scheme!r}")
+        if self.init == "pulse" and self.n < 2:
+            raise ValueError("pulse initial state needs n >= 2")
+        if self.init in ("p", "s") and self.n < 3:
+            raise ValueError(f"{self.init}-wave initial state needs n >= 3 "
+                             "(the bulk index set is empty below that)")
+        if not 0 < self.T < math.inf:
+            raise ValueError(f"T must be positive and finite, got {self.T}")
+        if not self.taus:
+            raise ValueError("at least one tau is required")
+        # one fidelity_tau{tau:g}.csv, manifest curve and summary row per tau
+        if len({f"{tau:g}" for tau in self.taus}) < len(self.taus):
+            raise ValueError(f"taus must name distinct step sizes, got {list(self.taus)}")
+        for tau in self.taus:
+            if not 0 < tau < math.inf:
+                raise ValueError(f"tau must be positive and finite, got {tau}")
+            steps = self.T / tau
+            if abs(steps - round(steps)) > 1e-9 or round(steps) < 1:
+                raise ValueError(f"tau={tau} does not divide T={self.T} "
+                                 "into an integer number of steps")
+        if not 0 <= self.clip < 1:
+            raise ValueError(f"clip fraction must lie in [0, 1), got {self.clip}")
 
-def validate_config(config: ExperimentConfig) -> None:
-    # the grid and medium raise naming the bad field, also on a dry run
-    LatticeShape(n=config.n, h=config.h)
-    MaterialParams(rho=config.rho, E=config.E, nu=config.nu)
-    if config.init not in ("pulse", "p", "s"):
-        raise ValueError(f"init must be pulse, p, or s, got {config.init!r}")
-    if config.scheme not in ("u1", "u2"):
-        raise ValueError(f"scheme must be u1 or u2, got {config.scheme!r}")
-    if config.init == "pulse" and config.n < 2:
-        raise ValueError("pulse initial state needs n >= 2")
-    if config.init in ("p", "s") and config.n < 3:
-        raise ValueError(f"{config.init}-wave initial state needs n >= 3 "
-                         "(the bulk index set is empty below that)")
-    if not 0 < config.T < math.inf:
-        raise ValueError(f"T must be positive and finite, got {config.T}")
-    if not config.taus:
-        raise ValueError("at least one tau is required")
-    # one fidelity_tau{tau:g}.csv, manifest curve and summary row per tau
-    if len({f"{tau:g}" for tau in config.taus}) < len(config.taus):
-        raise ValueError(f"taus must name distinct step sizes, got {list(config.taus)}")
-    for tau in config.taus:
-        if not 0 < tau < math.inf:
-            raise ValueError(f"tau must be positive and finite, got {tau}")
-        steps = config.T / tau
-        if abs(steps - round(steps)) > 1e-9 or round(steps) < 1:
-            raise ValueError(f"tau={tau} does not divide T={config.T} "
-                             "into an integer number of steps")
-    if not 0 <= config.clip < 1:
-        raise ValueError(f"clip fraction must lie in [0, 1), got {config.clip}")
+
+def _is_real(value) -> bool:
+    # concrete types: an isinstance check against numbers.Real costs a microsecond
+    return isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
 
 
 def config_model(config: ExperimentConfig) -> HamiltonianModel:
@@ -114,11 +130,8 @@ def _apply_cell(mat16: np.ndarray, grid: np.ndarray) -> np.ndarray:
     return np.tensordot(mat16, grid, axes=(1, 0))
 
 
-def build_initial_state(config: ExperimentConfig,
-                        model: HamiltonianModel | None = None) -> PreparedState:
-    """Uniform velocity excitation, transformed and normalized."""
-    validate_config(config)
-    model = model if model is not None else config_model(config)
+def build_initial_state(config: ExperimentConfig, model: HamiltonianModel) -> PreparedState:
+    """Uniform velocity excitation on the config's grid, transformed by model's medium."""
     points = model.shape.points
     center = central_indices(config.n)
     if config.init == "pulse":
@@ -250,18 +263,15 @@ def fidelity_curve(exact: Propagator, prepared: PreparedState, scheme: str,
 
 
 def _worker_count(n_jobs: int) -> int:
-    raw = os.environ.get(THREADS_ENV_VAR, "")
-    try:
-        cap = int(raw)
-    except ValueError:
-        cap = 1
-    return max(1, min(n_jobs, cap))
+    raw = os.environ.get(THREADS_ENV_VAR) or "1"  # unset or empty: one worker
+    if not (raw.isdecimal() and int(raw) >= 1):
+        raise ValueError(f"{THREADS_ENV_VAR} must be an integer >= 1, got {raw!r}")
+    return min(n_jobs, int(raw))
 
 
 def run_fidelity_sweep(config: ExperimentConfig,
                        snapshot_times: tuple[float, ...] = ()) -> dict[float, FidelityCurve]:
     """All configured step sizes; snapshots are taken on the smallest tau only."""
-    validate_config(config)
     model = config_model(config)
     return _sweep(config, model, build_initial_state(config, model), snapshot_times)
 
@@ -269,6 +279,7 @@ def run_fidelity_sweep(config: ExperimentConfig,
 def _sweep(config: ExperimentConfig, model: HamiltonianModel, prepared: PreparedState,
            snapshot_times: tuple[float, ...]) -> dict[float, FidelityCurve]:
     """run_fidelity_sweep on a built model and state; one propagator for all tau."""
+    workers = _worker_count(len(config.taus))
     exact = Propagator(model)
     tau_min = min(config.taus)
 
@@ -276,7 +287,6 @@ def _sweep(config: ExperimentConfig, model: HamiltonianModel, prepared: Prepared
         snaps = snapshot_times if tau == tau_min else ()
         return fidelity_curve(exact, prepared, config.scheme, tau, config.T, snaps)
 
-    workers = _worker_count(len(config.taus))
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             curves = list(pool.map(job, config.taus))
@@ -330,7 +340,6 @@ def run_experiment(config: ExperimentConfig) -> dict:
     Returns the manifest dictionary.  Output files are a pure function of the
     config (no timestamps), so identical configs produce identical bytes.
     """
-    validate_config(config)
     per_step_cnot = (u1_step_cnots if config.scheme == "u1" else u2_step_cnots)(config.n)
     plan = {f"{tau:g}": round(config.T / tau) for tau in config.taus}
 
@@ -342,13 +351,14 @@ def run_experiment(config: ExperimentConfig) -> dict:
         return {"dry_run": True, "qubits": qubit_count(config.n), "plan": plan}
 
     started = time.perf_counter()
-    out = Path(config.out_dir)
-    (out / "fields").mkdir(parents=True, exist_ok=True)
     model = config_model(config)
     prepared = build_initial_state(config, model)
     tau_min = min(config.taus)
     snapshot_times = default_snapshot_times(config.T, tau_min)
     curves = _sweep(config, model, prepared, snapshot_times)
+    # made after the sweep, so a failed run leaves no output directory
+    out = Path(config.out_dir)
+    (out / "fields").mkdir(parents=True, exist_ok=True)
 
     curve_meta = {}
     for tau in config.taus:

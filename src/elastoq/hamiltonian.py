@@ -16,7 +16,7 @@ from typing import Iterator, Literal
 import numpy as np
 import scipy.sparse as sp
 
-from .lattice import LadderTerm, LatticeShape, apply_d_axis, d_axis_matrix, s_axis_matrix
+from .lattice import LatticeShape, apply_d_axis, d_axis_matrix, s_axis_matrix
 from .media import (
     MaterialParams,
     AxisEigenSystem,
@@ -68,10 +68,6 @@ class HamiltonianModel:
         eigs = tuple(eigendecompose_axis(cell, axis) for axis in (1, 2, 3))
         return cls(shape, params, cell, eigs)
 
-    def with_eigensystems(self, eigensystems) -> "HamiltonianModel":
-        """Same model with replacement eigensystems (basis-freedom tests)."""
-        return HamiltonianModel(self.shape, self.params, self.cell, tuple(eigensystems))
-
     @property
     def qubits(self) -> int:
         return qubit_count(self.shape.n)
@@ -79,10 +75,6 @@ class HamiltonianModel:
     @property
     def dim(self) -> int:
         return 1 << self.qubits
-
-    @property
-    def term_count(self) -> int:
-        return 48 * self.shape.n
 
     def axis_matrix(self, axis: int) -> np.ndarray:
         """16x16 transformed coupling for one axis, rebuilt from the eigensystem."""
@@ -330,7 +322,7 @@ def materialize_term(model: HamiltonianModel, key: TermKey) -> sp.csr_matrix:
     eig = model.eigensystems[key.axis - 1]
     phi = eig.v[:, key.j]
     proj = sp.csr_matrix(np.outer(phi, phi))
-    s_mat = s_axis_matrix(LadderTerm(key.axis, key.k), model.shape)
+    s_mat = s_axis_matrix(key.axis, key.k, model.shape)
     coeff = 1j * eig.lambdas[key.j] / (2 * model.shape.h)
     return sp.kron(proj, coeff * s_mat, format="csr")
 
@@ -481,8 +473,8 @@ def empirical_trotter_error(model: HamiltonianModel, tau: float, scheme: str) ->
     """Exact ||U(tau) - exp(-iH tau)||_2 for scheme 'u1' or 'u2', up to n = DENSE_MAX_N."""
     if model.shape.n > DENSE_MAX_N:
         raise ValueError(f"exact Trotter defect needs n <= {DENSE_MAX_N}, got n={model.shape.n}")
-    from .circuits import scheme_unitary
+    from .circuits import TrotterStep  # circuits imports this module
 
-    u_trotter = scheme_unitary(model, scheme, tau)
+    u_trotter = TrotterStep(model, scheme, tau).apply(np.eye(model.dim))
     u_exact = Propagator(model).evolve(np.eye(model.dim), tau)
     return float(np.linalg.norm(u_trotter - u_exact, 2))

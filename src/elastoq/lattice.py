@@ -43,14 +43,6 @@ class LatticeShape:
         return 1 << self.n
 
 
-@dataclass(frozen=True)
-class LadderTerm:
-    """One ladder factor: level k of the difference operator along an axis."""
-
-    axis: int
-    k: int
-
-
 def _pair_indices(k: int, points: int) -> np.ndarray:
     """Upper members j of the (j-1, j) pairs coupled by level k."""
     return np.arange(1 << (k - 1), points, 1 << k)
@@ -135,28 +127,29 @@ def d_cell_matrix(shape: LatticeShape) -> sp.csr_matrix:
     return sp.diags([off, -off], [1, -1], format="csr")
 
 
-def s_axis_matrix(term: LadderTerm, shape: LatticeShape) -> sp.csr_matrix:
-    """Sparse 2^{3n} x 2^{3n} lift of S_k onto the given axis."""
-    _check_axis(term.axis)
-    _check_materialize_cap(shape.n)
-    points = shape.points
-    left = sp.identity(points ** (term.axis - 1), format="csr")
-    right = sp.identity(points ** (3 - term.axis), format="csr")
-    out = sp.kron(sp.kron(left, s_cell_matrix(term.k, shape.n)), right, format="csr")
-    out.eliminate_zeros()  # kron with identities stores explicit zeros
-    return out
+def _lift(axis: int, cell, shape: LatticeShape) -> sp.csr_matrix:
+    """Sparse 2^{3n} x 2^{3n} lift of the 1D operator cell() onto the given axis.
 
-
-def d_axis_matrix(axis: int, shape: LatticeShape) -> sp.csr_matrix:
-    """Sparse 2^{3n} x 2^{3n} central difference along the given axis."""
+    cell runs after the checks, so a grid past the cap allocates nothing.
+    """
     _check_axis(axis)
     _check_materialize_cap(shape.n)
     points = shape.points
     left = sp.identity(points ** (axis - 1), format="csr")
     right = sp.identity(points ** (3 - axis), format="csr")
-    out = sp.kron(sp.kron(left, d_cell_matrix(shape)), right, format="csr")
-    out.eliminate_zeros()
+    out = sp.kron(sp.kron(left, cell()), right, format="csr")
+    out.eliminate_zeros()  # kron with identities stores explicit zeros
     return out
+
+
+def s_axis_matrix(axis: int, k: int, shape: LatticeShape) -> sp.csr_matrix:
+    """Sparse 2^{3n} x 2^{3n} lift of the level-k ladder S_k onto the given axis."""
+    return _lift(axis, lambda: s_cell_matrix(k, shape.n), shape)
+
+
+def d_axis_matrix(axis: int, shape: LatticeShape) -> sp.csr_matrix:
+    """Sparse 2^{3n} x 2^{3n} central difference along the given axis."""
+    return _lift(axis, lambda: d_cell_matrix(shape), shape)
 
 
 def sparse_operator_norm(m: sp.spmatrix) -> float:

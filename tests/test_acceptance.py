@@ -45,7 +45,6 @@ from elastoq.hamiltonian import (
     u2_step_cnots,
 )
 from elastoq.lattice import (
-    LadderTerm,
     LatticeShape,
     d_axis_matrix,
     d_cell_matrix,
@@ -226,8 +225,8 @@ def test_6_structural_invariants():
             comm = mats[1] @ mats[m] - mats[m] @ mats[1]
             ok &= abs(sparse_operator_norm(comm) - 1.0) < 1e-12
     shape = LatticeShape(n=2, h=1.0)
-    sa = s_axis_matrix(LadderTerm(1, 1), shape)
-    sb = s_axis_matrix(LadderTerm(2, 2), shape)
+    sa = s_axis_matrix(1, 1, shape)
+    sb = s_axis_matrix(2, 2, shape)
     ok &= (sa @ sb - sb @ sa).nnz == 0
 
     _report(6, "structural invariants", ok, started, 300.0)

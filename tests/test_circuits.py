@@ -1,4 +1,9 @@
+import dataclasses
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,6 +11,7 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import elastoq
 from elastoq.circuits import (
     Gate,
     GateProgram,
@@ -17,8 +23,6 @@ from elastoq.circuits import (
     build_script_W,
     ladder_qubit,
     parse_program,
-    program_unitary,
-    scheme_unitary,
     serialize_program,
     simulate,
 )
@@ -75,7 +79,8 @@ class TestPairBlock:
         model = build_model(1, 1.0, REFERENCE_MEDIUM)
         key = TermKey(3, 15, 1)
         theta = term_angle(model, key, 0.31)
-        u = program_unitary(block_program(model, build_W_jk(model, key, 0.31)))
+        program = block_program(model, build_W_jk(model, key, 0.31))
+        u = simulate(program, np.eye(program.dim, dtype=complex))
         r = np.array([[np.cos(theta), -np.sin(theta)],
                       [np.sin(theta), np.cos(theta)]])
         expected = np.kron(np.eye(64), r)  # z-axis qubit is least significant
@@ -88,7 +93,8 @@ class TestPairBlock:
         key = TermKey(3, 14, k)
         tau = 0.57
         theta = term_angle(model, key, tau)
-        u = program_unitary(block_program(model, build_W_jk(model, key, tau)))
+        program = block_program(model, build_W_jk(model, key, tau))
+        u = simulate(program, np.eye(program.dim, dtype=complex))
         rot = scipy.linalg.expm(-theta * s_cell_matrix(k, 2).toarray())
         expected = np.kron(np.eye(model.dim // 4), rot)
         assert np.abs(u - expected).max() < 1e-10
@@ -110,8 +116,8 @@ class TestScriptW:
         model = build_model(1, 0.8, REFERENCE_MEDIUM)
         tau = 0.43
         for j in (0, 7, 15):
-            u = program_unitary(block_program(
-                model, build_script_W(model, axis, j, tau)))
+            program = block_program(model, build_script_W(model, axis, j, tau))
+            u = simulate(program, np.eye(program.dim, dtype=complex))
             expected = scipy.linalg.expm(
                 -1j * tau * materialize_term(model, TermKey(axis, j, 1)).toarray())
             assert np.abs(u - expected).max() < 1e-10
@@ -127,7 +133,8 @@ class TestTrotterPrograms:
     def test_u1_matches_termwise_product(self):
         model = build_model(1, 1.0, MaterialParams(rho=1.4, E=0.9, nu=0.21))
         tau = 0.27
-        u = program_unitary(build_U1(model, tau))
+        program = build_U1(model, tau)
+        u = simulate(program, np.eye(program.dim, dtype=complex))
         expected = np.eye(model.dim, dtype=complex)
         for key in model.term_keys():  # first factor applied first
             term = materialize_term(model, key).toarray()
@@ -148,16 +155,18 @@ class TestTrotterPrograms:
 
     def test_u2_time_reversal(self):
         model = build_model(1, 1.0, REFERENCE_MEDIUM)
-        u_fwd = scheme_unitary(model, "u2", 0.5)
-        u_bwd = scheme_unitary(model, "u2", -0.5)
+        eye = np.eye(model.dim)
+        u_fwd = TrotterStep(model, "u2", 0.5).apply(eye)
+        u_bwd = TrotterStep(model, "u2", -0.5).apply(eye)
         assert np.abs(u_fwd @ u_bwd - np.eye(model.dim)).max() < 1e-10
 
     def test_u2_richardson_ratio(self):
         model = build_model(1, 1.0, REFERENCE_MEDIUM)
         tau = 0.2
-        d_full = np.linalg.norm(scheme_unitary(model, "u2", tau)
+        eye = np.eye(model.dim)
+        d_full = np.linalg.norm(TrotterStep(model, "u2", tau).apply(eye)
                                 - exact_step_matrix(model, tau), 2)
-        d_half = np.linalg.norm(scheme_unitary(model, "u2", tau / 2)
+        d_half = np.linalg.norm(TrotterStep(model, "u2", tau / 2).apply(eye)
                                 - exact_step_matrix(model, tau / 2), 2)
         assert 6.5 <= d_full / d_half <= 9.5
 
@@ -453,6 +462,24 @@ class TestFastPath:
         slope = np.polyfit([3, 4, 5], np.log2(timings), 1)[0]
         assert slope > 1.0
 
+    def test_import_defers_scipy_linalg(self):
+        # _axis_pass imports dgemm on first use: `import elastoq` loads no scipy.linalg
+        src = Path(elastoq.__file__).resolve().parent.parent
+        script = ("import sys\n"
+                  "import numpy as np\n"
+                  "import elastoq\n"
+                  "assert 'scipy.linalg' not in sys.modules, 'scipy.linalg imported'\n"
+                  "params = elastoq.MaterialParams(1.0, 0.646, 0.255)\n"
+                  "model = elastoq.build_model(2, 1.0, params)\n"
+                  "psi = np.zeros(model.dim)\n"
+                  "psi[0] = 1.0\n"
+                  "out = elastoq.TrotterStep(model, 'u1', 0.1).apply(psi)\n"
+                  "assert abs(np.linalg.norm(out) - 1.0) < 1e-12\n")
+        done = subprocess.run([sys.executable, "-c", script],
+                              env={**os.environ, "PYTHONPATH": str(src)},
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+
 
 class TestStepPlan:
     @pytest.mark.parametrize("scheme", ["u1", "u2"])
@@ -546,7 +573,7 @@ def _rotate_degenerate_clusters(model, rng):
                 q, _ = np.linalg.qr(rng.standard_normal((b - a, b - a)))
                 v[:, a:b] = v[:, a:b] @ q
         new_systems.append(AxisEigenSystem(axis=eig.axis, lambdas=eig.lambdas, v=v))
-    return model.with_eigensystems(new_systems)
+    return dataclasses.replace(model, eigensystems=tuple(new_systems))
 
 
 class TestPaperScale:

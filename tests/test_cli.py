@@ -54,6 +54,37 @@ def test_dry_run_rejects_bad_medium(argv, field, capsys):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("config,field", [
+    ({"taus": 0.5}, "taus"),
+    ({"T": None}, "T"),
+    ({"clip": "0.1"}, "clip"),
+    ({"out_dir": 5}, "out_dir"),
+    ({"taus": [0.5, "x"]}, "taus"),
+    ({"h": True}, "h"),
+    ({"n": True}, "n"),
+])
+def test_config_value_of_wrong_type_named(config, field, tmp_path, capsys):
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(config))
+    assert main(["run", "--config", str(cfg_path), "--dry-run"]) == 1
+    captured = capsys.readouterr()
+    record = json.loads(captured.err.strip())
+    assert record["error"] == "ValueError"
+    assert record["message"].startswith(f"{field} ")
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ["bounds", "--n", "1", "--T", "0.05"],
+    ["compare", "--n", "1", "--T", "0.25"],
+])
+def test_model_commands_take_no_run_config(argv, capsys):
+    # n = 1 has no run initial state and T is off the default tau grid; neither
+    # matters to a command that only builds the model
+    assert main(argv) == 0
+    assert "scheme first-norm" in capsys.readouterr().out
+
+
 class TestBounds:
     def test_reports_all_schemes(self, capsys):
         assert main(["bounds", "--n", "5", "--T", "10", "--eps", "0.1"]) == 0

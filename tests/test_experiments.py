@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -19,7 +20,6 @@ from elastoq.experiments import (
     reconstruct_fields,
     run_experiment,
     run_fidelity_sweep,
-    validate_config,
 )
 from elastoq.media import STATE_DIM
 
@@ -43,16 +43,16 @@ class TestIndexSets:
 class TestValidation:
     def test_tau_must_divide_horizon(self):
         with pytest.raises(ValueError, match="0.3"):
-            validate_config(identity_config(taus=(0.5, 0.3)))
+            identity_config(taus=(0.5, 0.3))
 
     def test_pulse_needs_n2(self):
         with pytest.raises(ValueError, match="n >= 2"):
-            validate_config(identity_config(n=1))
+            identity_config(n=1)
 
     @pytest.mark.parametrize("kind", ["p", "s"])
     def test_wave_states_need_n3(self, kind):
         with pytest.raises(ValueError, match="n >= 3"):
-            validate_config(identity_config(init=kind))
+            identity_config(init=kind)
 
     @pytest.mark.parametrize("overrides,field", [
         (dict(T=float("inf")), "T"),
@@ -61,23 +61,28 @@ class TestValidation:
     ])
     def test_nonfinite_rejected(self, overrides, field):
         with pytest.raises(ValueError, match=f"{field} must be positive and finite"):
-            validate_config(identity_config(**overrides))
+            identity_config(**overrides)
 
     def test_bad_clip(self):
         with pytest.raises(ValueError, match="clip"):
-            validate_config(identity_config(clip=1.0))
+            identity_config(clip=1.0)
 
     def test_bad_choices(self):
         with pytest.raises(ValueError, match="init"):
-            validate_config(identity_config(init="q"))
+            identity_config(init="q")
         with pytest.raises(ValueError, match="scheme"):
-            validate_config(identity_config(scheme="u3"))
+            identity_config(scheme="u3")
+
+    def test_replace_validates(self):
+        # a config cannot be made invalid after construction either
+        with pytest.raises(ValueError, match="init"):
+            dataclasses.replace(identity_config(), init="q")
 
 
 class TestInitialStates:
     def test_pulse_support_and_amplitude(self):
         config = identity_config()
-        prepared = build_initial_state(config)
+        prepared = build_initial_state(config, config_model(config))
         assert prepared.psi.dtype == np.float64  # real, and the Trotter walk keeps it real
         assert prepared.norm_factor == pytest.approx(1.0, abs=1e-12)
         grid = prepared.psi.reshape(STATE_DIM, 4, 4, 4)
@@ -89,7 +94,7 @@ class TestInitialStates:
 
     def test_s_wave_support(self):
         config = identity_config(n=3, init="s", taus=(0.5,))
-        prepared = build_initial_state(config)
+        prepared = build_initial_state(config, config_model(config))
         grid = prepared.psi.reshape(STATE_DIM, 8, 8, 8)
         support = np.abs(grid[0]) > 0
         assert support.sum() == 32  # |center| * |bulk|^2 = 2 * 16
@@ -97,13 +102,14 @@ class TestInitialStates:
 
     def test_p_wave_component(self):
         config = identity_config(n=3, init="p", taus=(0.5,))
-        grid = build_initial_state(config).psi.reshape(STATE_DIM, 8, 8, 8)
+        prepared = build_initial_state(config, config_model(config))
+        grid = prepared.psi.reshape(STATE_DIM, 8, 8, 8)
         assert np.abs(grid[2]).max() > 0
         assert np.abs(grid[0]).max() == 0.0
 
     def test_transform_scales_by_sqrt_rho(self):
         config = identity_config(rho=4.0)
-        prepared = build_initial_state(config)
+        prepared = build_initial_state(config, config_model(config))
         assert prepared.norm_factor == pytest.approx(2.0, rel=1e-12)
         assert np.linalg.norm(prepared.psi) == pytest.approx(1.0, abs=1e-12)
 
@@ -299,8 +305,19 @@ class TestThreadCap:
         monkeypatch.setenv("ELASTOQ_THREADS", "3")
         assert _worker_count(4) == 3
         assert _worker_count(2) == 2
-        monkeypatch.setenv("ELASTOQ_THREADS", "junk")
+        monkeypatch.setenv("ELASTOQ_THREADS", "")
         assert _worker_count(4) == 1
+        for bad in ("junk", "0", "-2", "2.5"):
+            monkeypatch.setenv("ELASTOQ_THREADS", bad)
+            with pytest.raises(ValueError, match="ELASTOQ_THREADS"):
+                _worker_count(4)
+
+    def test_bad_env_var_writes_nothing(self, monkeypatch, tmp_path):
+        monkeypatch.setenv("ELASTOQ_THREADS", "0")
+        out = tmp_path / "refused"
+        with pytest.raises(ValueError, match="ELASTOQ_THREADS"):
+            run_experiment(identity_config(out_dir=str(out)))
+        assert not out.exists()
 
     def test_parallel_sweep_matches_serial(self, monkeypatch):
         config = identity_config(taus=(0.5, 1.0))

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from elastoq.lattice import (
-    LadderTerm,
     LatticeShape,
     apply_d_axis,
     apply_d_cell,
@@ -121,7 +120,7 @@ class TestAxisLift:
         rng = np.random.default_rng(0)
         a, b, c = (random_complex(rng, 4) for _ in range(3))
         v = np.kron(np.kron(a, b), c)
-        out = s_axis_matrix(LadderTerm(axis=2, k=1), shape) @ v
+        out = s_axis_matrix(2, 1, shape) @ v
         expected = np.kron(np.kron(a, s_cell_matrix(1, 2) @ b), c)
         assert np.abs(out - expected).max() < 1e-12
 
@@ -143,18 +142,18 @@ class TestAxisLift:
         rng = np.random.default_rng(axis)
         for _ in range(5):
             v = random_complex(rng, 8**3)
-            total = sum(s_axis_matrix(LadderTerm(axis, k), shape) @ v
+            total = sum(s_axis_matrix(axis, k, shape) @ v
                         for k in range(1, 4))
             assert np.linalg.norm(total) <= 2.0 + 1e-12
 
     def test_validation(self):
         shape = LatticeShape(n=2, h=1.0)
         with pytest.raises(ValueError, match="axis"):
-            s_axis_matrix(LadderTerm(4, 1), shape)
+            s_axis_matrix(4, 1, shape)
         with pytest.raises(ValueError, match="axis"):
             d_axis_matrix(0, shape)
         with pytest.raises(ValueError, match="level"):
-            s_axis_matrix(LadderTerm(1, 3), shape)
+            s_axis_matrix(1, 3, shape)
 
 
 class TestMaterialization:
@@ -163,7 +162,7 @@ class TestMaterialization:
         rng = np.random.default_rng(5)
         for axis in (1, 2, 3):
             for k in (1, 2):
-                mat = s_axis_matrix(LadderTerm(axis, k), shape)
+                mat = s_axis_matrix(axis, k, shape)
                 cell = s_cell_matrix(k, 2).toarray()
                 for _ in range(20):
                     v = random_complex(rng, 64)
@@ -197,7 +196,7 @@ class TestMaterialization:
             d = d_axis_matrix(axis, shape)
             assert (d + d.getH()).nnz == 0
             for k in (1, 2):
-                s = s_axis_matrix(LadderTerm(axis, k), shape)
+                s = s_axis_matrix(axis, k, shape)
                 assert (s + s.getH()).nnz == 0
 
     def test_cap_enforced(self):
@@ -245,8 +244,8 @@ class TestCommutatorFacts:
 
     def test_cross_axis_commute_exactly(self):
         shape = LatticeShape(n=2, h=1.0)
-        s1 = s_axis_matrix(LadderTerm(1, 2), shape)
-        s2 = s_axis_matrix(LadderTerm(2, 1), shape)
+        s1 = s_axis_matrix(1, 2, shape)
+        s2 = s_axis_matrix(2, 1, shape)
         assert (s1 @ s2 - s2 @ s1).nnz == 0
 
 

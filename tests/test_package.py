@@ -5,7 +5,7 @@ from pathlib import Path
 import elastoq
 
 README = Path(__file__).resolve().parent.parent / "README.md"
-ROOT_NAMES = ["MaterialParams", "Propagator", "apply_block_fast", "build_U1",
+ROOT_NAMES = ["MaterialParams", "Propagator", "TrotterStep", "build_U1",
               "build_model", "simulate", "steps_and_cost"]
 
 
