@@ -1,11 +1,11 @@
 """Classical reference integrator on the physical nine-component sector.
 
-The padded components are dynamically decoupled, so the classical baseline
-works on the velocity sector q (3 components per grid point) and the stress
-sector r (6 components).  In the transformed frame the generator is the
-block anti-Hermitian [[0, L], [-L*, 0]]; the partitioned leapfrog splits it
-into two nilpotent halves whose exponentials are exact, giving the familiar
-kick-drift-kick update.
+The padded components are dynamically decoupled, so a sector state is one
+(9, N, N, N) array, the layout Propagator.evolve takes flattened: velocity
+q = state[:3], stress r = state[3:].  In the transformed frame the generator
+is the block anti-Hermitian [[0, L], [-L*, 0]]; the partitioned leapfrog
+splits it into two nilpotent halves whose exponentials are exact, giving the
+familiar kick-drift-kick update (leapfrog_step, with maps from coupling_map).
 
 The phased DST-I that diagonalises the central difference (see
 hamiltonian.Propagator) makes L block diagonal: one 3x6 block per 3D mode.
@@ -27,31 +27,6 @@ from .hamiltonian import DENSE_MAX_N, HamiltonianModel, mode_blocks, operator_no
 from .lattice import d_axis_matrix
 
 
-@dataclass(frozen=True)
-class PhysicalState:
-    """Velocity-sector and stress-sector coefficient arrays, shape (c, N, N, N).
-
-    A batch of b states carries the batch as axis 1, shape (c, b, N, N, N);
-    apply_L, apply_L_adjoint and leapfrog_step act on it unchanged.
-    """
-
-    q: np.ndarray
-    r: np.ndarray
-
-    @property
-    def norm(self) -> float:
-        return float(np.sqrt(np.vdot(self.q, self.q).real + np.vdot(self.r, self.r).real))
-
-    def flat(self) -> np.ndarray:
-        return np.concatenate([self.q.reshape(-1), self.r.reshape(-1)])
-
-    @classmethod
-    def from_flat(cls, vec: np.ndarray, points: int) -> "PhysicalState":
-        split = 3 * points**3
-        return cls(q=vec[:split].reshape(3, points, points, points).copy(),
-                   r=vec[split:].reshape(6, points, points, points).copy())
-
-
 def velocity_coupling(model: HamiltonianModel, axis: int) -> np.ndarray:
     """3x6 cell factor of the coupling operator for one axis.
 
@@ -61,10 +36,11 @@ def velocity_coupling(model: HamiltonianModel, axis: int) -> np.ndarray:
     return model.axis_matrix(axis)[0:3, 3:9]
 
 
-def _coupling(model: HamiltonianModel, adjoint: bool):
+def coupling_map(model: HamiltonianModel, adjoint: bool = False):
     """The map grid -> L grid (or L* grid), with its two small matrices built once.
 
-    grid is (c, ..., N, N, N), real or complex.  The components are
+    grid is (c, ..., N, N, N), real or complex: r = (6, ...) for L, q = (3, ...)
+    for L*; a batch of b states rides as axis 1.  The components are
     contracted first, by one real GEMM with the three axis factors stacked
     row-wise and 1/(2h) folded in: C_a / 2h, (9, 6) in all, or -C_a^T / 2h,
     (18, 3), for the adjoint, since the difference operator is anti-Hermitian.
@@ -96,21 +72,6 @@ def _coupling(model: HamiltonianModel, adjoint: bool):
         return out.reshape((rows,) + grid.shape[1:])
 
     return apply
-
-
-def apply_L(model: HamiltonianModel, r: np.ndarray) -> np.ndarray:
-    """Matrix-free coupling applied to a stress-sector array (6, N, N, N)."""
-    return _coupling(model, adjoint=False)(r)
-
-
-def apply_L_adjoint(model: HamiltonianModel, q: np.ndarray) -> np.ndarray:
-    """Adjoint coupling applied to a velocity-sector array (3, N, N, N)."""
-    return _coupling(model, adjoint=True)(q)
-
-
-def apply_K(model: HamiltonianModel, state: PhysicalState) -> PhysicalState:
-    """Full anti-Hermitian generator: dq/dt = L r, dr/dt = -L* q."""
-    return PhysicalState(q=apply_L(model, state.r), r=-apply_L_adjoint(model, state.q))
 
 
 def coupling_singular_values(model: HamiltonianModel) -> np.ndarray:
@@ -159,21 +120,18 @@ def make_leapfrog_config(model: HamiltonianModel, tau: float, eta: float,
     return LeapfrogConfig(tau=tau, eta=eta, T=T, l_norm=l_norm)
 
 
-def _leapfrog_core(l_fn, lt_fn, q: np.ndarray, r: np.ndarray,
-                   tau: float) -> tuple[np.ndarray, np.ndarray]:
-    """Kick-drift-kick update; the caller builds the coupling maps (or test doubles)."""
+def leapfrog_step(l_fn, lt_fn, q: np.ndarray, r: np.ndarray,
+                  tau: float) -> tuple[np.ndarray, np.ndarray]:
+    """One partitioned-leapfrog (kick-drift-kick) step of q and r.
+
+    l_fn and lt_fn apply L and L*: the caller builds them once with
+    coupling_map(model) and coupling_map(model, adjoint=True), or passes test
+    doubles.  Each split is exact, since both halves square to zero.
+    """
     q_half = q + (tau / 2) * l_fn(r)
     r_next = r - tau * lt_fn(q_half)
     q_next = q_half + (tau / 2) * l_fn(r_next)
     return q_next, r_next
-
-
-def leapfrog_step(model: HamiltonianModel, state: PhysicalState,
-                  tau: float) -> PhysicalState:
-    """One partitioned-leapfrog step; exact per split since both halves square to zero."""
-    q, r = _leapfrog_core(_coupling(model, adjoint=False), _coupling(model, adjoint=True),
-                          state.q, state.r, tau)
-    return PhysicalState(q=q, r=r)
 
 
 def _pair_matrices(a, b, c, d) -> np.ndarray:
@@ -233,11 +191,10 @@ def dense_leapfrog_matrix(model: HamiltonianModel, tau: float) -> np.ndarray:
     return (eye + tau / 2 * k1) @ (eye + tau * k2) @ (eye + tau / 2 * k1)
 
 
-def dense_sector_evolve(model: HamiltonianModel, T: float,
-                        state: PhysicalState) -> PhysicalState:
-    """Exact sector flow exp(T*K) state by expm of the dense generator (test reference)."""
-    out = scipy.linalg.expm(T * dense_generator(model)) @ state.flat()
-    return PhysicalState.from_flat(out, model.shape.points)
+def dense_sector_evolve(model: HamiltonianModel, T: float, state: np.ndarray) -> np.ndarray:
+    """Exact sector flow exp(T*K) of a (9, N, N, N) state by expm of the dense generator."""
+    flowed = scipy.linalg.expm(T * dense_generator(model)) @ state.reshape(-1)
+    return flowed.reshape(state.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -286,7 +243,7 @@ def power_bound_certificate(model: HamiltonianModel, config: LeapfrogConfig,
     """Evolve orthonormal probes m_max >= 1 steps and bound the worst norm growth.
 
     The probes run as one batch (axis 1 of q and r).  Both coupling maps are
-    built once; each step is leapfrog_step's update with them.
+    built once; each step is one leapfrog_step with them.
     """
     if m_max < 1:
         raise ValueError(f"m_max must be at least 1, got {m_max}")
@@ -297,10 +254,10 @@ def power_bound_certificate(model: HamiltonianModel, config: LeapfrogConfig,
     grid = np.ascontiguousarray(
         probes.T.reshape(-1, 9, points, points, points).swapaxes(0, 1))
     q, r = grid[:3], grid[3:]
-    l_fn, lt_fn = _coupling(model, adjoint=False), _coupling(model, adjoint=True)
+    l_fn, lt_fn = coupling_map(model), coupling_map(model, adjoint=True)
     growth = 0.0
     for _ in range(m_max):
-        q, r = _leapfrog_core(l_fn, lt_fn, q, r, config.tau)
+        q, r = leapfrog_step(l_fn, lt_fn, q, r, config.tau)
         norm_sq = sum(np.sum(part.real**2 + part.imag**2, axis=(0, 2, 3, 4))
                       for part in (q, r))
         growth = max(growth, float(np.sqrt(norm_sq).max()))
@@ -335,7 +292,7 @@ def global_error_certificate(model: HamiltonianModel,
     if config.tau * config.l_norm > min(1.0, config.eta):
         raise ValueError("global error bound needs tau * ||L|| <= min(1, eta)")
     steps = round(config.T / config.tau)
-    if abs(steps * config.tau - config.T) > 1e-9 * max(1.0, config.T):
+    if steps < 1 or abs(steps * config.tau - config.T) > 1e-9 * max(1.0, config.T):
         raise ValueError(f"tau={config.tau} does not divide T={config.T}")
     measured = _pair_defect(coupling_singular_values(model), config.T, config.tau, steps)
     certified = config.c_eta / 2 * config.T * config.tau**2 * config.l_norm**3
@@ -354,7 +311,7 @@ def leapfrog_flops_per_point() -> int:
     """Counted multiply-adds of one leapfrog step per grid point.
 
     This counts the paper's stencil (difference first, then contraction, per
-    axis), not the calls of apply_L, which contracts first and differences
+    axis), not the maps of coupling_map, which contract first and difference
     after; the count is the cost model's, so it stays fixed.
 
     Coupling apply: per axis, 6-component central difference (2 ops each)

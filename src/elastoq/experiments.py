@@ -27,7 +27,7 @@ from .hamiltonian import (
     u2_step_cnots,
 )
 from .lattice import LatticeShape
-from .media import MaterialParams, STATE_DIM
+from .media import MaterialParams, STATE_DIM, _is_real
 
 THREADS_ENV_VAR = "ELASTOQ_THREADS"
 
@@ -53,11 +53,12 @@ class ExperimentConfig:
     dry_run: bool = False
 
     def __post_init__(self):
-        # types first, so a JSON null, bool or string is refused by name, not
-        # by a TypeError of the first comparison (a bool is an int in Python)
-        if isinstance(self.n, bool):
-            raise ValueError(f"n must be an integer >= 1, got {self.n}")
-        for name in ("h", "rho", "E", "nu", "T", "clip"):
+        # the grid and medium refuse a bad value or type by name, also on a dry run
+        LatticeShape(n=self.n, h=self.h)
+        MaterialParams(rho=self.rho, E=self.E, nu=self.nu)
+        # types before comparisons, so a JSON null, bool or string is refused
+        # by name, not by a TypeError of the first comparison
+        for name in ("T", "clip"):
             if not _is_real(getattr(self, name)):
                 raise ValueError(f"{name} must be a real number, got {getattr(self, name)!r}")
         if not (isinstance(self.taus, tuple) and all(map(_is_real, self.taus))):
@@ -65,9 +66,6 @@ class ExperimentConfig:
         # init and scheme are refused below unless they are one of their strings
         if not isinstance(self.out_dir, str):
             raise ValueError(f"out_dir must be a string, got {self.out_dir!r}")
-        # the grid and medium raise naming the bad field, also on a dry run
-        LatticeShape(n=self.n, h=self.h)
-        MaterialParams(rho=self.rho, E=self.E, nu=self.nu)
         if self.init not in ("pulse", "p", "s"):
             raise ValueError(f"init must be pulse, p, or s, got {self.init!r}")
         if self.scheme not in ("u1", "u2"):
@@ -93,11 +91,6 @@ class ExperimentConfig:
                                  "into an integer number of steps")
         if not 0 <= self.clip < 1:
             raise ValueError(f"clip fraction must lie in [0, 1), got {self.clip}")
-
-
-def _is_real(value) -> bool:
-    # concrete types: an isinstance check against numbers.Real costs a microsecond
-    return isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
 
 
 def config_model(config: ExperimentConfig) -> HamiltonianModel:

@@ -20,6 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
+from .media import _is_real
+
 #: Largest n at which sparse 3D operators (2^(3n) rows per axis lift, and
 #: the 2^(3n+4)-row generator built from them) are materialized.
 MATERIALIZE_MAX_N = 4
@@ -27,14 +29,17 @@ MATERIALIZE_MAX_N = 4
 
 @dataclass(frozen=True)
 class LatticeShape:
-    """Grid resolution (n qubits per axis, N = 2^n points) and spacing h."""
+    """Grid resolution (n qubits per axis, N = 2^n points) and spacing h; validated."""
 
     n: int
     h: float
 
     def __post_init__(self):
-        if not (isinstance(self.n, int) and self.n >= 1):
+        # a bool is an int in Python
+        if not (isinstance(self.n, int) and not isinstance(self.n, bool) and self.n >= 1):
             raise ValueError(f"n must be an integer >= 1, got {self.n}")
+        if not _is_real(self.h):
+            raise ValueError(f"h must be a real number, got {self.h!r}")
         if not 0 < self.h < math.inf:
             raise ValueError(f"h must be positive and finite, got {self.h}")
 
@@ -150,8 +155,3 @@ def s_axis_matrix(axis: int, k: int, shape: LatticeShape) -> sp.csr_matrix:
 def d_axis_matrix(axis: int, shape: LatticeShape) -> sp.csr_matrix:
     """Sparse 2^{3n} x 2^{3n} central difference along the given axis."""
     return _lift(axis, lambda: d_cell_matrix(shape), shape)
-
-
-def sparse_operator_norm(m: sp.spmatrix) -> float:
-    """Exact largest singular value of a small sparse matrix (dense SVD; tests only)."""
-    return float(np.linalg.norm(m.toarray(), 2))

@@ -24,15 +24,23 @@ STATE_DIM = 16
 PHYSICAL_DIM = 9
 
 
+def _is_real(value) -> bool:
+    # concrete types: an isinstance check against numbers.Real costs a microsecond
+    return isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class MaterialParams:
-    """Density and isotropic elastic constants; validated on construction."""
+    """Density and isotropic elastic constants; validated on construction, types included."""
 
     rho: float
     E: float
     nu: float
 
     def __post_init__(self):
+        for name in ("rho", "E", "nu"):
+            if not _is_real(getattr(self, name)):
+                raise ValueError(f"{name} must be a real number, got {getattr(self, name)!r}")
         if not 0 < self.rho < math.inf:
             raise ValueError(f"rho must be positive and finite, got {self.rho}")
         if not 0 < self.E < math.inf:

@@ -4,14 +4,11 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+import elastoq.classical
 from elastoq.classical import (
-    PhysicalState,
-    _leapfrog_core,
     _orthonormal_probes,
-    apply_K,
-    apply_L,
-    apply_L_adjoint,
     cost_model,
+    coupling_map,
     coupling_singular_values,
     dense_coupling,
     dense_generator,
@@ -38,14 +35,21 @@ IDENTITY_MEDIUM = MaterialParams(rho=1.0, E=1.0, nu=0.0)
 def random_sector_state(rng, points):
     q = rng.standard_normal((3, points, points, points))
     r = rng.standard_normal((6, points, points, points))
-    st = PhysicalState(q=q, r=r)
-    return PhysicalState(q=q / st.norm, r=r / st.norm)
+    st = np.concatenate([q, r])
+    return st / np.linalg.norm(st)
+
+
+def step(model, state, tau):
+    """One leapfrog step of a (9, ...) sector state, building both maps per call."""
+    q, r = leapfrog_step(coupling_map(model), coupling_map(model, adjoint=True),
+                         state[:3], state[3:], tau)
+    return np.concatenate([q, r])
 
 
 class TestCoupling:
     def test_zero_in_zero_out(self):
         model = build_model(1, 1.0, REFERENCE_MEDIUM)
-        out = apply_L(model, np.zeros((6, 2, 2, 2)))
+        out = coupling_map(model)(np.zeros((6, 2, 2, 2)))
         assert np.abs(out).max() == 0.0
 
     def test_norm_bounded(self):
@@ -68,8 +72,8 @@ class TestCoupling:
         for _ in range(5):
             q = rng.standard_normal((3, 4, 4, 4)) + 1j * rng.standard_normal((3, 4, 4, 4))
             r = rng.standard_normal((6, 4, 4, 4)) + 1j * rng.standard_normal((6, 4, 4, 4))
-            lhs = np.vdot(q, apply_L(model, r))
-            rhs = np.vdot(apply_L_adjoint(model, q), r)
+            lhs = np.vdot(q, coupling_map(model)(r))
+            rhs = np.vdot(coupling_map(model, adjoint=True)(q), r)
             assert abs(lhs - rhs) < 1e-12
 
     def test_generator_norm_identity(self):
@@ -84,10 +88,10 @@ class TestCoupling:
         l_mat = dense_coupling(model)
         rng = np.random.default_rng(1)
         r = rng.standard_normal((6, 2, 2, 2))
-        assert np.abs(l_mat @ r.reshape(-1) - apply_L(model, r).reshape(-1)).max() < 1e-12
+        assert np.abs(l_mat @ r.reshape(-1) - coupling_map(model)(r).reshape(-1)).max() < 1e-12
         q = rng.standard_normal((3, 2, 2, 2))
         assert np.abs(l_mat.T @ q.reshape(-1)
-                      - apply_L_adjoint(model, q).reshape(-1)).max() < 1e-12
+                      - coupling_map(model, adjoint=True)(q).reshape(-1)).max() < 1e-12
 
 
     @pytest.mark.parametrize("n", [1, 2])
@@ -101,14 +105,14 @@ class TestCoupling:
         r = rng.standard_normal((6,) + grid)
         q = rng.standard_normal((3,) + grid)
         scale = np.abs(l_mat).max()
-        assert np.abs(apply_L(model, r).reshape(-1) - l_mat @ r.reshape(-1)).max() \
+        assert np.abs(coupling_map(model)(r).reshape(-1) - l_mat @ r.reshape(-1)).max() \
             <= 1e-13 * scale
-        assert np.abs(apply_L_adjoint(model, q).reshape(-1) - l_mat.T @ q.reshape(-1)).max() \
-            <= 1e-13 * scale
+        assert np.abs(coupling_map(model, adjoint=True)(q).reshape(-1)
+                      - l_mat.T @ q.reshape(-1)).max() <= 1e-13 * scale
         batch = 5
         rb = rng.standard_normal((6, batch) + grid) + 1j * rng.standard_normal((6, batch) + grid)
         qb = rng.standard_normal((3, batch) + grid) + 1j * rng.standard_normal((3, batch) + grid)
-        lr, ltq = apply_L(model, rb), apply_L_adjoint(model, qb)
+        lr, ltq = coupling_map(model)(rb), coupling_map(model, adjoint=True)(qb)
         assert lr.shape == (3, batch) + grid and ltq.shape == (6, batch) + grid
         for b in range(batch):
             assert np.abs(lr[:, b].reshape(-1) - l_mat @ rb[:, b].reshape(-1)).max() \
@@ -129,8 +133,8 @@ class TestCoupling:
         expect_lt = -sum(np.tensordot(velocity_coupling(model, a).T,
                                       apply_d_axis(a, model.shape, q), axes=(1, 0))
                          for a in (1, 2, 3))
-        for got, expect in ((apply_L(model, r), expect_l),
-                            (apply_L_adjoint(model, q), expect_lt)):
+        for got, expect in ((coupling_map(model)(r), expect_l),
+                            (coupling_map(model, adjoint=True)(q), expect_lt)):
             assert got.shape == expect.shape
             assert np.abs(got - expect).max() <= 1e-13 * np.abs(expect).max()
 
@@ -140,8 +144,8 @@ class TestLeapfrogStep:
         rng = np.random.default_rng(2)
         q = rng.standard_normal(5)
         r = rng.standard_normal(7)
-        q2, r2 = _leapfrog_core(lambda rr: np.zeros(5), lambda qq: np.zeros(7),
-                                q, r, 0.7)
+        q2, r2 = leapfrog_step(lambda rr: np.zeros(5), lambda qq: np.zeros(7),
+                               q, r, 0.7)
         assert np.array_equal(q2, q)
         assert np.array_equal(r2, r)
 
@@ -155,9 +159,9 @@ class TestLeapfrogStep:
             v = rng.standard_normal(6)
             v /= np.linalg.norm(v)
             a, b = rng.standard_normal(2)
-            q2, r2 = _leapfrog_core(lambda rr: sigma * u * (v @ rr),
-                                    lambda qq: sigma * v * (u @ qq),
-                                    a * u, b * v, tau)
+            q2, r2 = leapfrog_step(lambda rr: sigma * u * (v @ rr),
+                                   lambda qq: sigma * v * (u @ qq),
+                                   a * u, b * v, tau)
             coords = m_sigma(tau, sigma) @ np.array([a, b])
             assert np.abs(q2 - coords[0] * u).max() < 1e-12
             assert np.abs(r2 - coords[1] * v).max() < 1e-12
@@ -182,9 +186,9 @@ class TestLeapfrogStep:
         st = random_sector_state(rng, 2)
 
         def gap(tau):
-            one = leapfrog_step(model, st, tau)
-            two = leapfrog_step(model, leapfrog_step(model, st, tau / 2), tau / 2)
-            return np.linalg.norm(one.flat() - two.flat())
+            one = step(model, st, tau)
+            two = step(model, step(model, st, tau / 2), tau / 2)
+            return np.linalg.norm(one - two)
 
         assert 6.5 <= gap(0.4) / gap(0.2) <= 9.5
         assert 6.5 <= gap(0.2) / gap(0.1) <= 9.5
@@ -193,9 +197,10 @@ class TestLeapfrogStep:
         model = build_model(1, 1.0, REFERENCE_MEDIUM)
         rng = np.random.default_rng(5)
         st = random_sector_state(rng, 2)
-        out = leapfrog_step(model, st, 0.3)
-        assert out.q.dtype.kind == "f"
-        assert out.r.dtype.kind == "f"
+        q, r = leapfrog_step(coupling_map(model), coupling_map(model, adjoint=True),
+                             st[:3], st[3:], 0.3)
+        assert q.dtype.kind == "f"
+        assert r.dtype.kind == "f"
 
 
 class TestStabilityCertificates:
@@ -227,10 +232,10 @@ class TestStabilityCertificates:
         probes = _orthonormal_probes(9 * points**3, 16)
         growth = 0.0
         for i in range(probes.shape[1]):
-            state = PhysicalState.from_flat(probes[:, i], points)
+            state = probes[:, i].reshape(9, points, points, points)
             for _ in range(20):
-                state = leapfrog_step(model, state, config.tau)
-                growth = max(growth, state.norm)
+                state = step(model, state, config.tau)
+                growth = max(growth, np.linalg.norm(state))
         assert report.measured == pytest.approx(growth, rel=1e-12)
 
     @pytest.mark.parametrize("n", [1, 2])
@@ -241,16 +246,31 @@ class TestStabilityCertificates:
         config = make_leapfrog_config(model, tau=0.1, eta=1.0, T=1.0)
         points = model.shape.points
         probes = _orthonormal_probes(9 * points**3, 16)
-        grid = np.ascontiguousarray(
+        state = np.ascontiguousarray(
             probes.T.reshape(-1, 9, points, points, points).swapaxes(0, 1))
-        state = PhysicalState(q=grid[:3], r=grid[3:])
         growth = 0.0
         for _ in range(20):
-            state = leapfrog_step(model, state, config.tau)
+            state = step(model, state, config.tau)
             norm_sq = sum(np.sum(part.real**2 + part.imag**2, axis=(0, 2, 3, 4))
-                          for part in (state.q, state.r))
+                          for part in (state[:3], state[3:]))
             growth = max(growth, float(np.sqrt(norm_sq).max()))
         assert power_bound_certificate(model, config, m_max=20).measured == growth
+
+    def test_power_bound_steps_through_leapfrog_step(self, monkeypatch):
+        # every step resolves the module attribute, so a wrapper around it
+        # (a tracing span, say) sees each one
+        model = build_model(2, 1.0, REFERENCE_MEDIUM)
+        config = make_leapfrog_config(model, tau=0.1, eta=1.0, T=1.0)
+        expected = power_bound_certificate(model, config, m_max=20).measured
+        calls = []
+
+        def counting(*args):
+            calls.append(args[-1])
+            return leapfrog_step(*args)
+
+        monkeypatch.setattr(elastoq.classical, "leapfrog_step", counting)
+        assert power_bound_certificate(model, config, m_max=20).measured == expected
+        assert calls == [config.tau] * 20
 
     @pytest.mark.parametrize("m_max", [0, -5])
     def test_power_bound_needs_a_step(self, m_max):
@@ -275,8 +295,8 @@ class TestStabilityCertificates:
         model = build_model(1, 1.0, REFERENCE_MEDIUM)
         rng = np.random.default_rng(6)
         st = random_sector_state(rng, 2)
-        out = PhysicalState.from_flat(Propagator(model).evolve(st.flat(), 4.0), 2)
-        assert out.norm == pytest.approx(st.norm, abs=1e-10)
+        out = Propagator(model).evolve(st.reshape(-1), 4.0)
+        assert np.linalg.norm(out) == pytest.approx(np.linalg.norm(st), abs=1e-10)
 
     def test_unit_circle_eigenvalues(self):
         rng = np.random.default_rng(7)
@@ -328,6 +348,13 @@ class TestErrorCertificates:
         report = global_error_certificate(model, config)
         assert report.passed
 
+    def test_global_error_refuses_zero_steps(self):
+        # round(T / tau) = 0 would compare the identity with exp(T K) and fail
+        model = build_model(1, 1.0, REFERENCE_MEDIUM)
+        config = make_leapfrog_config(model, tau=0.1, eta=1.0, T=1e-10)
+        with pytest.raises(ValueError, match="does not divide"):
+            global_error_certificate(model, config)
+
     def test_global_error_quadratic_in_tau(self):
         model = build_model(1, 1.0, REFERENCE_MEDIUM)
         errors = []
@@ -369,13 +396,12 @@ class TestQuantumClassicalConsistency:
         rng = np.random.default_rng(9)
         st = random_sector_state(rng, points)
         psi = np.zeros((16, points, points, points), dtype=complex)
-        psi[0:3] = st.q
-        psi[3:9] = st.r
+        psi[0:9] = st
         quantum = dense_evolve(model, T, psi.reshape(-1))
         classical = dense_sector_evolve(model, T, st)
         grid = quantum.reshape(16, points, points, points)
-        assert np.abs(grid[0:3] - classical.q).max() < 1e-8
-        assert np.abs(grid[3:9] - classical.r).max() < 1e-8
+        assert np.abs(grid[0:3] - classical[:3]).max() < 1e-8
+        assert np.abs(grid[3:9] - classical[3:]).max() < 1e-8
         assert np.abs(grid[9:]).max() < 1e-12
 
 
@@ -416,13 +442,14 @@ class TestEnergyConservation:
         rng = np.random.default_rng(10)
         st = random_sector_state(rng, 2)
         for _ in range(50):
-            st = leapfrog_step(model, st, config.tau)
-            assert st.norm <= config.c_eta + 1e-8
+            st = step(model, st, config.tau)
+            assert np.linalg.norm(st) <= config.c_eta + 1e-8
 
     def test_generator_antisymmetry(self):
         model = build_model(1, 1.0, REFERENCE_MEDIUM)
         rng = np.random.default_rng(11)
         st = random_sector_state(rng, 2)
-        ks = apply_K(model, st)
-        inner = np.vdot(st.flat(), ks.flat())
+        ks = np.concatenate([coupling_map(model)(st[3:]),
+                             -coupling_map(model, adjoint=True)(st[:3])])
+        inner = np.vdot(st, ks)
         assert abs(inner.real) < 1e-12

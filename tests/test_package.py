@@ -1,4 +1,7 @@
-"""The package root exports exactly the names of the README's library example."""
+"""The package root exports exactly the names of the README's library example,
+and every code name the README quotes exists."""
+import importlib
+import pkgutil
 import re
 from pathlib import Path
 
@@ -7,6 +10,8 @@ import elastoq
 README = Path(__file__).resolve().parent.parent / "README.md"
 ROOT_NAMES = ["MaterialParams", "Propagator", "TrotterStep", "build_U1",
               "build_model", "simulate", "steps_and_cost"]
+# backticked README tokens shaped like code names that name no code
+NON_CODE_TOKENS = {"ValueError", "cnot_account", "sigma_zz", "v_x", "v_z"}
 
 
 def _readme_example() -> str:
@@ -19,6 +24,29 @@ def test_root_exports_the_example_names():
     assert sorted(elastoq.__all__) == ROOT_NAMES
     imported = re.search(r"from elastoq import \((.*?)\)", _readme_example(), flags=re.S)
     assert sorted(name.strip() for name in imported.group(1).split(",")) == ROOT_NAMES
+
+
+def _package_names() -> set[str]:
+    """Attributes of every elastoq submodule and of every class defined in one."""
+    names = set()
+    for info in pkgutil.iter_modules(elastoq.__path__):
+        if info.name == "__main__":
+            continue
+        module = importlib.import_module(f"elastoq.{info.name}")
+        names.update(vars(module))
+        for obj in vars(module).values():
+            if isinstance(obj, type) and obj.__module__.startswith("elastoq."):
+                names.update(dir(obj))
+    return names
+
+
+def test_readme_code_names_exist():
+    # a token with an underscore or an inner capital, not all caps, reads as code
+    tokens = {token for token in re.findall(r"`([^`\n]+)`", README.read_text())
+              if token.isidentifier() and not token.isupper()
+              and ("_" in token or any(c.isupper() for c in token[1:]))}
+    assert tokens, "the README quotes no code name"
+    assert sorted(tokens - NON_CODE_TOKENS - _package_names()) == []
 
 
 def test_readme_example_runs(capsys):

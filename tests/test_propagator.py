@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import elastoq
-from elastoq.classical import PhysicalState, dense_generator
+from elastoq.classical import dense_generator
 from elastoq.hamiltonian import Propagator, apply_H, build_model, dense_evolve
 from elastoq.media import MaterialParams
 
@@ -187,9 +187,8 @@ class TestSectorFlow:
         vec = random_states(np.random.default_rng(6), 9 * points**3)
         for T in (0.4, 10.0):
             expected = evecs @ (np.exp(-1j * evals * T) * (evecs.conj().T @ vec))
-            state = PhysicalState.from_flat(vec, points)
-            flowed = PhysicalState.from_flat(Propagator(model).evolve(state.flat(), T), points)
-            assert np.abs(flowed.flat() - expected).max() <= 1e-12
+            flowed = Propagator(model).evolve(vec, T)
+            assert np.abs(flowed - expected).max() <= 1e-12
 
 
 @settings(max_examples=25, deadline=None)
