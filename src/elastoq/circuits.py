@@ -43,17 +43,20 @@ from .hamiltonian import (
     HamiltonianModel,
     TermKey,
     ZERO_EIGENVALUE_TOL,
+    check_state,
     qubit_count,
     term_angle,
     u1_step_cnots,
     u2_step_cnots,
 )
 from .lattice import apply_pair_rotation
-from .media import STATE_DIM
+from .media import STATE_DIM, check_real
 
 _SQRT_HALF = 1.0 / math.sqrt(2.0)
 STATE_QUBITS = (1, 2, 3, 4)
 
+#: The two Trotter step schemes: first order (u1) and symmetric second order (u2).
+SCHEMES = ("u1", "u2")
 GATE_KINDS = ("h", "s", "sdg", "cnot", "mcrz", "pcrz", "v4", "v4dg")
 _ROTATIONS = ("mcrz", "pcrz")
 _PAYLOADS = ("v4", "v4dg")
@@ -252,15 +255,6 @@ def _apply_gate(nd: np.ndarray, gate: Gate, qubits: int) -> None:
         raise ValueError(f"unknown gate kind {kind!r}")
 
 
-def _check_state(psi: np.ndarray, qubits: int) -> None:
-    """Refuse a state that is not a (2^qubits,) vector or a (2^qubits, b) batch."""
-    if psi.ndim == 0:
-        raise ValueError("state must be a (dim,) vector or a (dim, b) batch, "
-                         "got a 0-d array")
-    if psi.shape[0] != 1 << qubits:
-        raise ValueError(f"state length {psi.shape[0]} != 2^{qubits}")
-
-
 def simulate(program: GateProgram, psi: np.ndarray) -> np.ndarray:
     """Apply the program to a state (dim,) or a batch of columns (dim, b).
 
@@ -270,7 +264,7 @@ def simulate(program: GateProgram, psi: np.ndarray) -> np.ndarray:
     the state register, written into a second buffer that then becomes the
     state.
     """
-    _check_state(psi, program.qubits)
+    check_state(psi, 1 << program.qubits)
     adjoints = {}
     for gate in program.gates:
         _validate_gate(gate, program.qubits)
@@ -389,22 +383,21 @@ class TrotterStep:
     _passes: tuple[tuple[int, np.ndarray, np.ndarray, int], ...]
 
     def __init__(self, model: HamiltonianModel, scheme: str, tau: float):
-        if not math.isfinite(tau):
-            raise ValueError(f"tau must be finite, got {tau}")
+        check_real("tau", tau, -math.inf, math.inf)
+        if scheme not in SCHEMES:
+            raise ValueError(f"scheme must be 'u1' or 'u2', got {scheme!r}")
         n, h, points = model.shape.n, model.shape.h, model.shape.points
         up, down = tuple(range(1, n + 1)), tuple(range(n, 0, -1))
         # a stage (k, p, q) rotates level k in the passes p..q-1, in stage order
         if scheme == "u1":
             plan = ((1, tau), (2, tau), (3, tau))
             stage_passes = [(k, 0, 3) for k in up]
-        elif scheme == "u2":
+        else:
             # forward half then reversed half; the two adjacent axis-3 passes
             # compose into one, which runs the up levels and then the down ones
             half = tau / 2
             plan = ((1, half), (2, half), (3, half), (2, half), (1, half))
             stage_passes = [(k, 0, 3) for k in up] + [(k, 2, 5) for k in down]
-        else:
-            raise ValueError(f"scheme must be 'u1' or 'u2', got {scheme!r}")
         sectors = [_live_sectors(model, axis) for axis in (1, 2, 3)]
         thetas = [sectors[axis - 1][0] * step_tau / (2 * h) for axis, step_tau in plan]
         bounds = np.cumsum([0] + [len(theta) for theta in thetas])
@@ -429,7 +422,7 @@ class TrotterStep:
         since this runs once per step: a NaN spreads over its sector rows.
         fidelity_curve and Propagator.evolve refuse a non-finite state.
         """
-        _check_state(psi, self.model.qubits)
+        check_state(psi, self.model.dim)
         # proj and work share one buffer, allocated before the state copy: the
         # buffer freed at the end of a step leaves a hole that the next step's
         # buffer fills, so a walk of steps holds a steady peak memory
@@ -565,7 +558,7 @@ def parse_program(text: str) -> GateProgram:
 
     n = field("n", int, lambda v: v >= 1, "an integer >= 1")
     qubits = field("qubits", int, lambda v: v == qubit_count(n), f"3n + 4 = {qubit_count(n)}")
-    scheme = field("scheme", str, lambda v: v in ("u1", "u2"), "u1 or u2")
+    scheme = field("scheme", str, lambda v: v in SCHEMES, "u1 or u2")
     tau = field("tau", float, math.isfinite, "a finite number")
     step_cnots = (u1_step_cnots if scheme == "u1" else u2_step_cnots)(n)
     cnot_account = field("cnot_account", int, lambda v: v == step_cnots,

@@ -25,6 +25,7 @@ import scipy.sparse as sp
 
 from .hamiltonian import DENSE_MAX_N, HamiltonianModel, mode_blocks, operator_norm_bound
 from .lattice import d_axis_matrix
+from .media import check_real, whole_steps
 
 
 def velocity_coupling(model: HamiltonianModel, axis: int) -> np.ndarray:
@@ -109,10 +110,9 @@ class LeapfrogConfig:
 def make_leapfrog_config(model: HamiltonianModel, tau: float, eta: float,
                          T: float) -> LeapfrogConfig:
     """Build a config, enforcing the stability condition tau * ||L|| <= eta < 2."""
-    if not 0 < eta < 2:
-        raise ValueError(f"eta must lie in (0, 2), got {eta}")
-    if not (0 < tau < math.inf and 0 < T < math.inf):
-        raise ValueError(f"tau and T must be positive and finite, got tau={tau}, T={T}")
+    check_real("eta", eta, 0.0, 2.0)
+    check_real("tau", tau)
+    check_real("T", T)
     l_norm = estimate_l_norm(model)
     if tau * l_norm > eta:
         raise ValueError(
@@ -245,8 +245,8 @@ def power_bound_certificate(model: HamiltonianModel, config: LeapfrogConfig,
     The probes run as one batch (axis 1 of q and r).  Both coupling maps are
     built once; each step is one leapfrog_step with them.
     """
-    if m_max < 1:
-        raise ValueError(f"m_max must be at least 1, got {m_max}")
+    if not (isinstance(m_max, int) and not isinstance(m_max, bool) and m_max >= 1):
+        raise ValueError(f"m_max must be an integer >= 1, got {m_max!r}")
     points = model.shape.points
     dim = 9 * points**3
     probes = _orthonormal_probes(dim, min(POWER_BOUND_PROBES, dim))
@@ -276,6 +276,7 @@ def _pair_defect(sigma: np.ndarray, t: float, tau: float, steps: int) -> float:
 
 def local_error_certificate(model: HamiltonianModel, tau: float) -> CertificateReport:
     """One-step defect ||exp(tau K) - leapfrog|| vs (1/2) tau^3 ||L||^3."""
+    check_real("tau", tau)
     sigma = coupling_singular_values(model)
     l_norm = float(sigma.max())
     if tau * l_norm > 1.0:
@@ -291,9 +292,7 @@ def global_error_certificate(model: HamiltonianModel,
     """Final-time defect ||exp(T K) - leapfrog^M|| vs (C_eta/2) T tau^2 ||L||^3."""
     if config.tau * config.l_norm > min(1.0, config.eta):
         raise ValueError("global error bound needs tau * ||L|| <= min(1, eta)")
-    steps = round(config.T / config.tau)
-    if steps < 1 or abs(steps * config.tau - config.T) > 1e-9 * max(1.0, config.T):
-        raise ValueError(f"tau={config.tau} does not divide T={config.T}")
+    steps = whole_steps(config.T, config.tau)
     measured = _pair_defect(coupling_singular_values(model), config.T, config.tau, steps)
     certified = config.c_eta / 2 * config.T * config.tau**2 * config.l_norm**3
     return CertificateReport(
@@ -356,10 +355,8 @@ class ClassicalCostReport:
 
 def cost_model(model: HamiltonianModel, T: float, epsilon: float) -> ClassicalCostReport:
     """Classical work/memory for the same semidiscrete system at accuracy epsilon."""
-    if not 0 < T < math.inf:
-        raise ValueError(f"T must be positive and finite, got {T}")
-    if not 0 < epsilon < math.inf:
-        raise ValueError(f"epsilon must be positive and finite, got {epsilon}")
+    check_real("T", T)
+    check_real("epsilon", epsilon)
     l_norm = estimate_l_norm(model)
     c_eta = _c_eta(_COST_ETA)
     tau_max = min(_COST_ETA / l_norm, math.sqrt(2 * epsilon / (c_eta * T * l_norm**3)))

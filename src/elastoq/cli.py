@@ -20,6 +20,7 @@ import dataclasses
 import json
 import sys
 
+from .circuits import SCHEMES
 from .classical import (
     cost_model,
     global_error_certificate,
@@ -54,7 +55,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--tau", type=float, action="append", default=None,
                      help="Trotter step size (repeatable)")
     run.add_argument("--init", choices=["pulse", "p", "s"], default=None)
-    run.add_argument("--scheme", choices=["u1", "u2"], default=None)
+    run.add_argument("--scheme", choices=SCHEMES, default=None)
     run.add_argument("--out", default=None, help="output directory")
     run.add_argument("--clip", type=float, default=None,
                      help="clip fraction for exported field values")
@@ -113,9 +114,7 @@ def _merged_run_config(args: argparse.Namespace) -> ExperimentConfig:
         print("warning: full-scale run (19 qubits, T=30); expect a long wall time",
               file=sys.stderr)
     values.update(_given_flags(args, _CONFIG_FIELDS))
-    if "taus" in values:
-        if not isinstance(values["taus"], (list, tuple)):
-            raise ValueError(f"taus must be a list of step sizes, got {values['taus']!r}")
+    if isinstance(values.get("taus"), list):  # JSON and repeated --tau give lists
         values["taus"] = tuple(values["taus"])
     return dataclasses.replace(_RUN_DEFAULTS, dry_run=args.dry_run, **values)
 

@@ -18,16 +18,17 @@ from pathlib import Path
 
 import numpy as np
 
-from .circuits import TrotterStep
+from .circuits import SCHEMES, TrotterStep
 from .hamiltonian import (
     HamiltonianModel,
     Propagator,
+    check_state,
     qubit_count,
     u1_step_cnots,
     u2_step_cnots,
 )
 from .lattice import LatticeShape
-from .media import MaterialParams, STATE_DIM, _is_real
+from .media import MaterialParams, STATE_DIM, check_real, whole_steps
 
 THREADS_ENV_VAR = "ELASTOQ_THREADS"
 
@@ -56,39 +57,30 @@ class ExperimentConfig:
         # the grid and medium refuse a bad value or type by name, also on a dry run
         LatticeShape(n=self.n, h=self.h)
         MaterialParams(rho=self.rho, E=self.E, nu=self.nu)
-        # types before comparisons, so a JSON null, bool or string is refused
-        # by name, not by a TypeError of the first comparison
-        for name in ("T", "clip"):
-            if not _is_real(getattr(self, name)):
-                raise ValueError(f"{name} must be a real number, got {getattr(self, name)!r}")
-        if not (isinstance(self.taus, tuple) and all(map(_is_real, self.taus))):
+        check_real("T", self.T)
+        if not isinstance(self.taus, tuple):
             raise ValueError(f"taus must be a tuple of real numbers, got {self.taus!r}")
         # init and scheme are refused below unless they are one of their strings
         if not isinstance(self.out_dir, str):
             raise ValueError(f"out_dir must be a string, got {self.out_dir!r}")
         if self.init not in ("pulse", "p", "s"):
             raise ValueError(f"init must be pulse, p, or s, got {self.init!r}")
-        if self.scheme not in ("u1", "u2"):
+        if self.scheme not in SCHEMES:
             raise ValueError(f"scheme must be u1 or u2, got {self.scheme!r}")
         if self.init == "pulse" and self.n < 2:
             raise ValueError("pulse initial state needs n >= 2")
         if self.init in ("p", "s") and self.n < 3:
             raise ValueError(f"{self.init}-wave initial state needs n >= 3 "
                              "(the bulk index set is empty below that)")
-        if not 0 < self.T < math.inf:
-            raise ValueError(f"T must be positive and finite, got {self.T}")
         if not self.taus:
             raise ValueError("at least one tau is required")
+        for tau in self.taus:  # before the %g below formats it
+            check_real("taus", tau)
+            whole_steps(self.T, tau)
         # one fidelity_tau{tau:g}.csv, manifest curve and summary row per tau
         if len({f"{tau:g}" for tau in self.taus}) < len(self.taus):
             raise ValueError(f"taus must name distinct step sizes, got {list(self.taus)}")
-        for tau in self.taus:
-            if not 0 < tau < math.inf:
-                raise ValueError(f"tau must be positive and finite, got {tau}")
-            steps = self.T / tau
-            if abs(steps - round(steps)) > 1e-9 or round(steps) < 1:
-                raise ValueError(f"tau={tau} does not divide T={self.T} "
-                                 "into an integer number of steps")
+        check_real("clip", self.clip, -math.inf, math.inf)  # its type; its range is [0, 1)
         if not 0 <= self.clip < 1:
             raise ValueError(f"clip fraction must lie in [0, 1), got {self.clip}")
 
@@ -125,6 +117,8 @@ def _apply_cell(mat16: np.ndarray, grid: np.ndarray) -> np.ndarray:
 
 def build_initial_state(config: ExperimentConfig, model: HamiltonianModel) -> PreparedState:
     """Uniform velocity excitation on the config's grid, transformed by model's medium."""
+    if model.shape.n != config.n:
+        raise ValueError(f"n of the model ({model.shape.n}) differs from config n ({config.n})")
     points = model.shape.points
     center = central_indices(config.n)
     if config.init == "pulse":
@@ -163,13 +157,19 @@ def _field_plane(n: int) -> tuple[str, int]:
     return "x", central_indices(n)[0]
 
 
+def _physical_field(model: HamiltonianModel, psi: np.ndarray, norm_factor: float) -> np.ndarray:
+    """The physical-frame field (16, N, N, N) of a full-register state."""
+    check_state(psi, model.dim)
+    points = model.shape.points
+    return norm_factor * _apply_cell(model.cell.b_inv_sqrt,
+                                     psi.reshape(STATE_DIM, points, points, points))
+
+
 def reconstruct_fields(model: HamiltonianModel, psi: np.ndarray,
                        norm_factor: float) -> dict[str, FieldSlice]:
     """Map a state back to the physical frame and slice out v_z and sigma_zz."""
-    points = model.shape.points
+    w = _physical_field(model, psi, norm_factor)
     plane_axis, plane_index = _field_plane(model.shape.n)
-    grid = psi.reshape(STATE_DIM, points, points, points)
-    w = norm_factor * _apply_cell(model.cell.b_inv_sqrt, grid)
     slices = {}
     for name, comp in FIELD_COMPONENTS.items():
         cube = w[comp, plane_index]  # x is the first grid axis
@@ -191,9 +191,7 @@ def clip_values(data: np.ndarray, fraction: float) -> tuple[np.ndarray, float | 
 def b_weighted_norm_sq(model: HamiltonianModel, psi: np.ndarray,
                        norm_factor: float) -> float:
     """Conserved energy-style quantity <w, B w> of the reconstructed field."""
-    points = model.shape.points
-    grid = psi.reshape(STATE_DIM, points, points, points)
-    w = norm_factor * _apply_cell(model.cell.b_inv_sqrt, grid)
+    w = _physical_field(model, psi, norm_factor)
     bw = _apply_cell(model.cell.b_cell, w)
     return float(np.vdot(w, bw).real)
 
@@ -223,13 +221,13 @@ def fidelity_curve(exact: Propagator, prepared: PreparedState, scheme: str,
 
     The Trotter walk steps exact.model, so one factored propagator serves
     every tau.  snapshot_times (multiples of tau) capture (trotter, exact)
-    state pairs for later field reconstruction.  A non-finite prepared.psi
-    raises ValueError.
+    state pairs for later field reconstruction.  Before any step, ValueError if
+    T is not a whole number of tau steps (whole_steps) or prepared.psi is not finite.
     """
+    steps = whole_steps(T, tau)
     # checked once per walk, not per step: a NaN would spread over every entry
     if not np.isfinite(prepared.psi).all():
         raise ValueError("psi must be finite: the prepared state holds NaN or inf entries")
-    steps = round(T / tau)
     trotter = TrotterStep(exact.model, scheme, tau)
     psi_trotter = prepared.psi.copy()
     # The exact walk stays in spectral coordinates, c(m tau) = e^{-i lambda m tau} c(0),
@@ -334,7 +332,7 @@ def run_experiment(config: ExperimentConfig) -> dict:
     config (no timestamps), so identical configs produce identical bytes.
     """
     per_step_cnot = (u1_step_cnots if config.scheme == "u1" else u2_step_cnots)(config.n)
-    plan = {f"{tau:g}": round(config.T / tau) for tau in config.taus}
+    plan = {f"{tau:g}": whole_steps(config.T, tau) for tau in config.taus}
 
     if config.dry_run:
         print(f"dry run: qubits={qubit_count(config.n)} scheme={config.scheme} "
@@ -358,7 +356,7 @@ def run_experiment(config: ExperimentConfig) -> dict:
         curve = curves[tau]
         name = f"fidelity_tau{tau:g}.csv"
         (out / name).write_text(_fidelity_csv(curve))
-        steps = round(config.T / tau)
+        steps = plan[f"{tau:g}"]
         curve_meta[f"{tau:g}"] = {
             "file": name,
             "steps": steps,

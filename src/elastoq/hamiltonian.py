@@ -24,6 +24,7 @@ from .media import (
     build_cell_matrices,
     compliance_inverse_norm,
     eigendecompose_axis,
+    check_real,
     wave_speed_scale,
     PHYSICAL_DIM,
     STATE_DIM,
@@ -100,12 +101,11 @@ def term_angle(model: HamiltonianModel, key: TermKey, tau: float) -> float:
     return float(lam * tau / (2 * model.shape.h))
 
 
-def apply_H(model: HamiltonianModel, v: np.ndarray) -> np.ndarray:
+def apply_H(model: HamiltonianModel, psi: np.ndarray) -> np.ndarray:
     """Matrix-free application of the Hermitian generator to a state vector."""
-    if v.shape[0] != model.dim:
-        raise ValueError(f"state length {v.shape[0]} != 2^{model.qubits}")
+    check_state(psi, model.dim)
     points = model.shape.points
-    grid = v.reshape(STATE_DIM, points, points, points)
+    grid = psi.reshape(STATE_DIM, points, points, points)
     out = np.zeros(grid.shape, dtype=complex)
     for axis in (1, 2, 3):
         dv = apply_d_axis(axis, model.shape, grid)
@@ -202,10 +202,7 @@ class Propagator:
     def _grid_shape(self, arr: np.ndarray) -> tuple[int, ...]:
         """Shape (components, N, N, N, batch...) of a state; checks its length."""
         points = self.model.shape.points
-        cells = points**3
-        if arr.shape[0] not in (STATE_DIM * cells, PHYSICAL_DIM * cells):
-            raise ValueError(f"state length {arr.shape[0]} is neither "
-                             f"{STATE_DIM}*{cells} nor {PHYSICAL_DIM}*{cells}")
+        check_state(arr, STATE_DIM * points**3, PHYSICAL_DIM * points**3)
         return (-1, points, points, points) + arr.shape[1:]
 
     def _grid(self, arr: np.ndarray) -> np.ndarray:
@@ -276,18 +273,18 @@ class Propagator:
 
     def phases(self, t: float) -> np.ndarray:
         """exp(-i*lambda*t) for every spectral entry of a full-register state."""
-        if not math.isfinite(t):
-            raise ValueError(f"t must be finite, got {t}")
+        check_real("t", t, -math.inf, math.inf)
         return np.exp(-1j * t * self.eigenvalues)
 
     def evolve(self, psi: np.ndarray, t: float) -> np.ndarray:
-        """exp(-iHt) psi for any real t; no substeps.  psi must be finite."""
+        """exp(-iHt) psi for any finite real t; no substeps.  psi must be finite."""
+        phases = self.phases(t)
         if not np.isfinite(psi).all():
             raise ValueError("psi must be finite: it holds NaN or inf entries")
+        coeffs = self.to_spectral(psi)  # refuses a shape check_state does not accept
         # a 9-component sector state takes the leading (physical) entries
-        phases = self.phases(t)[:psi.shape[0]]
-        return self.from_spectral(phases.reshape(phases.shape + (1,) * (psi.ndim - 1))
-                                  * self.to_spectral(psi))
+        phases = phases[:len(coeffs)]
+        return self.from_spectral(phases.reshape(phases.shape + (1,) * (psi.ndim - 1)) * coeffs)
 
 
 def materialize_sparse_H(model: HamiltonianModel) -> sp.csr_matrix:
@@ -310,8 +307,7 @@ def dense_evolve(model: HamiltonianModel, t: float, psi: np.ndarray) -> np.ndarr
     """
     if model.shape.n > DENSE_MAX_N:
         raise ValueError(f"dense evolution needs n <= {DENSE_MAX_N}, got n={model.shape.n}")
-    if psi.shape[0] != model.dim:
-        raise ValueError(f"state length {psi.shape[0]} != 2^{model.qubits}")
+    check_state(psi, model.dim)
     evals, evecs = np.linalg.eigh(materialize_sparse_H(model).toarray())
     phases = np.exp(-1j * t * evals).reshape((-1,) + (1,) * (psi.ndim - 1))
     return evecs @ (phases * (evecs.conj().T @ psi.astype(complex)))
@@ -368,6 +364,13 @@ def qubit_count(n: int) -> int:
     return 3 * n + 4
 
 
+def check_state(psi: np.ndarray, *lengths: int) -> None:
+    """Refuse a state that is not a (length,) vector or a (length, b) batch, length in lengths."""
+    if psi.ndim == 0 or psi.shape[0] not in lengths:
+        raise ValueError(f"psi must be a state of shape (length,) or (length, b) with "
+                         f"length in {lengths}, got {psi.shape}")
+
+
 def u1_step_cnots(n: int) -> int:
     """CNOT count of one first-order step (ladders, controlled RZ, basis changes)."""
     return 432 * n * n + 378
@@ -408,10 +411,8 @@ def trotter_constant(model: HamiltonianModel, scheme: BoundScheme) -> tuple[floa
 def steps_and_cost(model: HamiltonianModel, T: float, epsilon: float,
                    scheme: BoundScheme) -> ErrorBudget:
     """Convert a one-step bound into global step and CNOT counts."""
-    if not 0 < T < math.inf:
-        raise ValueError(f"T must be positive and finite, got {T}")
-    if not 0 < epsilon < math.inf:
-        raise ValueError(f"epsilon must be positive and finite, got {epsilon}")
+    check_real("T", T)
+    check_real("epsilon", epsilon)
     c, p = trotter_constant(model, scheme)
     n = model.shape.n
     m_formula = (c * T**p / epsilon) ** (1.0 / (p - 1))

@@ -14,13 +14,12 @@ index.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 
-from .media import _is_real
+from .media import check_real
 
 #: Largest n at which sparse 3D operators (2^(3n) rows per axis lift, and
 #: the 2^(3n+4)-row generator built from them) are materialized.
@@ -38,10 +37,7 @@ class LatticeShape:
         # a bool is an int in Python
         if not (isinstance(self.n, int) and not isinstance(self.n, bool) and self.n >= 1):
             raise ValueError(f"n must be an integer >= 1, got {self.n}")
-        if not _is_real(self.h):
-            raise ValueError(f"h must be a real number, got {self.h!r}")
-        if not 0 < self.h < math.inf:
-            raise ValueError(f"h must be positive and finite, got {self.h}")
+        check_real("h", self.h)
 
     @property
     def points(self) -> int:

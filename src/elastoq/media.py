@@ -29,6 +29,22 @@ def _is_real(value) -> bool:
     return isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
 
 
+def check_real(name: str, value, low: float = 0.0, high: float = math.inf) -> None:
+    """Refuse a value that is not a real number (bool is not) strictly in (low, high)."""
+    if not (_is_real(value) and low < value < high):
+        raise ValueError(f"{name} must be a real number in ({low:g}, {high:g}), got {value!r}")
+
+
+def whole_steps(T: float, tau: float) -> int:
+    """Steps of size tau in the horizon T: T/tau within 1e-9 of an integer >= 1."""
+    check_real("T", T)
+    check_real("tau", tau)
+    steps = round(T / tau)
+    if abs(T / tau - steps) > 1e-9 or steps < 1:
+        raise ValueError(f"tau={tau} does not divide T={T} into an integer number of steps")
+    return steps
+
+
 @dataclass(frozen=True)
 class MaterialParams:
     """Density and isotropic elastic constants; validated on construction, types included."""
@@ -38,15 +54,9 @@ class MaterialParams:
     nu: float
 
     def __post_init__(self):
-        for name in ("rho", "E", "nu"):
-            if not _is_real(getattr(self, name)):
-                raise ValueError(f"{name} must be a real number, got {getattr(self, name)!r}")
-        if not 0 < self.rho < math.inf:
-            raise ValueError(f"rho must be positive and finite, got {self.rho}")
-        if not 0 < self.E < math.inf:
-            raise ValueError(f"E must be positive and finite, got {self.E}")
-        if not -1.0 < self.nu < 0.5:
-            raise ValueError(f"nu must lie strictly in (-1, 1/2), got {self.nu}")
+        check_real("rho", self.rho)
+        check_real("E", self.E)
+        check_real("nu", self.nu, -1.0, 0.5)
 
 
 @dataclass(frozen=True)

@@ -272,7 +272,7 @@ class TestStabilityCertificates:
         assert power_bound_certificate(model, config, m_max=20).measured == expected
         assert calls == [config.tau] * 20
 
-    @pytest.mark.parametrize("m_max", [0, -5])
+    @pytest.mark.parametrize("m_max", [0, -5, 2.5, True, "3"])
     def test_power_bound_needs_a_step(self, m_max):
         # with no step the growth would read 0.0 and pass vacuously
         model = build_model(1, 1.0, REFERENCE_MEDIUM)

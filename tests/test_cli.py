@@ -35,7 +35,7 @@ def test_nonfinite_input_named(argv, field, capsys):
     assert main(argv) == 1
     record = json.loads(capsys.readouterr().err.strip())
     assert record["error"] == "ValueError"
-    assert re.search(rf"\b{field}\b.* must be positive and finite", record["message"])
+    assert re.search(rf"\b{field}\b.* must be a real number in", record["message"])
 
 
 @pytest.mark.parametrize("argv,field", [

@@ -60,7 +60,7 @@ class TestValidation:
         (dict(taus=(float("inf"),)), "tau"),
     ])
     def test_nonfinite_rejected(self, overrides, field):
-        with pytest.raises(ValueError, match=f"{field} must be positive and finite"):
+        with pytest.raises(ValueError, match=f"{field}.* must be a real number in"):
             identity_config(**overrides)
 
     def test_bad_clip(self):
@@ -112,6 +112,15 @@ class TestInitialStates:
         prepared = build_initial_state(config, config_model(config))
         assert prepared.norm_factor == pytest.approx(2.0, rel=1e-12)
         assert np.linalg.norm(prepared.psi) == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("config_n,model_n,init", [(2, 4, "pulse"), (3, 2, "p")])
+    def test_model_of_another_n_refused(self, config_n, model_n, init):
+        # the indices come from config.n and the grid from the model: a larger
+        # model would put the pulse at the wrong cells, a smaller one overflow
+        config = identity_config(n=config_n, init=init)
+        model = config_model(identity_config(n=model_n, init="pulse"))
+        with pytest.raises(ValueError, match=r"^n of the model"):
+            build_initial_state(config, model)
 
 
 class TestFidelity:

@@ -30,7 +30,7 @@ class TestShapeValidation:
 
     @pytest.mark.parametrize("h", [float("inf"), float("nan")])
     def test_rejects_nonfinite_h(self, h):
-        with pytest.raises(ValueError, match="h must be positive and finite"):
+        with pytest.raises(ValueError, match="h must be a real number in"):
             LatticeShape(n=2, h=h)
 
     def test_points(self):

@@ -56,3 +56,16 @@ def test_readme_example_runs(capsys):
     gate_vs_fast, fast_vs_exact = (float(x) for x in lines[0].split())
     assert gate_vs_fast < 1e-10
     assert fast_vs_exact < 1e-2
+
+
+def _sources() -> dict[str, str]:
+    package = Path(elastoq.__file__).resolve().parent
+    return {path.stem: path.read_text() for path in sorted(package.glob("*.py"))}
+
+
+def test_input_rules_live_in_one_place():
+    # ranges go through media.check_real, step counts through media.whole_steps
+    sources = _sources()
+    assert [name for name, text in sources.items() if re.search(r"<=? *math\.inf", text)] == []
+    assert [name for name, text in sources.items() if "_is_real" in text] == ["media"]
+    assert [name for name, text in sources.items() if "does not divide" in text] == ["media"]

@@ -73,17 +73,17 @@ class TestGenerator:
 
     def test_length_mismatch(self):
         prop = Propagator(build_model(1, 1.0, REFERENCE_MEDIUM))
-        with pytest.raises(ValueError, match="state length"):
+        with pytest.raises(ValueError, match="psi must be a state"):
             prop.evolve(np.zeros(100, dtype=complex), 1.0)
-        with pytest.raises(ValueError, match="state length"):
+        with pytest.raises(ValueError, match="psi must be a state"):
             prop.to_spectral(np.zeros(100))
 
     @pytest.mark.parametrize("t", [np.inf, -np.inf, np.nan])
     def test_rejects_nonfinite_time(self, t):
         prop = Propagator(build_model(1, 1.0, REFERENCE_MEDIUM))
-        with pytest.raises(ValueError, match="t must be finite"):
+        with pytest.raises(ValueError, match="t must be a real number in"):
             prop.phases(t)
-        with pytest.raises(ValueError, match="t must be finite"):
+        with pytest.raises(ValueError, match="t must be a real number in"):
             prop.evolve(np.ones(prop.model.dim) / np.sqrt(prop.model.dim), t)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
