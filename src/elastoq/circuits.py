@@ -18,7 +18,7 @@ Program text format (see serialize_program / parse_program):
 
     ELASTOQ-PROGRAM v1        header, then one "key value" line each for
                               n, qubits (3n + 4), scheme (u1/u2), tau and
-                              cnot_account (the scheme's per-step formula)
+                              cnot_account (step_cnots of the scheme)
     gates <count>             followed by one gate per line:
     H t | S t | SDG t         single-qubit gates on qubit t
     CNOT t c                  target t, control c
@@ -40,23 +40,20 @@ from dataclasses import dataclass
 import numpy as np
 
 from .hamiltonian import (
+    SCHEMES,
     HamiltonianModel,
     TermKey,
     ZERO_EIGENVALUE_TOL,
     check_state,
     qubit_count,
+    step_cnots,
     term_angle,
-    u1_step_cnots,
-    u2_step_cnots,
 )
 from .lattice import apply_pair_rotation
 from .media import STATE_DIM, check_real
 
 _SQRT_HALF = 1.0 / math.sqrt(2.0)
 STATE_QUBITS = (1, 2, 3, 4)
-
-#: The two Trotter step schemes: first order (u1) and symmetric second order (u2).
-SCHEMES = ("u1", "u2")
 GATE_KINDS = ("h", "s", "sdg", "cnot", "mcrz", "pcrz", "v4", "v4dg")
 _ROTATIONS = ("mcrz", "pcrz")
 _PAYLOADS = ("v4", "v4dg")
@@ -77,17 +74,17 @@ class Gate:
 
 @dataclass(frozen=True, eq=False)
 class GateProgram:
-    """Ordered gate list plus step metadata.
-
-    cnot_account comes from the closed counting formulas, never from counting
-    IR entries (the multi-controlled rotations stay primitive here).
-    """
+    """Ordered gate list plus step metadata."""
 
     n: int
     scheme: str
     tau: float
     gates: tuple[Gate, ...]
-    cnot_account: int
+
+    @property
+    def cnot_account(self) -> int:
+        """step_cnots of the scheme: the closed formula, never a count of IR entries."""
+        return step_cnots(self.scheme, self.n)
 
     @property
     def qubits(self) -> int:
@@ -198,16 +195,14 @@ def _sweep_gates(model: HamiltonianModel, tau: float, forward: bool) -> list[Gat
 def build_U1(model: HamiltonianModel, tau: float) -> GateProgram:
     """First-order step: all terms once, axes/eigenindices/levels ascending."""
     return GateProgram(n=model.shape.n, scheme="u1", tau=tau,
-                       gates=tuple(_sweep_gates(model, tau, forward=True)),
-                       cnot_account=u1_step_cnots(model.shape.n))
+                       gates=tuple(_sweep_gates(model, tau, forward=True)))
 
 
 def build_U2(model: HamiltonianModel, tau: float) -> GateProgram:
     """Symmetric second-order step: forward half then exactly reversed half."""
     gates = (_sweep_gates(model, tau / 2, forward=True)
              + _sweep_gates(model, tau / 2, forward=False))
-    return GateProgram(n=model.shape.n, scheme="u2", tau=tau, gates=tuple(gates),
-                       cnot_account=u2_step_cnots(model.shape.n))
+    return GateProgram(n=model.shape.n, scheme="u2", tau=tau, gates=tuple(gates))
 
 
 # ---------------------------------------------------------------------------
@@ -264,7 +259,7 @@ def simulate(program: GateProgram, psi: np.ndarray) -> np.ndarray:
     the state register, written into a second buffer that then becomes the
     state.
     """
-    check_state(psi, 1 << program.qubits)
+    check_state(psi, program.dim)
     adjoints = {}
     for gate in program.gates:
         _validate_gate(gate, program.qubits)
@@ -560,9 +555,9 @@ def parse_program(text: str) -> GateProgram:
     qubits = field("qubits", int, lambda v: v == qubit_count(n), f"3n + 4 = {qubit_count(n)}")
     scheme = field("scheme", str, lambda v: v in SCHEMES, "u1 or u2")
     tau = field("tau", float, math.isfinite, "a finite number")
-    step_cnots = (u1_step_cnots if scheme == "u1" else u2_step_cnots)(n)
-    cnot_account = field("cnot_account", int, lambda v: v == step_cnots,
-                         f"{scheme}_step_cnots(n) = {step_cnots}")
+    account = step_cnots(scheme, n)
+    field("cnot_account", int, lambda v: v == account,
+          f"step_cnots({scheme!r}, n) = {account}")
     n_gates = field("gates", int, lambda v: 0 <= v <= len(lines) - pos,
                     f"a count that fits the {len(lines) - pos} lines after it")
     gate_lines = lines[pos:pos + n_gates]
@@ -599,4 +594,4 @@ def parse_program(text: str) -> GateProgram:
     for idx, payload in payloads.items():
         if id(payload) not in used:
             raise ValueError(f"%unitary {idx} is used by no gate")
-    return GateProgram(n=n, scheme=scheme, tau=tau, gates=gates, cnot_account=cnot_account)
+    return GateProgram(n=n, scheme=scheme, tau=tau, gates=gates)

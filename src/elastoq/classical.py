@@ -25,7 +25,7 @@ import scipy.sparse as sp
 
 from .hamiltonian import DENSE_MAX_N, HamiltonianModel, mode_blocks, operator_norm_bound
 from .lattice import d_axis_matrix
-from .media import check_real, whole_steps
+from .media import check_count, check_real, whole_steps
 
 
 def velocity_coupling(model: HamiltonianModel, axis: int) -> np.ndarray:
@@ -245,8 +245,7 @@ def power_bound_certificate(model: HamiltonianModel, config: LeapfrogConfig,
     The probes run as one batch (axis 1 of q and r).  Both coupling maps are
     built once; each step is one leapfrog_step with them.
     """
-    if not (isinstance(m_max, int) and not isinstance(m_max, bool) and m_max >= 1):
-        raise ValueError(f"m_max must be an integer >= 1, got {m_max!r}")
+    check_count("m_max", m_max)
     points = model.shape.points
     dim = 9 * points**3
     probes = _orthonormal_probes(dim, min(POWER_BOUND_PROBES, dim))

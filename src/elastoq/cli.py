@@ -20,7 +20,6 @@ import dataclasses
 import json
 import sys
 
-from .circuits import SCHEMES
 from .classical import (
     cost_model,
     global_error_certificate,
@@ -28,11 +27,10 @@ from .classical import (
     make_leapfrog_config,
     power_bound_certificate,
 )
-from .experiments import ExperimentConfig, run_experiment
-from .hamiltonian import HamiltonianModel, build_model, format_cost_report, steps_and_cost
+from .experiments import INITS, ExperimentConfig, run_experiment
+from .hamiltonian import (BOUND_SCHEMES, SCHEMES, HamiltonianModel, build_model,
+                          format_cost_report, steps_and_cost)
 from .media import MaterialParams
-
-_BOUND_SCHEMES = ("first-norm", "first-commutator", "second")
 
 FULL_SCALE = {"n": 5, "T": 30.0, "taus": (0.1, 0.2, 0.5, 1.0)}
 
@@ -54,7 +52,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_model_flags(run)
     run.add_argument("--tau", type=float, action="append", default=None,
                      help="Trotter step size (repeatable)")
-    run.add_argument("--init", choices=["pulse", "p", "s"], default=None)
+    run.add_argument("--init", choices=INITS, default=None)
     run.add_argument("--scheme", choices=SCHEMES, default=None)
     run.add_argument("--out", default=None, help="output directory")
     run.add_argument("--clip", type=float, default=None,
@@ -68,7 +66,7 @@ def build_parser() -> argparse.ArgumentParser:
     bounds = sub.add_parser("bounds", help="print error bound and gate cost tables")
     _add_model_flags(bounds)
     bounds.add_argument("--eps", type=float, default=0.1, help="target accuracy")
-    bounds.add_argument("--scheme", choices=_BOUND_SCHEMES + ("all",), default="all")
+    bounds.add_argument("--scheme", choices=BOUND_SCHEMES + ("all",), default="all")
 
     certify = sub.add_parser("certify", help="classical integrator certificates")
     _add_model_flags(certify)
@@ -133,7 +131,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 def _cmd_bounds(args: argparse.Namespace) -> int:
     model, t = _model_from_args(args)
-    schemes = _BOUND_SCHEMES if args.scheme == "all" else (args.scheme,)
+    schemes = BOUND_SCHEMES if args.scheme == "all" else (args.scheme,)
     blocks = []
     for scheme in schemes:
         budget = steps_and_cost(model, t, args.eps, scheme)
@@ -160,7 +158,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     print("# preparation, readout, and fault-tolerance overhead.")
     print()
     print(cost_model(model, t, args.eps).to_text())
-    for scheme in _BOUND_SCHEMES:
+    for scheme in BOUND_SCHEMES:
         budget = steps_and_cost(model, t, args.eps, scheme)
         print()
         print(format_cost_report(model, t, args.eps, budget))

@@ -18,19 +18,22 @@ from pathlib import Path
 
 import numpy as np
 
-from .circuits import SCHEMES, TrotterStep
+from .circuits import TrotterStep
 from .hamiltonian import (
+    SCHEMES,
     HamiltonianModel,
     Propagator,
     check_state,
     qubit_count,
-    u1_step_cnots,
-    u2_step_cnots,
+    step_cnots,
 )
 from .lattice import LatticeShape
-from .media import MaterialParams, STATE_DIM, check_real, whole_steps
+from .media import MaterialParams, STATE_DIM, check_count, check_real, whole_steps
 
 THREADS_ENV_VAR = "ELASTOQ_THREADS"
+
+#: The initial states: a central pulse, and P and S waves on the bulk.
+INITS = ("pulse", "p", "s")
 
 #: State-register component indices of the reconstructed fields.
 FIELD_COMPONENTS = {"v_z": 2, "sigma_zz": 5}
@@ -63,8 +66,8 @@ class ExperimentConfig:
         # init and scheme are refused below unless they are one of their strings
         if not isinstance(self.out_dir, str):
             raise ValueError(f"out_dir must be a string, got {self.out_dir!r}")
-        if self.init not in ("pulse", "p", "s"):
-            raise ValueError(f"init must be pulse, p, or s, got {self.init!r}")
+        if self.init not in INITS:
+            raise ValueError(f"init must be one of {', '.join(INITS)}, got {self.init!r}")
         if self.scheme not in SCHEMES:
             raise ValueError(f"scheme must be u1 or u2, got {self.scheme!r}")
         if self.init == "pulse" and self.n < 2:
@@ -102,7 +105,7 @@ def bulk_indices(n: int) -> list[int]:
     return list(range(2, points - 2))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PreparedState:
     """Normalized Schroedinger-frame state plus the recorded norm factor."""
 
@@ -140,7 +143,7 @@ def build_initial_state(config: ExperimentConfig, model: HamiltonianModel) -> Pr
 # field reconstruction
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FieldSlice:
     """One reconstructed physical field on a 2D plane, raw (unclipped) values."""
 
@@ -159,7 +162,7 @@ def _field_plane(n: int) -> tuple[str, int]:
 
 def _physical_field(model: HamiltonianModel, psi: np.ndarray, norm_factor: float) -> np.ndarray:
     """The physical-frame field (16, N, N, N) of a full-register state."""
-    check_state(psi, model.dim)
+    check_state(psi, model.dim, batch=False)
     points = model.shape.points
     return norm_factor * _apply_cell(model.cell.b_inv_sqrt,
                                      psi.reshape(STATE_DIM, points, points, points))
@@ -200,14 +203,14 @@ def b_weighted_norm_sq(model: HamiltonianModel, psi: np.ndarray,
 # fidelity sweep
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FidelityCurve:
     """Fidelity time series of one Trotter step size against the exact flow."""
 
     tau: float
     times: np.ndarray
     fidelities: np.ndarray
-    snapshots: dict[float, tuple[np.ndarray, np.ndarray]] = field(default_factory=dict)
+    snapshots: dict[int, tuple[np.ndarray, np.ndarray]] = field(default_factory=dict)
 
     @property
     def final_fidelity(self) -> float:
@@ -216,15 +219,18 @@ class FidelityCurve:
 
 def fidelity_curve(exact: Propagator, prepared: PreparedState, scheme: str,
                    tau: float, T: float,
-                   snapshot_times: tuple[float, ...] = ()) -> FidelityCurve:
+                   snapshot_steps: tuple[int, ...] = ()) -> FidelityCurve:
     """Walk one step size to the horizon, recording fidelity at every step.
 
     The Trotter walk steps exact.model, so one factored propagator serves
-    every tau.  snapshot_times (multiples of tau) capture (trotter, exact)
-    state pairs for later field reconstruction.  Before any step, ValueError if
-    T is not a whole number of tau steps (whole_steps) or prepared.psi is not finite.
+    every tau.  At each step m in snapshot_steps (0..T/tau) the (trotter, exact)
+    state pair is kept, keyed by m, for field reconstruction.  Before any step,
+    ValueError if T is not a whole number of tau steps (whole_steps), a snapshot
+    step is not one of 0..T/tau, or prepared.psi is not finite.
     """
     steps = whole_steps(T, tau)
+    for m in snapshot_steps:
+        check_count("snapshot_steps", m, 0, steps)
     # checked once per walk, not per step: a NaN would spread over every entry
     if not np.isfinite(prepared.psi).all():
         raise ValueError("psi must be finite: the prepared state holds NaN or inf entries")
@@ -238,44 +244,43 @@ def fidelity_curve(exact: Propagator, prepared: PreparedState, scheme: str,
     fidelities = np.empty(steps + 1)
     # Both walks start from the identical prepared state, so F(0) = 1 exactly.
     fidelities[0] = 1.0
-    wanted = {round(t / tau) for t in snapshot_times}
-    snapshots: dict[float, tuple[np.ndarray, np.ndarray]] = {}
-    if 0 in wanted:
-        snapshots[0.0] = (psi_trotter.copy(), prepared.psi.copy())
+    snapshots: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+    if 0 in snapshot_steps:
+        snapshots[0] = (psi_trotter.copy(), prepared.psi.copy())
     for m in range(1, steps + 1):
         psi_trotter = trotter.apply(psi_trotter)
         # in place, and rounded as step_phases * coeffs (coeffs *= step_phases is not)
         np.multiply(step_phases, coeffs, out=coeffs)
         fidelities[m] = abs(np.vdot(coeffs, exact.to_spectral(psi_trotter))) ** 2
-        if m in wanted:
-            snapshots[float(times[m])] = (psi_trotter.copy(), exact.from_spectral(coeffs))
+        if m in snapshot_steps:
+            snapshots[m] = (psi_trotter.copy(), exact.from_spectral(coeffs))
     return FidelityCurve(tau=tau, times=times, fidelities=fidelities,
                          snapshots=snapshots)
 
 
 def _worker_count(n_jobs: int) -> int:
     raw = os.environ.get(THREADS_ENV_VAR) or "1"  # unset or empty: one worker
-    if not (raw.isdecimal() and int(raw) >= 1):
-        raise ValueError(f"{THREADS_ENV_VAR} must be an integer >= 1, got {raw!r}")
-    return min(n_jobs, int(raw))
+    workers = int(raw) if raw.isdecimal() else raw
+    check_count(THREADS_ENV_VAR, workers)
+    return min(n_jobs, workers)
 
 
 def run_fidelity_sweep(config: ExperimentConfig,
-                       snapshot_times: tuple[float, ...] = ()) -> dict[float, FidelityCurve]:
+                       snapshot_steps: tuple[int, ...] = ()) -> dict[float, FidelityCurve]:
     """All configured step sizes; snapshots are taken on the smallest tau only."""
     model = config_model(config)
-    return _sweep(config, model, build_initial_state(config, model), snapshot_times)
+    return _sweep(config, model, build_initial_state(config, model), snapshot_steps)
 
 
 def _sweep(config: ExperimentConfig, model: HamiltonianModel, prepared: PreparedState,
-           snapshot_times: tuple[float, ...]) -> dict[float, FidelityCurve]:
+           snapshot_steps: tuple[int, ...]) -> dict[float, FidelityCurve]:
     """run_fidelity_sweep on a built model and state; one propagator for all tau."""
     workers = _worker_count(len(config.taus))
     exact = Propagator(model)
     tau_min = min(config.taus)
 
     def job(tau: float) -> FidelityCurve:
-        snaps = snapshot_times if tau == tau_min else ()
+        snaps = snapshot_steps if tau == tau_min else ()
         return fidelity_curve(exact, prepared, config.scheme, tau, config.T, snaps)
 
     if workers > 1:
@@ -289,13 +294,6 @@ def _sweep(config: ExperimentConfig, model: HamiltonianModel, prepared: Prepared
 # ---------------------------------------------------------------------------
 # output bundle
 # ---------------------------------------------------------------------------
-
-def default_snapshot_times(T: float, tau: float) -> tuple[float, ...]:
-    """Five representative times snapped onto the step grid of tau."""
-    raw = [0.0, T / 4, T / 2, 3 * T / 4, T]
-    snapped = sorted({round(t / tau) * tau for t in raw})
-    return tuple(snapped)
-
 
 def _fidelity_csv(curve: FidelityCurve) -> str:
     lines = ["t,F"]
@@ -322,7 +320,9 @@ def _field_record(slc: FieldSlice, source: str, t: float, clip: float) -> dict:
 
 
 def _write_json(path: Path, payload: dict) -> None:
-    path.write_text(json.dumps(payload, indent=1, sort_keys=True) + "\n")
+    # a numpy scalar (a config may hold one) is written as the Python number it holds
+    text = json.dumps(payload, indent=1, sort_keys=True, default=np.generic.item)
+    path.write_text(text + "\n")
 
 
 def run_experiment(config: ExperimentConfig) -> dict:
@@ -331,7 +331,7 @@ def run_experiment(config: ExperimentConfig) -> dict:
     Returns the manifest dictionary.  Output files are a pure function of the
     config (no timestamps), so identical configs produce identical bytes.
     """
-    per_step_cnot = (u1_step_cnots if config.scheme == "u1" else u2_step_cnots)(config.n)
+    per_step_cnot = step_cnots(config.scheme, config.n)
     plan = {f"{tau:g}": whole_steps(config.T, tau) for tau in config.taus}
 
     if config.dry_run:
@@ -345,8 +345,10 @@ def run_experiment(config: ExperimentConfig) -> dict:
     model = config_model(config)
     prepared = build_initial_state(config, model)
     tau_min = min(config.taus)
-    snapshot_times = default_snapshot_times(config.T, tau_min)
-    curves = _sweep(config, model, prepared, snapshot_times)
+    # five representative times, each moved to the nearest step of the smallest tau
+    quarters = (0.0, config.T / 4, config.T / 2, 3 * config.T / 4, config.T)
+    snapshot_steps = tuple(sorted({round(t / tau_min) for t in quarters}))
+    curves = _sweep(config, model, prepared, snapshot_steps)
     # made after the sweep, so a failed run leaves no output directory
     out = Path(config.out_dir)
     (out / "fields").mkdir(parents=True, exist_ok=True)
@@ -366,7 +368,8 @@ def run_experiment(config: ExperimentConfig) -> dict:
         }
 
     snapshot_files = []
-    for t, (psi_trotter, psi_exact) in sorted(curves[tau_min].snapshots.items()):
+    for m, (psi_trotter, psi_exact) in sorted(curves[tau_min].snapshots.items()):
+        t = m * tau_min
         for source, psi in (("trotter", psi_trotter), ("exact", psi_exact)):
             slices = reconstruct_fields(model, psi, prepared.norm_factor)
             for name, slc in slices.items():
@@ -380,7 +383,7 @@ def run_experiment(config: ExperimentConfig) -> dict:
         "qubits": qubit_count(config.n),
         "norm_factor": prepared.norm_factor,
         "plane": {"axis": plane_axis, "index": plane_index},
-        "snapshot_times": list(snapshot_times),
+        "snapshot_times": [m * tau_min for m in snapshot_steps],
         "snapshot_tau": tau_min,
         "curves": curve_meta,
         "files": sorted(snapshot_files),

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, Literal
+from typing import Iterator
 
 import numpy as np
 import scipy.sparse as sp
@@ -30,7 +30,11 @@ from .media import (
     STATE_DIM,
 )
 
-BoundScheme = Literal["first-norm", "first-commutator", "second"]
+#: The two Trotter step schemes: first order (u1) and symmetric second order (u2).
+SCHEMES = ("u1", "u2")
+
+#: The paper's one-step error bounds; "second" prices u2 steps, the others u1 steps.
+BOUND_SCHEMES = ("first-norm", "first-commutator", "second")
 
 #: Eigenvalues below this are treated as exact zeros of the padding/kernel
 #: sector; the gate builders and the fast path skip them, cost accounting never does.
@@ -103,7 +107,7 @@ def term_angle(model: HamiltonianModel, key: TermKey, tau: float) -> float:
 
 def apply_H(model: HamiltonianModel, psi: np.ndarray) -> np.ndarray:
     """Matrix-free application of the Hermitian generator to a state vector."""
-    check_state(psi, model.dim)
+    check_state(psi, model.dim, batch=False)
     points = model.shape.points
     grid = psi.reshape(STATE_DIM, points, points, points)
     out = np.zeros(grid.shape, dtype=complex)
@@ -364,21 +368,24 @@ def qubit_count(n: int) -> int:
     return 3 * n + 4
 
 
-def check_state(psi: np.ndarray, *lengths: int) -> None:
-    """Refuse a state that is not a (length,) vector or a (length, b) batch, length in lengths."""
-    if psi.ndim == 0 or psi.shape[0] not in lengths:
-        raise ValueError(f"psi must be a state of shape (length,) or (length, b) with "
-                         f"length in {lengths}, got {psi.shape}")
+def check_state(psi: np.ndarray, *lengths: int, batch: bool = True) -> None:
+    """Refuse a state that is not a (length,) array, or with batch a (length, b) one,
+    length in lengths; callers that take one state pass batch=False."""
+    array = isinstance(psi, np.ndarray)
+    if not array or psi.ndim == 0 or psi.ndim > 1 and not batch or psi.shape[0] not in lengths:
+        shapes = "(length,) or (length, b)" if batch else "(length,)"
+        got = psi.shape if array else f"a {type(psi).__name__}"
+        raise ValueError(f"psi must be a state of shape {shapes} with length in {lengths}, "
+                         f"got {got}")
 
 
-def u1_step_cnots(n: int) -> int:
-    """CNOT count of one first-order step (ladders, controlled RZ, basis changes)."""
-    return 432 * n * n + 378
-
-
-def u2_step_cnots(n: int) -> int:
-    """CNOT count of one second-order step: two half-steps."""
-    return 2 * u1_step_cnots(n)
+def step_cnots(scheme: str, n: int) -> int:
+    """CNOT count of one step: 432n^2 + 378 for u1 (ladders, controlled RZ, basis
+    changes), twice that for u2 (two half-steps)."""
+    if scheme not in SCHEMES:
+        raise ValueError(f"scheme must be u1 or u2, got {scheme!r}")
+    sweep = 432 * n * n + 378
+    return sweep if scheme == "u1" else 2 * sweep
 
 
 @dataclass(frozen=True)
@@ -397,7 +404,7 @@ class ErrorBudget:
     formula_total_cnot: float
 
 
-def trotter_constant(model: HamiltonianModel, scheme: BoundScheme) -> tuple[float, int]:
+def trotter_constant(model: HamiltonianModel, scheme: str) -> tuple[float, int]:
     """Prefactor C and order p of the one-step bound C * tau^p."""
     if scheme == "first-norm":
         return bound_first_order_norm(model, 1.0), 2
@@ -409,7 +416,7 @@ def trotter_constant(model: HamiltonianModel, scheme: BoundScheme) -> tuple[floa
 
 
 def steps_and_cost(model: HamiltonianModel, T: float, epsilon: float,
-                   scheme: BoundScheme) -> ErrorBudget:
+                   scheme: str) -> ErrorBudget:
     """Convert a one-step bound into global step and CNOT counts."""
     check_real("T", T)
     check_real("epsilon", epsilon)
@@ -418,11 +425,8 @@ def steps_and_cost(model: HamiltonianModel, T: float, epsilon: float,
     m_formula = (c * T**p / epsilon) ** (1.0 / (p - 1))
     # relative slack so float noise cannot push an exact integer over the ceiling
     m = max(1, math.ceil(m_formula * (1.0 - 1e-12)))
-    per_step = u2_step_cnots(n) if scheme == "second" else u1_step_cnots(n)
-    if scheme == "second":
-        applicable = bound_second_order(model, T / m)[1]
-    else:
-        applicable = True
+    per_step = step_cnots("u2" if scheme == "second" else "u1", n)
+    applicable = scheme != "second" or bound_second_order(model, T / m)[1]
     budget = ErrorBudget(
         scheme=scheme,
         constant=c,

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .media import check_real
+from .media import check_count, check_real
 
 #: Largest n at which sparse 3D operators (2^(3n) rows per axis lift, and
 #: the 2^(3n+4)-row generator built from them) are materialized.
@@ -34,9 +34,7 @@ class LatticeShape:
     h: float
 
     def __post_init__(self):
-        # a bool is an int in Python
-        if not (isinstance(self.n, int) and not isinstance(self.n, bool) and self.n >= 1):
-            raise ValueError(f"n must be an integer >= 1, got {self.n}")
+        check_count("n", self.n)
         check_real("h", self.h)
 
     @property
@@ -98,11 +96,6 @@ def apply_d_axis(axis: int, shape: LatticeShape, grid: np.ndarray) -> np.ndarray
     return out
 
 
-def _check_axis(axis: int) -> None:
-    if axis not in (1, 2, 3):
-        raise ValueError(f"axis must be 1..3, got {axis}")
-
-
 def _check_materialize_cap(n: int) -> None:
     if n > MATERIALIZE_MAX_N:
         raise ValueError(f"materializing 3D operators for n={n} exceeds the cap "
@@ -133,7 +126,7 @@ def _lift(axis: int, cell, shape: LatticeShape) -> sp.csr_matrix:
 
     cell runs after the checks, so a grid past the cap allocates nothing.
     """
-    _check_axis(axis)
+    check_count("axis", axis, 1, 3)
     _check_materialize_cap(shape.n)
     points = shape.points
     left = sp.identity(points ** (axis - 1), format="csr")

@@ -35,6 +35,14 @@ def check_real(name: str, value, low: float = 0.0, high: float = math.inf) -> No
         raise ValueError(f"{name} must be a real number in ({low:g}, {high:g}), got {value!r}")
 
 
+def check_count(name: str, value, low: int = 1, high: int | None = None) -> None:
+    """Refuse a value that is not an int (bool and numpy integers are not) in low..high."""
+    if not (isinstance(value, int) and not isinstance(value, bool)
+            and low <= value and (high is None or value <= high)):
+        span = f">= {low}" if high is None else f"in {low}..{high}"
+        raise ValueError(f"{name} must be an integer {span}, got {value!r}")
+
+
 def whole_steps(T: float, tau: float) -> int:
     """Steps of size tau in the horizon T: T/tau within 1e-9 of an integer >= 1."""
     check_real("T", T)
@@ -59,7 +67,7 @@ class MaterialParams:
         check_real("nu", self.nu, -1.0, 0.5)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CellMatrices:
     """The 16x16 coupling and material matrices of one grid cell.
 
@@ -74,7 +82,7 @@ class CellMatrices:
     b_inv_sqrt: np.ndarray
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AxisEigenSystem:
     """Eigendecomposition of b_inv_sqrt @ a_axis @ b_inv_sqrt for one axis.
 
@@ -90,8 +98,7 @@ class AxisEigenSystem:
 
 def axis_coupling(axis: int) -> np.ndarray:
     """3x6 selection matrix coupling velocity rows to Voigt stress columns."""
-    if axis not in (1, 2, 3):
-        raise ValueError(f"axis must be 1, 2, or 3, got {axis}")
+    check_count("axis", axis, 1, 3)
     c = np.zeros((3, 6))
     for row, col in enumerate(_C_AXIS_COLUMNS[axis - 1]):
         c[row, col] = 1.0

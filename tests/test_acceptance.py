@@ -39,9 +39,8 @@ from elastoq.hamiltonian import (
     empirical_trotter_error,
     materialize_sparse_H,
     qubit_count,
+    step_cnots,
     steps_and_cost,
-    u1_step_cnots,
-    u2_step_cnots,
 )
 from elastoq.lattice import (
     LatticeShape,
@@ -82,11 +81,11 @@ def test_1_gate_count_reproduction():
         ok &= first.per_step_cnot == 432 * n**2 + 378
         ok &= second.per_step_cnot == 2 * (432 * n**2 + 378)
         ok &= first.qubits == 3 * n + 4 and second.qubits == 3 * n + 4
-        ok &= u1_step_cnots(n) == 432 * n**2 + 378
-        ok &= u2_step_cnots(n) == 2 * (432 * n**2 + 378)
+        ok &= step_cnots("u1", n) == 432 * n**2 + 378
+        ok &= step_cnots("u2", n) == 2 * (432 * n**2 + 378)
         ok &= qubit_count(n) == 3 * n + 4
-    ok &= u1_step_cnots(5) == 11178
-    ok &= u2_step_cnots(5) == 22356
+    ok &= step_cnots("u1", 5) == 11178
+    ok &= step_cnots("u2", 5) == 22356
     ok &= qubit_count(5) == 19
     _report(1, "gate-count reproduction", ok, started, 1.0)
 

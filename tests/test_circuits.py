@@ -35,8 +35,6 @@ from elastoq.hamiltonian import (
     materialize_sparse_H,
     materialize_term,
     term_angle,
-    u1_step_cnots,
-    u2_step_cnots,
 )
 from elastoq.lattice import apply_pair_rotation, s_cell_matrix
 from elastoq.media import AxisEigenSystem, MaterialParams, degenerate_clusters
@@ -51,8 +49,7 @@ def random_state(rng, dim):
 
 
 def block_program(model, gates):
-    return GateProgram(n=model.shape.n, scheme="block", tau=0.0,
-                       gates=tuple(gates), cnot_account=0)
+    return GateProgram(n=model.shape.n, scheme="u1", tau=0.0, gates=tuple(gates))
 
 
 def replace_first_gate(lines, line):
@@ -267,7 +264,7 @@ def per_gate_reference(program, psi):
             continue
         if pending:
             state = simulate(GateProgram(n=program.n, scheme=program.scheme, tau=0.0,
-                                         gates=tuple(pending), cnot_account=0), state)
+                                         gates=tuple(pending)), state)
             pending = []
         if gate is not None:
             mat = gate.unitary.conj().T if gate.kind == "v4dg" else gate.unitary
@@ -748,7 +745,7 @@ class TestSerialization:
         ("scheme", "u3"), ("n", "0"), ("n", "-2"), ("n", "two"), ("qubits", "99"),
         ("qubits", "10"), ("tau", "nan"), ("tau", "inf"), ("tau", "fast"),
         ("cnot_account", "-1"), ("cnot_account", "1.5"), ("gates", "-1"),
-        # any count but u1_step_cnots(1) = 810 is refused, u2's 1620 included
+        # any count but step_cnots("u1", 1) = 810 is refused, u2's 1620 included
         ("cnot_account", "0"), ("cnot_account", "811"), ("cnot_account", "1620"),
     ])
     def test_rejects_bad_metadata(self, key, value):
@@ -763,6 +760,12 @@ class TestSerialization:
         lines = serialize_program(build_U1(model, 0.3)).splitlines()
         with pytest.raises(ValueError, match="qubits"):
             parse_program("\n".join(l for l in lines if not l.startswith("qubits ")) + "\n")
+
+    @pytest.mark.parametrize("scheme", ["block", "second"])
+    def test_serialize_refuses_scheme_without_cnot_account(self, scheme):
+        # only u1 and u2 have a step_cnots account for the text's cnot_account line
+        with pytest.raises(ValueError, match="scheme"):
+            serialize_program(GateProgram(n=1, scheme=scheme, tau=0.1, gates=()))
 
 
 _FLOATS = st.floats(allow_nan=False, allow_infinity=False)
@@ -794,9 +797,7 @@ def gate_programs(draw):
             gates.append(Gate(kind, targets=(1, 2, 3, 4),
                               unitary=draw(st.sampled_from(payloads))))
     scheme = draw(st.sampled_from(("u1", "u2")))
-    step_cnots = u1_step_cnots if scheme == "u1" else u2_step_cnots
-    return GateProgram(n=n, scheme=scheme, tau=draw(_FLOATS),
-                       gates=tuple(gates), cnot_account=step_cnots(n))
+    return GateProgram(n=n, scheme=scheme, tau=draw(_FLOATS), gates=tuple(gates))
 
 
 @settings(max_examples=40, deadline=None)

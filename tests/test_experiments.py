@@ -15,13 +15,17 @@ from elastoq.experiments import (
     central_indices,
     clip_values,
     config_model,
-    default_snapshot_times,
     fidelity_curve,
     reconstruct_fields,
     run_experiment,
     run_fidelity_sweep,
 )
-from elastoq.media import STATE_DIM
+from elastoq.media import (
+    STATE_DIM,
+    MaterialParams,
+    build_cell_matrices,
+    eigendecompose_axis,
+)
 
 
 def identity_config(**overrides):
@@ -165,16 +169,16 @@ class TestFidelity:
 
     def test_snapshots_taken_on_requested_grid(self):
         config = identity_config(taus=(0.5,))
-        curves = run_fidelity_sweep(config, snapshot_times=(0.0, 1.0, 2.0))
-        assert sorted(curves[0.5].snapshots) == [0.0, 1.0, 2.0]
+        curves = run_fidelity_sweep(config, snapshot_steps=(0, 2, 4))
+        assert sorted(curves[0.5].snapshots) == [0, 2, 4]
 
     def test_propagator_reference_matches_dense(self):
         config = identity_config(E=0.646, nu=0.255, taus=(0.5,))
         model = config_model(config)
         prepared = build_initial_state(config, model)
-        snaps = (1.0, 2.0)
+        snaps = (2, 4)  # t = 1 and 2
         curve = fidelity_curve(Propagator(model), prepared, "u1", 0.5, config.T,
-                               snapshot_times=snaps)
+                               snapshot_steps=snaps)
         # independent reference: one dense eigh of the materialized generator
         evals, evecs = np.linalg.eigh(materialize_sparse_H(model).toarray())
         coeffs = evecs.conj().T @ prepared.psi
@@ -185,8 +189,8 @@ class TestFidelity:
             psi_exact = evecs @ (np.exp(-1j * t * evals) * coeffs)
             fidelity = abs(np.vdot(psi_exact, psi_trotter)) ** 2
             assert abs(curve.fidelities[m] - fidelity) < 1e-8
-            if t in snaps:
-                assert np.abs(curve.snapshots[t][1] - psi_exact).max() < 1e-8
+            if m in snaps:
+                assert np.abs(curve.snapshots[m][1] - psi_exact).max() < 1e-8
 
 
 class TestFieldReconstruction:
@@ -300,9 +304,25 @@ class TestRunExperiment:
         assert "qubits=10" in printed
         assert f"per_step_cnot={432 * 4 + 378}" in printed
 
-    def test_snapshot_grid_helper(self):
-        assert default_snapshot_times(10.0, 0.5) == (0.0, 2.5, 5.0, 7.5, 10.0)
-        assert default_snapshot_times(2.0, 0.5) == (0.0, 0.5, 1.0, 1.5, 2.0)
+    def test_manifest_snapshot_grid(self, tmp_path):
+        # T = 2, tau = 0.5 reads [0, 0.5, 1, 1.5, 2] (test_field_snapshot_files)
+        manifest = run_experiment(identity_config(T=10.0, out_dir=str(tmp_path / "run")))
+        assert manifest["snapshot_times"] == [0.0, 2.5, 5.0, 7.5, 10.0]
+        assert {name for name in manifest["files"] if "v_z_exact" in name} == {
+            f"fields/field_v_z_exact_t{t}.json" for t in ("0", "2.5", "5", "7.5", "10")}
+
+    def test_numpy_scalars_write_the_same_files(self, tmp_path):
+        # a numpy scalar in the config used to stop the run at the manifest,
+        # after the CSV and field files were written
+        outputs = []
+        for name, h, T, tau in (("plain", 1, 1.0, 0.5),
+                                ("numpy", np.int64(1), np.float32(1.0), np.float32(0.5))):
+            out = tmp_path / name
+            run_experiment(identity_config(h=h, T=T, taus=(tau,), out_dir=str(out)))
+            # the manifest's config.out_dir is the one line allowed to differ
+            outputs.append({path.relative_to(out): path.read_bytes().replace(
+                str(out).encode(), b"OUT") for path in out.rglob("*") if path.is_file()})
+        assert outputs[0] == outputs[1]
 
 
 class TestThreadCap:
@@ -336,3 +356,26 @@ class TestThreadCap:
         parallel = run_fidelity_sweep(config)
         for tau in config.taus:
             assert np.array_equal(serial[tau].fidelities, parallel[tau].fidelities)
+
+
+def _cell():
+    return build_cell_matrices(MaterialParams(rho=1.0, E=0.646, nu=0.255))
+
+
+def _prepared():
+    config = identity_config()
+    return build_initial_state(config, config_model(config))
+
+
+@pytest.mark.parametrize("build", [
+    _cell,
+    lambda: eigendecompose_axis(_cell(), 1),
+    _prepared,
+    lambda: run_fidelity_sweep(identity_config())[0.5],
+    lambda: reconstruct_fields(config_model(identity_config()), _prepared().psi, 1.0)["v_z"],
+], ids=["CellMatrices", "AxisEigenSystem", "PreparedState", "FidelityCurve", "FieldSlice"])
+def test_array_records_hash_and_equal_by_identity(build):
+    # their array fields made == raise ValueError and hash raise TypeError
+    first, second = build(), build()
+    assert first == first and first != second
+    assert len({first, first, second}) == 2

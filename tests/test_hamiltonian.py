@@ -17,10 +17,9 @@ from elastoq.hamiltonian import (
     materialize_term,
     operator_norm_bound,
     qubit_count,
+    step_cnots,
     steps_and_cost,
     term_angle,
-    u1_step_cnots,
-    u2_step_cnots,
 )
 from elastoq.lattice import s_cell_matrix
 from elastoq.media import MaterialParams
@@ -193,9 +192,14 @@ class TestBounds:
 class TestStepsAndCost:
     @pytest.mark.parametrize("n", range(1, 7))
     def test_per_step_formulas(self, n):
-        assert u1_step_cnots(n) == 432 * n**2 + 378
-        assert u2_step_cnots(n) == 2 * (432 * n**2 + 378)
+        assert step_cnots("u1", n) == 432 * n**2 + 378
+        assert step_cnots("u2", n) == 2 * (432 * n**2 + 378)
         assert qubit_count(n) == 3 * n + 4
+
+    @pytest.mark.parametrize("scheme", ["block", "second", "U1", None])
+    def test_step_cnots_refuses_other_schemes(self, scheme):
+        with pytest.raises(ValueError, match="scheme"):
+            step_cnots(scheme, 2)
 
     def test_n5_budget(self):
         model = build_model(5, 1.0, REFERENCE_MEDIUM)
@@ -226,7 +230,7 @@ class TestStepsAndCost:
     def test_ceiling_violation_raises(self, monkeypatch):
         # a corrupted per-step count breaks the slack check (which is no assert,
         # so it also runs under python -O)
-        monkeypatch.setattr(hamiltonian, "u1_step_cnots", lambda n: -1)
+        monkeypatch.setattr(hamiltonian, "step_cnots", lambda scheme, n: -1)
         model = build_model(2, 1.0, REFERENCE_MEDIUM)
         with pytest.raises(RuntimeError, match="CNOT"):
             steps_and_cost(model, 7.0, 0.03, "first-norm")

@@ -2,8 +2,9 @@
 ValueError whose message names the field, before any work is done.
 
 Each case was accepted, or failed late with another error or a message that
-names no field, before the real-number, step-count and state rules
-(media.check_real, media.whole_steps, hamiltonian.check_state) were shared.
+names no field, before the real-number, whole-number, step-count and state
+rules (media.check_real, media.check_count, media.whole_steps,
+hamiltonian.check_state) were shared.
 """
 import math
 import re
@@ -12,7 +13,7 @@ from functools import cache
 import numpy as np
 import pytest
 
-from elastoq.circuits import TrotterStep
+from elastoq.circuits import TrotterStep, build_U1, simulate
 from elastoq.classical import (
     cost_model,
     global_error_certificate,
@@ -26,7 +27,7 @@ from elastoq.experiments import (
     fidelity_curve,
     reconstruct_fields,
 )
-from elastoq.hamiltonian import Propagator, build_model, steps_and_cost
+from elastoq.hamiltonian import Propagator, apply_H, build_model, steps_and_cost
 from elastoq.media import MaterialParams
 
 REFERENCE_MEDIUM = MaterialParams(rho=1.0, E=0.646, nu=0.255)
@@ -67,6 +68,24 @@ CASES = [
     ("fidelity_curve", "tau", lambda: fidelity_curve(_propagator(), _prepared(), "u1", 0.0, 1.0)),
     ("reconstruct_fields", "psi", lambda: reconstruct_fields(_model(2), np.zeros(5), 1.0)),
     ("b_weighted_norm_sq", "psi", lambda: b_weighted_norm_sq(_model(2), np.zeros(5), 1.0)),
+    # a batch where one state is taken failed in numpy's reshape
+    ("apply_H", "psi", lambda: apply_H(_model(2), np.zeros((_model(2).dim, 2)))),
+    ("reconstruct_fields", "psi", lambda: reconstruct_fields(
+        _model(2), np.zeros((_model(2).dim, 2)), 1.0)),
+    ("b_weighted_norm_sq", "psi", lambda: b_weighted_norm_sq(
+        _model(2), np.zeros((_model(2).dim, 2)), 1.0)),
+    # a list failed with AttributeError on its missing ndim
+    ("TrotterStep.apply", "psi", lambda: TrotterStep(_model(1), "u1", 0.1).apply(
+        [0.0] * _model(1).dim)),
+    ("Propagator.evolve", "psi", lambda: _propagator().evolve(list(_prepared().psi), 0.1)),
+    ("simulate", "psi", lambda: simulate(build_U1(_model(1), 0.1), [0.0] * _model(1).dim)),
+    # snapshot steps off the walk's grid were moved or dropped silently
+    ("fidelity_curve", "snapshot_steps", lambda: fidelity_curve(
+        _propagator(), _prepared(), "u1", 0.5, 1.0, snapshot_steps=(3,))),
+    ("fidelity_curve", "snapshot_steps", lambda: fidelity_curve(
+        _propagator(), _prepared(), "u1", 0.5, 1.0, snapshot_steps=(0.5,))),
+    ("fidelity_curve", "snapshot_steps", lambda: fidelity_curve(
+        _propagator(), _prepared(), "u1", 0.5, 1.0, snapshot_steps=(True,))),
 ]
 
 

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from elastoq.media import (
     axis_hamiltonian_cell,
     build_cell_matrices,
     build_compliance,
+    check_count,
     compliance_inverse_norm,
     compliance_spectrum,
     degenerate_clusters,
@@ -54,6 +57,22 @@ class TestMaterialParams:
     def test_boundary_values_accepted(self):
         MaterialParams(rho=1e-9, E=1e-9, nu=0.499999)
         MaterialParams(rho=1.0, E=1.0, nu=-0.999999)
+
+
+class TestCheckCount:
+    @pytest.mark.parametrize("value", [0, -1, True, 2.0, "3", np.int64(2), None])
+    def test_refused_by_name(self, value):
+        message = f"count must be an integer >= 1, got {value!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            check_count("count", value)
+
+    def test_accepts_ints_in_range(self):
+        check_count("count", 1)
+        check_count("count", 10**20)
+        check_count("m", 0, 0, 2)
+        check_count("m", 2, 0, 2)
+        with pytest.raises(ValueError, match=r"^m must be an integer in 0\.\.2, got 3$"):
+            check_count("m", 3, 0, 2)
 
 
 class TestCompliance:

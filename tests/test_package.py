@@ -1,17 +1,20 @@
 """The package root exports exactly the names of the README's library example,
 and every code name the README quotes exists."""
+import dataclasses
 import importlib
 import pkgutil
 import re
 from pathlib import Path
 
 import elastoq
+from elastoq.circuits import GateProgram
+from elastoq.hamiltonian import BOUND_SCHEMES
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 ROOT_NAMES = ["MaterialParams", "Propagator", "TrotterStep", "build_U1",
               "build_model", "simulate", "steps_and_cost"]
 # backticked README tokens shaped like code names that name no code
-NON_CODE_TOKENS = {"ValueError", "cnot_account", "sigma_zz", "v_x", "v_z"}
+NON_CODE_TOKENS = {"ValueError", "sigma_zz", "v_x", "v_z"}
 
 
 def _readme_example() -> str:
@@ -63,9 +66,22 @@ def _sources() -> dict[str, str]:
     return {path.stem: path.read_text() for path in sorted(package.glob("*.py"))}
 
 
+def _modules_with(pattern: str) -> list[str]:
+    return [name for name, text in _sources().items() if re.search(pattern, text)]
+
+
 def test_input_rules_live_in_one_place():
-    # ranges go through media.check_real, step counts through media.whole_steps
-    sources = _sources()
-    assert [name for name, text in sources.items() if re.search(r"<=? *math\.inf", text)] == []
-    assert [name for name, text in sources.items() if "_is_real" in text] == ["media"]
-    assert [name for name, text in sources.items() if "does not divide" in text] == ["media"]
+    # ranges go through media.check_real, step counts through media.whole_steps,
+    # whole numbers through media.check_count
+    assert _modules_with(r"<=? *math\.inf") == []
+    assert _modules_with("_is_real") == ["media"]
+    assert _modules_with("does not divide") == ["media"]
+    assert _modules_with(r"isinstance\([^()]*\bbool\)") == ["media"]
+    # the per-step CNOT account is hamiltonian.step_cnots, which a program derives
+    assert _modules_with(r"\bu[12]_step_cnots\b") == []
+    assert "cnot_account" not in {f.name for f in dataclasses.fields(GateProgram)}
+    # one list of names per kind: hamiltonian.SCHEMES and BOUND_SCHEMES, experiments.INITS
+    assert _modules_with(r'\("u1", "u2"\)') == ["hamiltonian"]
+    assert _modules_with(r'\("pulse", "p", "s"\)') == ["experiments"]
+    for scheme in BOUND_SCHEMES:
+        assert _modules_with(f'"{scheme}"') == ["hamiltonian"]
