@@ -34,16 +34,18 @@ Program text format (see serialize_program / parse_program):
 """
 from __future__ import annotations
 
+import cmath
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .hamiltonian import (
-    SCHEMES,
     HamiltonianModel,
     TermKey,
     ZERO_EIGENVALUE_TOL,
+    check_scheme,
     check_state,
     qubit_count,
     step_cnots,
@@ -52,9 +54,12 @@ from .hamiltonian import (
 from .lattice import apply_pair_rotation
 from .media import STATE_DIM, check_real
 
-_SQRT_HALF = 1.0 / math.sqrt(2.0)
 STATE_QUBITS = (1, 2, 3, 4)
 GATE_KINDS = ("h", "s", "sdg", "cnot", "mcrz", "pcrz", "v4", "v4dg")
+#: The 2x2 matrices of the single-qubit gates, and the adjoint of each kind.
+_ONE_QUBIT = {"h": np.array([[1, 1], [1, -1]]) / math.sqrt(2.0),
+              "s": np.diag([1, 1j]), "sdg": np.diag([1, -1j])}
+_ADJOINT = {"h": "h", "s": "sdg", "sdg": "s"}
 _ROTATIONS = ("mcrz", "pcrz")
 _PAYLOADS = ("v4", "v4dg")
 
@@ -105,7 +110,7 @@ def _validate_gate(gate: Gate, qubits: int) -> None:
     kind = gate.kind
     if kind not in GATE_KINDS:
         raise ValueError(f"unknown gate kind {kind!r}")
-    if kind in ("h", "s", "sdg") and gate.controls:
+    if kind in _ONE_QUBIT and gate.controls:
         raise ValueError(f"gate {kind} takes no controls, got {gate.controls}")
     if kind == "cnot" and len(gate.controls) != 1:
         raise ValueError(f"gate cnot takes exactly one control, got {gate.controls}")
@@ -217,37 +222,90 @@ def _slicer(qubits: int, fixed: dict[int, int]) -> tuple:
     return tuple(idx)
 
 
-def _apply_gate(nd: np.ndarray, gate: Gate, qubits: int) -> None:
-    """Apply one non-payload gate in place; nd is the state as (2,)*qubits (+batch)."""
-    kind = gate.kind
-    if kind == "h":
-        i0 = _slicer(qubits, {gate.target: 0})
-        i1 = _slicer(qubits, {gate.target: 1})
-        a = nd[i0].copy()
-        b = nd[i1]
-        nd[i0] = (a + b) * _SQRT_HALF
-        nd[i1] = (a - b) * _SQRT_HALF
-    elif kind == "s":
-        nd[_slicer(qubits, {gate.target: 1})] *= 1j
-    elif kind == "sdg":
-        nd[_slicer(qubits, {gate.target: 1})] *= -1j
-    elif kind == "cnot":
-        control = gate.controls[0]
-        i10 = _slicer(qubits, {control: 1, gate.target: 0})
-        i11 = _slicer(qubits, {control: 1, gate.target: 1})
+def _apply_step(nd: np.ndarray, gate: Gate, mat: np.ndarray | None, qubits: int) -> None:
+    """Apply one non-payload step in place; nd is the state as (2,)*qubits (+batch).
+
+    A CNOT swaps the target pair on its control subspace; any other gate applies
+    mat, a 2x2 on its target, on the subspace its controls and pattern select.
+    """
+    fixed = {c: 1 for c in gate.controls}
+    if gate.kind == "cnot":
+        i10 = _slicer(qubits, {**fixed, gate.target: 0})
+        i11 = _slicer(qubits, {**fixed, gate.target: 1})
         tmp = nd[i10].copy()
         nd[i10] = nd[i11]
         nd[i11] = tmp
-    elif kind in _ROTATIONS:
-        fixed = {c: 1 for c in gate.controls}
-        if kind == "pcrz":
-            for q in STATE_QUBITS:
-                fixed[q] = (gate.pattern >> (4 - q)) & 1
-        phase = np.exp(1j * gate.angle)
-        nd[_slicer(qubits, {**fixed, gate.target: 0})] *= phase
-        nd[_slicer(qubits, {**fixed, gate.target: 1})] *= np.conj(phase)
-    else:
-        raise ValueError(f"unknown gate kind {kind!r}")
+        return
+    if gate.kind == "pcrz":
+        for q in STATE_QUBITS:
+            fixed[q] = (gate.pattern >> (4 - q)) & 1
+    i0 = _slicer(qubits, {**fixed, gate.target: 0})
+    i1 = _slicer(qubits, {**fixed, gate.target: 1})
+    a = nd[i0].copy()
+    b = nd[i1]
+    nd[i0] = mat[0, 0] * a + mat[0, 1] * b
+    nd[i1] = mat[1, 0] * a + mat[1, 1] * b
+
+
+@functools.cache
+def _rz_parts(basis: tuple[str, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """The two parts of a^dag RZ(x) a = exp(ix) low + exp(-ix) high, where a is
+    the basis change of the given 1-qubit gate kinds, in time order."""
+    a = np.eye(2)
+    for kind in basis:
+        a = _ONE_QUBIT[kind] @ a
+    return np.outer(a[0].conj(), a[0]), np.outer(a[1].conj(), a[1])
+
+
+def _lower(gates: tuple[Gate, ...]) -> tuple[list, int]:
+    """The steps simulate applies, by its two rules, and the count of folded rotations.
+
+    A step is a pair: a payload run is (None, the payload gates left once
+    adjoint pairs cancel), or no step when it cancels whole; a rotation is
+    (rotation, its 2x2 on the target), folded with the basis change around it
+    when one is undone right after it; any other gate is (gate, its 2x2), or
+    (cnot, None).
+    """
+    steps: list = []
+    folds = 0
+    run: list[Gate] = []  # the open payload run, adjoint pairs cancelled
+    i = 0
+    while i <= len(gates):
+        gate = gates[i] if i < len(gates) else None
+        i += 1
+        if gate is not None and gate.kind in _PAYLOADS:
+            if run and run[-1].unitary is gate.unitary and run[-1].kind != gate.kind:
+                run.pop()
+            else:
+                run.append(gate)
+            continue
+        if run:
+            steps.append((None, run))
+            run = []
+        if gate is None:
+            break
+        if gate.kind not in _ROTATIONS:
+            steps.append((gate, _ONE_QUBIT.get(gate.kind)))
+            continue
+        m = 0  # the basis change: the 1-qubit gates on the target just before
+        while (m < len(steps) and steps[-1 - m][0] is not None
+               and steps[-1 - m][0].kind in _ONE_QUBIT
+               and steps[-1 - m][0].target == gate.target):
+            m += 1
+        before = [g for g, _ in steps[len(steps) - m:]]
+        after = gates[i:i + m]
+        basis = ()
+        if m and len(after) == m and all(
+                a.kind == _ADJOINT[b.kind] and a.target == gate.target
+                for a, b in zip(after, reversed(before))):
+            basis = tuple(g.kind for g in before)
+            del steps[len(steps) - m:]
+            i += m
+            folds += 1
+        low, high = _rz_parts(basis)
+        phase = cmath.exp(1j * gate.angle)
+        steps.append((gate, phase * low + phase.conjugate() * high))
+    return steps, folds
 
 
 def simulate(program: GateProgram, psi: np.ndarray) -> np.ndarray:
@@ -255,14 +313,25 @@ def simulate(program: GateProgram, psi: np.ndarray) -> np.ndarray:
 
     Every gate is validated first, and each distinct payload is checked once
     for finite entries and unitarity, so a bad program raises before any gate
-    runs.  Each run of adjacent payload gates applies as one 16x16 product on
-    the state register, written into a second buffer that then becomes the
-    state.
+    runs.  The gates then apply in order, each on its own, except under two
+    rules that match by gate kind, target and payload object, so both are exact:
+
+    - a rotation (MCRZ/PCRZ) after the longest run of H/S/SDG on its target,
+      when that run is undone gate for gate right after it (H by H, S by SDG),
+      applies as one 2x2 a^dag RZ a on its control subspace only: off that
+      subspace the basis changes cancel;
+    - in a run of adjacent payload gates, each V4/V4DG pair of the same
+      payload object cancels, like a stack; the rest applies as one 16x16
+      product into a second buffer, which then becomes the state.
+
+    A gate that fits neither rule, such as an S where an SDG belongs, runs by
+    itself, so the result is always the gate list's own.
     """
     check_state(psi, program.dim)
+    qubits = program.qubits
     adjoints = {}
     for gate in program.gates:
-        _validate_gate(gate, program.qubits)
+        _validate_gate(gate, qubits)
         if gate.kind in _PAYLOADS and id(gate.unitary) not in adjoints:
             u = gate.unitary
             if not np.isfinite(u).all():
@@ -274,22 +343,25 @@ def simulate(program: GateProgram, psi: np.ndarray) -> np.ndarray:
             adjoints[id(u)] = adjoint
     state = np.array(psi, dtype=complex)
     spare = np.empty_like(state) if adjoints else None
-    nd_shape = (2,) * program.qubits + state.shape[1:]
+    nd_shape = (2,) * qubits + state.shape[1:]
     nd = state.reshape(nd_shape)
-    run = None  # product of the payload run so far, in gate order
-    for gate in program.gates + (None,):
-        if gate is not None and gate.kind in _PAYLOADS:
-            mat = adjoints[id(gate.unitary)] if gate.kind == "v4dg" else gate.unitary
-            run = mat if run is None else mat @ run
-            continue
-        if run is not None:
-            np.matmul(run, state.reshape(STATE_DIM, -1), out=spare.reshape(STATE_DIM, -1))
+    for gate, step in _lower(program.gates)[0]:
+        if gate is None:  # a payload run, applied as one product in gate order
+            product = None
+            for g in step:
+                mat = adjoints[id(g.unitary)] if g.kind == "v4dg" else g.unitary
+                product = mat if product is None else mat @ product
+            np.matmul(product, state.reshape(STATE_DIM, -1), out=spare.reshape(STATE_DIM, -1))
             state, spare = spare, state
             nd = state.reshape(nd_shape)
-            run = None
-        if gate is not None:
-            _apply_gate(nd, gate, program.qubits)
+        else:
+            _apply_step(nd, gate, step, qubits)
     return state
+
+
+def folded_rotations(program: GateProgram) -> int:
+    """How many of the program's rotations simulate applies folded with their basis change."""
+    return _lower(program.gates)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -379,8 +451,7 @@ class TrotterStep:
 
     def __init__(self, model: HamiltonianModel, scheme: str, tau: float):
         check_real("tau", tau, -math.inf, math.inf)
-        if scheme not in SCHEMES:
-            raise ValueError(f"scheme must be 'u1' or 'u2', got {scheme!r}")
+        check_scheme(scheme)
         n, h, points = model.shape.n, model.shape.h, model.shape.points
         up, down = tuple(range(1, n + 1)), tuple(range(n, 0, -1))
         # a stage (k, p, q) rotates level k in the passes p..q-1, in stage order
@@ -553,7 +624,8 @@ def parse_program(text: str) -> GateProgram:
 
     n = field("n", int, lambda v: v >= 1, "an integer >= 1")
     qubits = field("qubits", int, lambda v: v == qubit_count(n), f"3n + 4 = {qubit_count(n)}")
-    scheme = field("scheme", str, lambda v: v in SCHEMES, "u1 or u2")
+    scheme = meta["scheme"]
+    check_scheme(scheme, "metadata scheme")
     tau = field("tau", float, math.isfinite, "a finite number")
     account = step_cnots(scheme, n)
     field("cnot_account", int, lambda v: v == account,

@@ -25,7 +25,7 @@ import scipy.sparse as sp
 
 from .hamiltonian import DENSE_MAX_N, HamiltonianModel, mode_blocks, operator_norm_bound
 from .lattice import d_axis_matrix
-from .media import check_count, check_real, whole_steps
+from .media import check_count, check_real, step_ceiling, whole_steps
 
 
 def velocity_coupling(model: HamiltonianModel, axis: int) -> np.ndarray:
@@ -359,7 +359,7 @@ def cost_model(model: HamiltonianModel, T: float, epsilon: float) -> ClassicalCo
     l_norm = estimate_l_norm(model)
     c_eta = _c_eta(_COST_ETA)
     tau_max = min(_COST_ETA / l_norm, math.sqrt(2 * epsilon / (c_eta * T * l_norm**3)))
-    steps = max(1, math.ceil(T / tau_max * (1.0 - 1e-12)))
+    steps = step_ceiling(T / tau_max)
     points = model.shape.points
     per_step = leapfrog_flops_per_point() * points**3
     return ClassicalCostReport(

@@ -18,11 +18,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .circuits import TrotterStep
+from .circuits import GATE_KINDS, TrotterStep, build_U1, build_U2, folded_rotations
 from .hamiltonian import (
-    SCHEMES,
     HamiltonianModel,
     Propagator,
+    check_scheme,
     check_state,
     qubit_count,
     step_cnots,
@@ -68,8 +68,7 @@ class ExperimentConfig:
             raise ValueError(f"out_dir must be a string, got {self.out_dir!r}")
         if self.init not in INITS:
             raise ValueError(f"init must be one of {', '.join(INITS)}, got {self.init!r}")
-        if self.scheme not in SCHEMES:
-            raise ValueError(f"scheme must be u1 or u2, got {self.scheme!r}")
+        check_scheme(self.scheme)
         if self.init == "pulse" and self.n < 2:
             raise ValueError("pulse initial state needs n >= 2")
         if self.init in ("p", "s") and self.n < 3:
@@ -337,6 +336,15 @@ def run_experiment(config: ExperimentConfig) -> dict:
     if config.dry_run:
         print(f"dry run: qubits={qubit_count(config.n)} scheme={config.scheme} "
               f"per_step_cnot={per_step_cnot}")
+        # the emitted gates by kind: the CNOT account above prices each
+        # multi-controlled rotation and payload in CNOTs, the program keeps them whole
+        build = build_U1 if config.scheme == "u1" else build_U2
+        program = build(config_model(config), config.taus[0])
+        kinds = [g.kind for g in program.gates]
+        census = ", ".join(f"{kinds.count(k)} {k}" for k in GATE_KINDS if k in kinds)
+        rotations = kinds.count("mcrz") + kinds.count("pcrz")
+        print(f"  {config.scheme} program: {len(kinds)} gates ({census}); simulate folds "
+              f"{folded_rotations(program)} of {rotations} rotations")
         for tau_key, steps in plan.items():
             print(f"  tau={tau_key}: steps={steps} total_cnot={steps * per_step_cnot}")
         return {"dry_run": True, "qubits": qubit_count(config.n), "plan": plan}

@@ -25,6 +25,7 @@ from .media import (
     compliance_inverse_norm,
     eigendecompose_axis,
     check_real,
+    step_ceiling,
     wave_speed_scale,
     PHYSICAL_DIM,
     STATE_DIM,
@@ -379,11 +380,16 @@ def check_state(psi: np.ndarray, *lengths: int, batch: bool = True) -> None:
                          f"got {got}")
 
 
+def check_scheme(scheme: str, name: str = "scheme") -> None:
+    """Refuse a step scheme that is not one of SCHEMES; the message names the field."""
+    if scheme not in SCHEMES:
+        raise ValueError(f"{name} must be {' or '.join(SCHEMES)}, got {scheme!r}")
+
+
 def step_cnots(scheme: str, n: int) -> int:
     """CNOT count of one step: 432n^2 + 378 for u1 (ladders, controlled RZ, basis
     changes), twice that for u2 (two half-steps)."""
-    if scheme not in SCHEMES:
-        raise ValueError(f"scheme must be u1 or u2, got {scheme!r}")
+    check_scheme(scheme)
     sweep = 432 * n * n + 378
     return sweep if scheme == "u1" else 2 * sweep
 
@@ -423,8 +429,7 @@ def steps_and_cost(model: HamiltonianModel, T: float, epsilon: float,
     c, p = trotter_constant(model, scheme)
     n = model.shape.n
     m_formula = (c * T**p / epsilon) ** (1.0 / (p - 1))
-    # relative slack so float noise cannot push an exact integer over the ceiling
-    m = max(1, math.ceil(m_formula * (1.0 - 1e-12)))
+    m = step_ceiling(m_formula)
     per_step = step_cnots("u2" if scheme == "second" else "u1", n)
     applicable = scheme != "second" or bound_second_order(model, T / m)[1]
     budget = ErrorBudget(

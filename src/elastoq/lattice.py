@@ -67,10 +67,7 @@ def apply_pair_rotation(arr: np.ndarray, axis: int, k: int, cos_t, sin_t) -> Non
     gives each slice its own angle.  The pairs are strided views of arr.
     """
     points = arr.shape[axis]
-    levels = (points - 1).bit_length()  # log2(N) on a 2^n axis
-    if not 1 <= k <= levels:
-        raise ValueError(f"level k must lie in 1..{levels} on an axis of {points} "
-                         f"points, got {k}")
+    check_count("level k", k, 1, (points - 1).bit_length())  # log2(N) levels on a 2^n axis
     view = np.moveaxis(arr, axis, -1)
     half = 1 << (k - 1)
     a = view[..., half - 1:-1:2 * half]
@@ -104,8 +101,7 @@ def _check_materialize_cap(n: int) -> None:
 
 def s_cell_matrix(k: int, n: int) -> sp.csr_matrix:
     """Sparse 2^n x 2^n matrix of the 1D level-k ladder operator."""
-    if not 1 <= k <= n:
-        raise ValueError(f"level k must lie in 1..{n}, got {k}")
+    check_count("level k", k, 1, n)
     points = 1 << n
     hi = _pair_indices(k, points)
     rows = np.concatenate([hi - 1, hi])

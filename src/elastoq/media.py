@@ -53,6 +53,12 @@ def whole_steps(T: float, tau: float) -> int:
     return steps
 
 
+def step_ceiling(steps: float) -> int:
+    """The whole step count >= 1 that covers a real one; a relative slack of 1e-12
+    keeps float noise from pushing an exact integer over the ceiling."""
+    return max(1, math.ceil(steps * (1.0 - 1e-12)))
+
+
 @dataclass(frozen=True)
 class MaterialParams:
     """Density and isotropic elastic constants; validated on construction, types included."""

@@ -21,6 +21,7 @@ from elastoq.circuits import (
     build_U2,
     build_W_jk,
     build_script_W,
+    folded_rotations,
     ladder_qubit,
     parse_program,
     serialize_program,
@@ -253,27 +254,38 @@ def random_unitary(rng):
     return q
 
 
+_REFERENCE_2X2 = {"h": np.array([[1, 1], [1, -1]]) / np.sqrt(2), "s": np.diag([1, 1j]),
+                  "sdg": np.diag([1, -1j]), "cnot": np.array([[0, 1], [1, 0]])}
+
+
 def per_gate_reference(program, psi):
-    """Each payload gate applied on its own as one 16x16 product; the other
-    gates through simulate, which has no payload run to fold between them."""
-    state = np.array(psi, dtype=complex)
-    pending = []
-    for gate in program.gates + (None,):
-        if gate is not None and gate.kind not in ("v4", "v4dg"):
-            pending.append(gate)
-            continue
-        if pending:
-            state = simulate(GateProgram(n=program.n, scheme=program.scheme, tau=0.0,
-                                         gates=tuple(pending)), state)
-            pending = []
-        if gate is not None:
+    """Every gate applied on its own by its own matrix, with no fold and no run
+    product: a payload as its 16x16 on the state register, any other gate as
+    its 2x2 on the target axis of the (2,)*qubits view, on the subspace its
+    controls (and a PCRZ's pattern) select."""
+    qubits = program.qubits
+    state = np.array(psi, dtype=complex).reshape((2,) * qubits + np.shape(psi)[1:])
+    for gate in program.gates:
+        if gate.kind in ("v4", "v4dg"):
             mat = gate.unitary.conj().T if gate.kind == "v4dg" else gate.unitary
-            state = (mat @ state.reshape(16, -1)).reshape(state.shape)
-    return state
+            state = np.tensordot(mat.reshape((2,) * 8), state, axes=(range(4, 8), range(4)))
+            continue
+        fixed = {c: 1 for c in gate.controls}
+        if gate.kind == "pcrz":
+            fixed.update({q: (gate.pattern >> (4 - q)) & 1 for q in (1, 2, 3, 4)})
+        if gate.kind in ("mcrz", "pcrz"):
+            mat = np.diag([np.exp(1j * gate.angle), np.exp(-1j * gate.angle)])
+        else:
+            mat = _REFERENCE_2X2[gate.kind]
+        index = tuple(fixed.get(q, slice(None)) for q in range(1, qubits + 1))
+        axis = gate.target - 1 - sum(q < gate.target for q in fixed)
+        state[index] = np.moveaxis(np.tensordot(mat, state[index], axes=(1, axis)), 0, axis)
+    return state.reshape(np.shape(psi))
 
 
 class TestFusedSimulator:
-    """A run of adjacent payload gates applies as one product."""
+    """Payload runs apply as one product with adjoint pairs cancelled, and
+    conjugated rotations as one 2x2; the result is the gate list's own."""
 
     @staticmethod
     def payload_run(rng, length):
@@ -314,7 +326,7 @@ class TestFusedSimulator:
             assert out is not psi and not np.shares_memory(out, psi)
             assert np.array_equal(psi, kept)
 
-    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("n", [1, 2, 3])
     def test_workload_programs_match_per_gate_loop(self, n):
         model = build_model(n, 1.0, REFERENCE_MEDIUM)
         rng = np.random.default_rng(23)
@@ -324,6 +336,29 @@ class TestFusedSimulator:
                 program = builder(model, tau)
                 expected = per_gate_reference(program, batch)
                 assert np.abs(simulate(program, batch) - expected).max() < 1e-14
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_every_built_rotation_folds(self, n):
+        model = build_model(n, 1.0, REFERENCE_MEDIUM)
+        for builder in (build_U1, build_U2):
+            program = builder(model, 0.3)
+            rotations = sum(g.kind == "pcrz" for g in program.gates)
+            assert rotations > 0 and folded_rotations(program) == rotations
+
+    def test_seeded_basis_defect_runs_as_written(self):
+        # an SDG where the basis change's S belongs stops that block's fold: the
+        # simulator runs the wrong circuit faithfully instead of hiding the slip
+        model = build_model(2, 1.0, REFERENCE_MEDIUM)
+        program = build_U1(model, 0.3)
+        gates = list(program.gates)
+        slip = next(i for i, g in enumerate(gates) if g.kind == "s")
+        gates[slip] = Gate("sdg", target=gates[slip].target)
+        broken = dataclasses.replace(program, gates=tuple(gates))
+        assert folded_rotations(broken) == folded_rotations(program) - 1
+        psi = random_state(np.random.default_rng(25), model.dim)
+        out = simulate(broken, psi)
+        assert np.abs(out - per_gate_reference(broken, psi)).max() <= 1e-14
+        assert np.abs(out - TrotterStep(model, "u1", 0.3).apply(psi)).max() > 1e-3
 
     def test_rejects_zero_dim_state(self):
         model = build_model(1, 1.0, REFERENCE_MEDIUM)
@@ -574,7 +609,7 @@ def _rotate_degenerate_clusters(model, rng):
 
 
 class TestPaperScale:
-    """Gate-level programs at n = 4 and the paper's n = 5 (19 qubits) against the step plan."""
+    """Gate-level programs at n = 2..4 and the paper's n = 5 (19 qubits) against the step plan."""
 
     @staticmethod
     def real_unit_state(model, seed):
@@ -582,7 +617,7 @@ class TestPaperScale:
         return psi / np.linalg.norm(psi)
 
     @pytest.mark.parametrize("scheme, build", [("u1", build_U1), ("u2", build_U2)])
-    @pytest.mark.parametrize("n", [4, 5])
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_program_matches_step_plan(self, n, scheme, build):
         model = build_model(n, 1.0, REFERENCE_MEDIUM)
         psi = self.real_unit_state(model, 60 + n)
@@ -823,6 +858,81 @@ def test_property_every_truncation_rejected(program):
     for cut in range(len(lines)):
         with pytest.raises(ValueError):
             parse_program("\n".join(lines[:cut]) + "\n")
+
+
+_ONE_QUBIT_KINDS = ("h", "s", "sdg")
+_ADJOINT_KIND = {"h": "h", "s": "sdg", "sdg": "s"}
+# two payloads, and a copy of the first: equal entries, a different object
+_N1_PAYLOADS = [random_unitary(np.random.default_rng(seed)) for seed in (31, 32)]
+_N1_PAYLOADS.append(_N1_PAYLOADS[0].copy())
+
+
+@st.composite
+def _rotation(draw, target):
+    """An MCRZ anywhere, or a PCRZ off the state register its pattern reads (n = 1)."""
+    kind = draw(st.sampled_from(("mcrz", "pcrz")))
+    wires = (1, 2, 3, 4, 5, 6, 7) if kind == "mcrz" else (5, 6, 7)
+    if target not in wires:
+        target = draw(st.sampled_from(wires))
+    others = [q for q in wires if q != target]
+    controls = tuple(draw(st.lists(st.sampled_from(others), unique=True, max_size=2)))
+    pattern = draw(st.integers(0, 15)) if kind == "pcrz" else None
+    return Gate(kind, target=target, controls=controls, pattern=pattern,
+                angle=draw(st.floats(-7, 7)))
+
+
+@st.composite
+def _conjugated_rotation(draw):
+    """A rotation between a basis change and its undoing, exact or a near miss."""
+    rotation = draw(_rotation(draw(st.integers(1, 7))))
+    target = rotation.target
+    before = draw(st.lists(st.sampled_from(_ONE_QUBIT_KINDS), max_size=3))
+    after = [Gate(_ADJOINT_KIND[k], target=target) for k in reversed(before)]
+    miss = draw(st.sampled_from(("none", "kind", "short", "long", "target")))
+    if miss == "kind" and after:  # e.g. [sdg, h] rz [h, sdg]
+        i = draw(st.integers(0, len(after) - 1))
+        after[i] = Gate(draw(st.sampled_from(_ONE_QUBIT_KINDS)), target=target)
+    elif miss == "short":  # a partial undoing
+        after = after[:-1]
+    elif miss == "long":  # e.g. [h] rz [h, s]
+        after.append(Gate(draw(st.sampled_from(_ONE_QUBIT_KINDS)), target=target))
+    elif miss == "target" and after:
+        i = draw(st.integers(0, len(after) - 1))
+        after[i] = Gate(after[i].kind, target=target % 7 + 1)
+    return [Gate(k, target=target) for k in before] + [rotation] + after
+
+
+@st.composite
+def _payload_pair(draw):
+    """V4 then V4DG, or the reverse, of the same payload or of two different ones."""
+    first, second = draw(st.permutations(("v4", "v4dg")))
+    return [Gate(first, targets=(1, 2, 3, 4), unitary=draw(st.sampled_from(_N1_PAYLOADS))),
+            Gate(second, targets=(1, 2, 3, 4), unitary=draw(st.sampled_from(_N1_PAYLOADS)))]
+
+
+@st.composite
+def _single_gate(draw):
+    kind = draw(st.sampled_from(("h", "s", "sdg", "cnot", "rotation", "v4", "v4dg")))
+    wires = draw(st.permutations(range(1, 8)))
+    if kind in _ONE_QUBIT_KINDS:
+        return [Gate(kind, target=wires[0])]
+    if kind == "cnot":
+        return [Gate(kind, target=wires[0], controls=(wires[1],))]
+    if kind == "rotation":
+        return [draw(_rotation(wires[0]))]
+    return [Gate(kind, targets=(1, 2, 3, 4), unitary=draw(st.sampled_from(_N1_PAYLOADS)))]
+
+
+@settings(max_examples=150, deadline=None)
+@given(chunks=st.lists(st.one_of(_conjugated_rotation(), _payload_pair(), _single_gate()),
+                       max_size=8),
+       seed=st.integers(0, 2**32 - 1))
+def test_property_simulate_matches_per_gate_reference(chunks, seed):
+    program = GateProgram(n=1, scheme="u1", tau=0.0,
+                          gates=tuple(g for chunk in chunks for g in chunk))
+    rng = np.random.default_rng(seed)
+    batch = np.stack([random_state(rng, program.dim) for _ in range(2)], axis=1)
+    assert np.abs(simulate(program, batch) - per_gate_reference(program, batch)).max() <= 1e-13
 
 
 _N1_PROGRAM_LINES = {

@@ -163,6 +163,14 @@ class TestRun:
         assert f"per_step_cnot={432 * 9 + 378}" in out
         assert not (tmp_path / "d").exists()
 
+    def test_dry_run_prints_gate_census(self, capsys):
+        # the emitted gates by kind next to the 432n^2 + 378 account, at the paper's n = 5
+        assert main(["run", "--n", "5", "--dry-run"]) == 0
+        out = capsys.readouterr().out
+        assert f"per_step_cnot={432 * 25 + 378}" in out
+        assert ("u1 program: 906 gates (180 h, 90 s, 90 sdg, 360 cnot, 90 pcrz, "
+                "48 v4, 48 v4dg); simulate folds 90 of 90 rotations") in out
+
     def test_config_file_with_flag_override(self, tmp_path, capsys):
         cfg = {"n": 2, "T": 2.0, "taus": [1.0], "E": 1.0, "nu": 0.0,
                "out_dir": str(tmp_path / "from_file")}

@@ -28,6 +28,7 @@ from elastoq.experiments import (
     reconstruct_fields,
 )
 from elastoq.hamiltonian import Propagator, apply_H, build_model, steps_and_cost
+from elastoq.lattice import apply_pair_rotation, s_cell_matrix
 from elastoq.media import MaterialParams
 
 REFERENCE_MEDIUM = MaterialParams(rho=1.0, E=0.646, nu=0.255)
@@ -86,6 +87,10 @@ CASES = [
         _propagator(), _prepared(), "u1", 0.5, 1.0, snapshot_steps=(0.5,))),
     ("fidelity_curve", "snapshot_steps", lambda: fidelity_curve(
         _propagator(), _prepared(), "u1", 0.5, 1.0, snapshot_steps=(True,))),
+    # a bool level built level 1; a float level failed late with TypeError
+    ("s_cell_matrix", "k", lambda: s_cell_matrix(True, 2)),
+    ("s_cell_matrix", "k", lambda: s_cell_matrix(1.5, 2)),
+    ("apply_pair_rotation", "k", lambda: apply_pair_rotation(np.zeros((1, 8)), 1, 2.0, 1.0, 0.0)),
 ]
 
 

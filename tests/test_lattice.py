@@ -316,7 +316,7 @@ class TestPairRotation:
     @pytest.mark.parametrize("k", [0, 4])
     def test_rejects_level_outside_axis(self, k):
         arr = np.arange(8.0)[None, :]
-        with pytest.raises(ValueError, match=f"level k must lie in 1..3 .* got {k}"):
+        with pytest.raises(ValueError, match=f"level k must be an integer in 1..3, got {k}"):
             apply_pair_rotation(arr, 1, k, 1.0, 0.0)
         assert np.array_equal(arr[0], np.arange(8.0))
 

@@ -85,3 +85,7 @@ def test_input_rules_live_in_one_place():
     assert _modules_with(r'\("pulse", "p", "s"\)') == ["experiments"]
     for scheme in BOUND_SCHEMES:
         assert _modules_with(f'"{scheme}"') == ["hamiltonian"]
+    # one scheme rule, hamiltonian.check_scheme, and one step-count ceiling,
+    # media.step_ceiling
+    assert _modules_with(r"\bin SCHEMES\b") == ["hamiltonian"]
+    assert _modules_with(r"math\.ceil\b") == ["media"]
