@@ -25,7 +25,7 @@ Program text format (see serialize_program / parse_program):
     MCRZ t [c...] x           RZ(x) on t, controls all-ones
     PCRZ t p<j> [c...] x      RZ(x) on t, state register matching pattern j
                               (qubit 1 = most significant bit of j) plus
-                              all-ones ladder controls c
+                              all-ones ladder controls c; t, c > 4
     V4 1 2 3 4 u<i>           16x16 unitary payload i on the state register
     V4DG 1 2 3 4 u<i>         its adjoint
     %unitary <i>              payload block: 16 lines of 32 floats (re im),
@@ -37,7 +37,7 @@ from __future__ import annotations
 import cmath
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -55,13 +55,18 @@ from .lattice import apply_pair_rotation
 from .media import STATE_DIM, check_real
 
 STATE_QUBITS = (1, 2, 3, 4)
-GATE_KINDS = ("h", "s", "sdg", "cnot", "mcrz", "pcrz", "v4", "v4dg")
-#: The 2x2 matrices of the single-qubit gates, and the adjoint of each kind.
+#: The 2x2 matrices of the single-qubit gates, and the adjoint of each uncontrolled kind.
 _ONE_QUBIT = {"h": np.array([[1, 1], [1, -1]]) / math.sqrt(2.0),
               "s": np.diag([1, 1j]), "sdg": np.diag([1, -1j])}
-_ADJOINT = {"h": "h", "s": "sdg", "sdg": "s"}
+_ADJOINT = {"h": "h", "s": "sdg", "sdg": "s", "v4": "v4dg", "v4dg": "v4"}
 _ROTATIONS = ("mcrz", "pcrz")
 _PAYLOADS = ("v4", "v4dg")
+#: The fields each gate kind reads; simulate and the text format drop the rest.
+_READS = {**dict.fromkeys(_ONE_QUBIT, ("target",)), "cnot": ("target", "controls"),
+          "mcrz": ("target", "controls", "angle"),
+          "pcrz": ("target", "controls", "pattern", "angle"),
+          **dict.fromkeys(_PAYLOADS, ("targets", "unitary"))}
+GATE_KINDS = tuple(_READS)
 
 
 @dataclass(frozen=True, eq=False)
@@ -75,6 +80,11 @@ class Gate:
     angle: float = 0.0
     targets: tuple[int, ...] = ()
     unitary: np.ndarray | None = None
+
+
+#: Per gate kind, each field it does not read, with the default that field must keep.
+_UNREAD = {kind: [(f.name, f.default) for f in fields(Gate)[1:] if f.name not in reads]
+           for kind, reads in _READS.items()}
 
 
 @dataclass(frozen=True, eq=False)
@@ -110,8 +120,10 @@ def _validate_gate(gate: Gate, qubits: int) -> None:
     kind = gate.kind
     if kind not in GATE_KINDS:
         raise ValueError(f"unknown gate kind {kind!r}")
-    if kind in _ONE_QUBIT and gate.controls:
-        raise ValueError(f"gate {kind} takes no controls, got {gate.controls}")
+    for name, default in _UNREAD[kind]:
+        value = getattr(gate, name)
+        if value is not default and (default is None or value != default):
+            raise ValueError(f"gate {kind} does not read {name}; leave it at {default!r}")
     if kind == "cnot" and len(gate.controls) != 1:
         raise ValueError(f"gate cnot takes exactly one control, got {gate.controls}")
     if kind == "pcrz" and gate.pattern not in range(STATE_DIM):
@@ -120,9 +132,9 @@ def _validate_gate(gate: Gate, qubits: int) -> None:
     if kind in _ROTATIONS and not math.isfinite(gate.angle):
         raise ValueError(f"gate {kind} needs a finite angle, got {gate.angle}")
     if kind in _PAYLOADS:
-        if gate.targets != STATE_QUBITS or gate.controls:
+        if gate.targets != STATE_QUBITS:
             raise ValueError(f"gate {kind} acts on the state register {STATE_QUBITS} "
-                             f"only, got targets {gate.targets} controls {gate.controls}")
+                             f"only, got targets {gate.targets}")
         if gate.unitary is None or gate.unitary.shape != (STATE_DIM, STATE_DIM):
             raise ValueError(f"gate {kind} needs a {STATE_DIM}x{STATE_DIM} payload")
     touched = list(gate.targets) if kind in _PAYLOADS else [gate.target]
@@ -132,6 +144,9 @@ def _validate_gate(gate: Gate, qubits: int) -> None:
     for q in touched:
         if not 1 <= q <= qubits:
             raise ValueError(f"gate {kind} addresses qubit {q} outside 1..{qubits}")
+    if kind == "pcrz" and any(q in STATE_QUBITS for q in touched):
+        raise ValueError(f"gate pcrz reads the state register {STATE_QUBITS} through its "
+                         f"pattern, so its target and controls lie past it, got {touched}")
 
 
 # ---------------------------------------------------------------------------
@@ -214,37 +229,12 @@ def build_U2(model: HamiltonianModel, tau: float) -> GateProgram:
 # statevector simulation
 # ---------------------------------------------------------------------------
 
-def _slicer(qubits: int, fixed: dict[int, int]) -> tuple:
-    """Index tuple fixing the given 1-based qubits; trailing axes pass through."""
+def _halves(qubits: int, target: int, fixed: dict[int, int]) -> tuple[tuple, tuple]:
+    """Index tuples of the target's 0 and 1 halves with the given 1-based qubits fixed."""
     idx: list = [slice(None)] * qubits
-    for q, bit in fixed.items():
+    for q, bit in {**fixed, target: 0}.items():
         idx[q - 1] = bit
-    return tuple(idx)
-
-
-def _apply_step(nd: np.ndarray, gate: Gate, mat: np.ndarray | None, qubits: int) -> None:
-    """Apply one non-payload step in place; nd is the state as (2,)*qubits (+batch).
-
-    A CNOT swaps the target pair on its control subspace; any other gate applies
-    mat, a 2x2 on its target, on the subspace its controls and pattern select.
-    """
-    fixed = {c: 1 for c in gate.controls}
-    if gate.kind == "cnot":
-        i10 = _slicer(qubits, {**fixed, gate.target: 0})
-        i11 = _slicer(qubits, {**fixed, gate.target: 1})
-        tmp = nd[i10].copy()
-        nd[i10] = nd[i11]
-        nd[i11] = tmp
-        return
-    if gate.kind == "pcrz":
-        for q in STATE_QUBITS:
-            fixed[q] = (gate.pattern >> (4 - q)) & 1
-    i0 = _slicer(qubits, {**fixed, gate.target: 0})
-    i1 = _slicer(qubits, {**fixed, gate.target: 1})
-    a = nd[i0].copy()
-    b = nd[i1]
-    nd[i0] = mat[0, 0] * a + mat[0, 1] * b
-    nd[i1] = mat[1, 0] * a + mat[1, 1] * b
+    return tuple(idx), tuple(idx[:target - 1] + [1] + idx[target:])
 
 
 @functools.cache
@@ -257,54 +247,54 @@ def _rz_parts(basis: tuple[str, ...]) -> tuple[np.ndarray, np.ndarray]:
     return np.outer(a[0].conj(), a[0]), np.outer(a[1].conj(), a[1])
 
 
-def _lower(gates: tuple[Gate, ...]) -> tuple[list, int]:
-    """The steps simulate applies, by its two rules, and the count of folded rotations.
+def _lower(gates: tuple[Gate, ...], qubits: int) -> tuple[list, int]:
+    """Validate the gates; the steps simulate applies by its hold-back rule, and the folds.
 
-    A step is a pair: a payload run is (None, the payload gates left once
-    adjoint pairs cancel), or no step when it cancels whole; a rotation is
-    (rotation, its 2x2 on the target), folded with the basis change around it
-    when one is undone right after it; any other gate is (gate, its 2x2), or
-    (cnot, None).
+    A step is (i0, i1, mat): the index tuples of the target's 0 and 1 halves
+    on the gate's control subspace, and the 2x2 to apply there, or None for a
+    CNOT's swap; or it is (None, None, payload gates) for one 16x16 product.
     """
     steps: list = []
     folds = 0
-    run: list[Gate] = []  # the open payload run, adjoint pairs cancelled
-    i = 0
-    while i <= len(gates):
-        gate = gates[i] if i < len(gates) else None
-        i += 1
-        if gate is not None and gate.kind in _PAYLOADS:
-            if run and run[-1].unitary is gate.unitary and run[-1].kind != gate.kind:
+    held: dict[int, list[Gate]] = {}  # wire -> its held 1-qubit gates; 0 -> held payloads
+
+    def release(keys) -> None:
+        for key in keys:
+            run = held.pop(key, None)
+            if run and key == 0:
+                steps.append((None, None, run))
+            elif run:
+                steps.extend((*_halves(qubits, key, {}), _ONE_QUBIT[g.kind]) for g in run)
+
+    for gate in gates:
+        _validate_gate(gate, qubits)
+        kind, target = gate.kind, gate.target
+        if kind in _ADJOINT:  # uncontrolled: held, or cancelled with the adjoint held last
+            key = 0 if kind in _PAYLOADS else target
+            if key == 0 or target in STATE_QUBITS:  # the other kind of held gate applies
+                release(STATE_QUBITS if key == 0 else [0])
+            run = held.setdefault(key, [])
+            if run and run[-1].kind == _ADJOINT[kind] and run[-1].unitary is gate.unitary:
                 run.pop()
             else:
                 run.append(gate)
             continue
-        if run:
-            steps.append((None, run))
-            run = []
-        if gate is None:
-            break
-        if gate.kind not in _ROTATIONS:
-            steps.append((gate, _ONE_QUBIT.get(gate.kind)))
+        fixed = {c: 1 for c in gate.controls}
+        if kind == "pcrz":
+            fixed.update({q: (gate.pattern >> (4 - q)) & 1 for q in STATE_QUBITS})
+        reads = [*fixed, target] if kind == "cnot" else [*fixed]
+        release([*reads, 0] if min([target, *fixed]) <= STATE_QUBITS[-1] else reads)
+        i0, i1 = _halves(qubits, target, fixed)
+        if kind == "cnot":
+            steps.append((i0, i1, None))
             continue
-        m = 0  # the basis change: the 1-qubit gates on the target just before
-        while (m < len(steps) and steps[-1 - m][0] is not None
-               and steps[-1 - m][0].kind in _ONE_QUBIT
-               and steps[-1 - m][0].target == gate.target):
-            m += 1
-        before = [g for g, _ in steps[len(steps) - m:]]
-        after = gates[i:i + m]
-        basis = ()
-        if m and len(after) == m and all(
-                a.kind == _ADJOINT[b.kind] and a.target == gate.target
-                for a, b in zip(after, reversed(before))):
-            basis = tuple(g.kind for g in before)
-            del steps[len(steps) - m:]
-            i += m
-            folds += 1
+        # the gates a held on the target stay held: C(RZ) a = a C(a^dag RZ a)
+        basis = tuple(g.kind for g in held.get(target, ()))
+        folds += bool(basis)
         low, high = _rz_parts(basis)
         phase = cmath.exp(1j * gate.angle)
-        steps.append((gate, phase * low + phase.conjugate() * high))
+        steps.append((i0, i1, phase * low + phase.conjugate() * high))
+    release(list(held))
     return steps, folds
 
 
@@ -313,25 +303,27 @@ def simulate(program: GateProgram, psi: np.ndarray) -> np.ndarray:
 
     Every gate is validated first, and each distinct payload is checked once
     for finite entries and unitarity, so a bad program raises before any gate
-    runs.  The gates then apply in order, each on its own, except under two
-    rules that match by gate kind, target and payload object, so both are exact:
+    runs.  The gates then apply in order under one hold-back rule, exact
+    because it matches by gate kind, wire and payload object:
 
-    - a rotation (MCRZ/PCRZ) after the longest run of H/S/SDG on its target,
-      when that run is undone gate for gate right after it (H by H, S by SDG),
-      applies as one 2x2 a^dag RZ a on its control subspace only: off that
-      subspace the basis changes cancel;
-    - in a run of adjacent payload gates, each V4/V4DG pair of the same
-      payload object cancels, like a stack; the rest applies as one 16x16
-      product into a second buffer, which then becomes the state.
+    - an uncontrolled gate (H/S/SDG, or a payload on the state register) is
+      held, not applied, or cancels the gate held last on its wires when that
+      is its adjoint (H by H, S by SDG, V4 u by V4DG u of the same object);
+    - held gates apply, in order, when a gate that does not join their hold
+      touches their wires (a PCRZ touches the state register through its
+      pattern), or at the end; held payloads apply as one 16x16 product into
+      a second buffer, which then becomes the state;
+    - but a rotation leaves the gates a held on its target held, and applies
+      as the 2x2 a^dag RZ a on its control subspace: C(RZ) a = a C(a^dag RZ a).
 
-    A gate that fits neither rule, such as an S where an SDG belongs, runs by
-    itself, so the result is always the gate list's own.
+    An uncancelled held gate, such as an S where an SDG belongs, applies as
+    written, so the result is always the gate list's own.
     """
     check_state(psi, program.dim)
     qubits = program.qubits
+    steps = _lower(program.gates, qubits)[0]
     adjoints = {}
     for gate in program.gates:
-        _validate_gate(gate, qubits)
         if gate.kind in _PAYLOADS and id(gate.unitary) not in adjoints:
             u = gate.unitary
             if not np.isfinite(u).all():
@@ -345,8 +337,8 @@ def simulate(program: GateProgram, psi: np.ndarray) -> np.ndarray:
     spare = np.empty_like(state) if adjoints else None
     nd_shape = (2,) * qubits + state.shape[1:]
     nd = state.reshape(nd_shape)
-    for gate, step in _lower(program.gates)[0]:
-        if gate is None:  # a payload run, applied as one product in gate order
+    for i0, i1, step in steps:
+        if i0 is None:  # held payloads, applied as one product in gate order
             product = None
             for g in step:
                 mat = adjoints[id(g.unitary)] if g.kind == "v4dg" else g.unitary
@@ -354,14 +346,21 @@ def simulate(program: GateProgram, psi: np.ndarray) -> np.ndarray:
             np.matmul(product, state.reshape(STATE_DIM, -1), out=spare.reshape(STATE_DIM, -1))
             state, spare = spare, state
             nd = state.reshape(nd_shape)
+        elif step is None:  # a CNOT swaps its target pair
+            tmp = nd[i0].copy()
+            nd[i0] = nd[i1]
+            nd[i1] = tmp
         else:
-            _apply_step(nd, gate, step, qubits)
+            a = nd[i0].copy()
+            b = nd[i1]
+            nd[i0] = step[0, 0] * a + step[0, 1] * b
+            nd[i1] = step[1, 0] * a + step[1, 1] * b
     return state
 
 
 def folded_rotations(program: GateProgram) -> int:
-    """How many of the program's rotations simulate applies folded with their basis change."""
-    return _lower(program.gates)[1]
+    """How many of the program's rotations simulate applies past a held basis change."""
+    return _lower(program.gates, program.qubits)[1]
 
 
 # ---------------------------------------------------------------------------

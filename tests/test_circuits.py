@@ -16,6 +16,7 @@ from elastoq.circuits import (
     Gate,
     GateProgram,
     TrotterStep,
+    _lower,
     apply_block_fast,
     build_U1,
     build_U2,
@@ -224,11 +225,30 @@ class TestSimulator:
         (Gate("mcrz", target=5, controls=(6,), angle=np.inf), "mcrz"),
         (Gate("pcrz", target=5, pattern=3, angle=np.nan), "pcrz"),
         (Gate("pcrz", target=5, pattern=3, angle=-np.inf), "pcrz"),
+        # a PCRZ wired on the state register its pattern already fixes
+        (Gate("pcrz", target=2, controls=(5,), pattern=6, angle=0.3), "pcrz"),
+        (Gate("pcrz", target=7, controls=(3,), pattern=6, angle=0.3), "pcrz"),
     ])
     def test_misread_gates_rejected(self, gate, kind):
         # each of these used to run as a different gate (or raise TypeError)
         model = build_model(1, 1.0, IDENTITY_MEDIUM)
         with pytest.raises(ValueError, match=f"gate {kind} "):
+            simulate(block_program(model, [gate]), np.zeros(model.dim, dtype=complex))
+
+    @pytest.mark.parametrize("gate, kind, field", [
+        (Gate("mcrz", target=5, pattern=3, angle=0.2), "mcrz", "pattern"),
+        (Gate("cnot", target=2, controls=(1,), angle=0.5), "cnot", "angle"),
+        (Gate("h", target=5, targets=(1, 2, 3, 4)), "h", "targets"),
+        (Gate("s", target=5, unitary=np.eye(2)), "s", "unitary"),
+        (Gate("v4", target=5, targets=(1, 2, 3, 4), unitary=np.eye(16)), "v4", "target"),
+        (Gate("v4dg", targets=(1, 2, 3, 4), controls=(5,), unitary=np.eye(16)), "v4dg",
+         "controls"),
+    ])
+    def test_unread_fields_rejected(self, gate, kind, field):
+        # simulate ignored each field and the text round trip dropped it; the
+        # first ran as an unconditioned rotation
+        model = build_model(1, 1.0, IDENTITY_MEDIUM)
+        with pytest.raises(ValueError, match=f"gate {kind} does not read {field};"):
             simulate(block_program(model, [gate]), np.zeros(model.dim, dtype=complex))
 
     def test_nonfinite_payload_rejected(self):
@@ -346,19 +366,54 @@ class TestFusedSimulator:
             assert rotations > 0 and folded_rotations(program) == rotations
 
     def test_seeded_basis_defect_runs_as_written(self):
-        # an SDG where the basis change's S belongs stops that block's fold: the
-        # simulator runs the wrong circuit faithfully instead of hiding the slip
+        # an SDG where the basis change's S belongs is held and applies as
+        # written; the rotation before it still folds, and the simulator runs
+        # the wrong circuit faithfully instead of hiding the slip
         model = build_model(2, 1.0, REFERENCE_MEDIUM)
         program = build_U1(model, 0.3)
         gates = list(program.gates)
         slip = next(i for i, g in enumerate(gates) if g.kind == "s")
         gates[slip] = Gate("sdg", target=gates[slip].target)
         broken = dataclasses.replace(program, gates=tuple(gates))
-        assert folded_rotations(broken) == folded_rotations(program) - 1
+        assert folded_rotations(broken) == folded_rotations(program)
         psi = random_state(np.random.default_rng(25), model.dim)
         out = simulate(broken, psi)
         assert np.abs(out - per_gate_reference(broken, psi)).max() <= 1e-14
         assert np.abs(out - TrotterStep(model, "u1", 0.3).apply(psi)).max() > 1e-3
+
+    @pytest.mark.parametrize("case", ["shared-basis", "cnot-reads-held-wire",
+                                      "rotation-reads-held-control",
+                                      "pcrz-reads-held-payloads"])
+    def test_hold_back_cases_match_per_gate_loop(self, case):
+        model = build_model(1, 1.0, REFERENCE_MEDIUM)
+        rng = np.random.default_rng(26)
+        u = random_unitary(rng)
+        basis = [Gate("sdg", target=5), Gate("h", target=5)]
+        undo = [Gate("h", target=5), Gate("s", target=5)]
+        rotations = [Gate("mcrz", target=5, controls=(6,), angle=0.4),
+                     Gate("pcrz", target=5, pattern=9, controls=(7,), angle=-1.1)]
+        # each case: its gates, the folded rotations, and the steps simulate applies
+        gates, folds, step_count = {
+            # both rotations fold into the one held basis change: no 1-qubit step
+            "shared-basis": (basis + rotations + undo, 2, 2),
+            # the CNOT reads the held wire 5, so SDG and H apply before it
+            "cnot-reads-held-wire": (basis + rotations[:1] + [
+                Gate("cnot", target=6, controls=(5,))] + undo, 1, 6),
+            # the rotation reads its control 6, so the H held there applies first
+            "rotation-reads-held-control": (
+                [Gate("h", target=6), rotations[0], Gate("h", target=6)], 0, 3),
+            # the PCRZ reads qubits 1..4, so V4 applies before it and V4DG after
+            "pcrz-reads-held-payloads": ([Gate("v4", targets=(1, 2, 3, 4), unitary=u),
+                                          rotations[1],
+                                          Gate("v4dg", targets=(1, 2, 3, 4), unitary=u)], 0, 3),
+        }[case]
+        program = block_program(model, gates)
+        batch = np.stack([random_state(rng, model.dim) for _ in range(3)], axis=1)
+        for psi in (batch[:, 0], batch):
+            expected = per_gate_reference(program, psi)
+            assert np.abs(simulate(program, psi) - expected).max() <= 1e-14
+        assert folded_rotations(program) == folds
+        assert len(_lower(program.gates, program.qubits)[0]) == step_count
 
     def test_rejects_zero_dim_state(self):
         model = build_model(1, 1.0, REFERENCE_MEDIUM)
@@ -693,7 +748,7 @@ class TestExactEvolve:
 
 #: Gate lines that parse_program refuses by the simulator's rules at n = 1 (7 qubits).
 _REFUSED_GATE_LINES = ("H 0", "H 99", "CNOT 5 5", "V4 4 5 6 7 u0", "MCRZ 5 nan", "H x",
-                       "PCRZ 5 x7 0.1", "V4 1 2 3 4 x0")
+                       "PCRZ 5 x7 0.1", "V4 1 2 3 4 x0", "PCRZ 2 p6 5 0.3", "PCRZ 7 p6 3 0.3")
 
 
 class TestSerialization:
@@ -824,6 +879,8 @@ def gate_programs(draw):
         elif kind == "cnot":
             gates.append(Gate(kind, target=wires[0], controls=(wires[1],)))
         elif kind in ("mcrz", "pcrz"):
+            if kind == "pcrz":  # off the state register its pattern reads
+                wires = [q for q in wires if q > 4]
             controls = tuple(wires[1:1 + draw(st.integers(0, 3))])
             pattern = draw(st.integers(0, 15)) if kind == "pcrz" else None
             gates.append(Gate(kind, target=wires[0], controls=controls, pattern=pattern,
@@ -883,12 +940,14 @@ def _rotation(draw, target):
 
 @st.composite
 def _conjugated_rotation(draw):
-    """A rotation between a basis change and its undoing, exact or a near miss."""
+    """One or two rotations between a basis change and its undoing, exact or a
+    near miss, or with a CNOT on the held wire before the undoing."""
     rotation = draw(_rotation(draw(st.integers(1, 7))))
     target = rotation.target
+    middle = [rotation] + draw(st.lists(_rotation(target), max_size=1))
     before = draw(st.lists(st.sampled_from(_ONE_QUBIT_KINDS), max_size=3))
     after = [Gate(_ADJOINT_KIND[k], target=target) for k in reversed(before)]
-    miss = draw(st.sampled_from(("none", "kind", "short", "long", "target")))
+    miss = draw(st.sampled_from(("none", "kind", "short", "long", "target", "cnot")))
     if miss == "kind" and after:  # e.g. [sdg, h] rz [h, sdg]
         i = draw(st.integers(0, len(after) - 1))
         after[i] = Gate(draw(st.sampled_from(_ONE_QUBIT_KINDS)), target=target)
@@ -899,7 +958,10 @@ def _conjugated_rotation(draw):
     elif miss == "target" and after:
         i = draw(st.integers(0, len(after) - 1))
         after[i] = Gate(after[i].kind, target=target % 7 + 1)
-    return [Gate(k, target=target) for k in before] + [rotation] + after
+    elif miss == "cnot":  # its target or control is the held wire
+        wires = draw(st.permutations((target, target % 7 + 1)))
+        middle.append(Gate("cnot", target=wires[0], controls=(wires[1],)))
+    return [Gate(k, target=target) for k in before] + middle + after
 
 
 @st.composite

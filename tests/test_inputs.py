@@ -13,7 +13,7 @@ from functools import cache
 import numpy as np
 import pytest
 
-from elastoq.circuits import TrotterStep, build_U1, simulate
+from elastoq.circuits import Gate, GateProgram, TrotterStep, build_U1, folded_rotations, simulate
 from elastoq.classical import (
     cost_model,
     global_error_certificate,
@@ -91,6 +91,11 @@ CASES = [
     ("s_cell_matrix", "k", lambda: s_cell_matrix(True, 2)),
     ("s_cell_matrix", "k", lambda: s_cell_matrix(1.5, 2)),
     ("apply_pair_rotation", "k", lambda: apply_pair_rotation(np.zeros((1, 8)), 1, 2.0, 1.0, 0.0)),
+    # folded_rotations counted the rotations of a program simulate refuses
+    ("folded_rotations", "pattern", lambda: folded_rotations(GateProgram(
+        n=1, scheme="u1", tau=0.1, gates=(Gate("pcrz", target=5, angle=0.1),)))),
+    ("folded_rotations", "qubit", lambda: folded_rotations(GateProgram(
+        n=1, scheme="u1", tau=0.1, gates=(Gate("h", target=99),)))),
 ]
 
 
