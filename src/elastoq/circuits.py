@@ -1,4 +1,5 @@
-"""Gate-level construction and dense statevector simulation of Trotter steps.
+"""Gate-level construction and dense statevector simulation of Trotter steps,
+in the term order of their scheme's product schedule, hamiltonian.SWEEPS.
 
 Qubit layout (1-based, qubit 1 is the most significant bit of the amplitude
 index): qubits 1..4 hold the 16 field components, followed by the x, y, z
@@ -42,6 +43,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .hamiltonian import (
+    SWEEPS,
     HamiltonianModel,
     TermKey,
     ZERO_EIGENVALUE_TOL,
@@ -52,7 +54,7 @@ from .hamiltonian import (
     term_angle,
 )
 from .lattice import apply_pair_rotation
-from .media import STATE_DIM, check_real
+from .media import STATE_DIM, check_count, check_real
 
 STATE_QUBITS = (1, 2, 3, 4)
 #: The 2x2 matrices of the single-qubit gates, and the adjoint of each uncontrolled kind.
@@ -189,40 +191,39 @@ def build_script_W(model: HamiltonianModel, axis: int, j: int, tau: float,
     eigenindex j of this axis (identity off the j sector).  A zero eigenvalue
     rotates nothing, so its block is the two basis changes alone.
     """
+    check_count("axis", axis, 1, 3)
+    check_count("eigenindex j", j, 0, STATE_DIM - 1)
     eig = model.eigensystems[axis - 1]
     n = model.shape.n
     gates = [Gate("v4dg", targets=STATE_QUBITS, unitary=eig.v)]
     if abs(eig.lambdas[j]) >= ZERO_EIGENVALUE_TOL:
+        theta = term_angle(model, TermKey(axis, j, 1), tau)  # the same at every level
         levels = range(n, 0, -1) if k_descending else range(1, n + 1)
         for k in levels:
-            theta = term_angle(model, TermKey(axis, j, k), tau)
             gates += _w_gates(n, axis, k, rz_angle=theta, pattern=j)
     gates.append(Gate("v4", targets=STATE_QUBITS, unitary=eig.v))
     return gates
 
 
-def _sweep_gates(model: HamiltonianModel, tau: float, forward: bool) -> list[Gate]:
-    """One full pass over all (axis, j, k) terms in forward or reversed order."""
+def _program(model: HamiltonianModel, scheme: str, tau: float) -> GateProgram:
+    """The step's gates: each sweep of SWEEPS[scheme] in time order, over axes, j and k."""
+    check_real("tau", tau, -math.inf, math.inf)
     gates: list[Gate] = []
-    axes = (1, 2, 3) if forward else (3, 2, 1)
-    for axis in axes:
-        j_values = range(STATE_DIM) if forward else range(STATE_DIM - 1, -1, -1)
-        for j in j_values:
-            gates += build_script_W(model, axis, j, tau, k_descending=not forward)
-    return gates
+    for share, reverse in SWEEPS[scheme]:
+        for axis in sorted((1, 2, 3), reverse=reverse):
+            for j in sorted(range(STATE_DIM), reverse=reverse):
+                gates += build_script_W(model, axis, j, share * tau, k_descending=reverse)
+    return GateProgram(n=model.shape.n, scheme=scheme, tau=tau, gates=tuple(gates))
 
 
 def build_U1(model: HamiltonianModel, tau: float) -> GateProgram:
-    """First-order step: all terms once, axes/eigenindices/levels ascending."""
-    return GateProgram(n=model.shape.n, scheme="u1", tau=tau,
-                       gates=tuple(_sweep_gates(model, tau, forward=True)))
+    """First-order step, the schedule SWEEPS["u1"]."""
+    return _program(model, "u1", tau)
 
 
 def build_U2(model: HamiltonianModel, tau: float) -> GateProgram:
-    """Symmetric second-order step: forward half then exactly reversed half."""
-    gates = (_sweep_gates(model, tau / 2, forward=True)
-             + _sweep_gates(model, tau / 2, forward=False))
-    return GateProgram(n=model.shape.n, scheme="u2", tau=tau, gates=tuple(gates))
+    """Symmetric second-order step, the schedule SWEEPS["u2"]."""
+    return _program(model, "u2", tau)
 
 
 # ---------------------------------------------------------------------------
@@ -452,17 +453,16 @@ class TrotterStep:
         check_real("tau", tau, -math.inf, math.inf)
         check_scheme(scheme)
         n, h, points = model.shape.n, model.shape.h, model.shape.points
-        up, down = tuple(range(1, n + 1)), tuple(range(n, 0, -1))
-        # a stage (k, p, q) rotates level k in the passes p..q-1, in stage order
-        if scheme == "u1":
-            plan = ((1, tau), (2, tau), (3, tau))
-            stage_passes = [(k, 0, 3) for k in up]
-        else:
-            # forward half then reversed half; the two adjacent axis-3 passes
-            # compose into one, which runs the up levels and then the down ones
-            half = tau / 2
-            plan = ((1, half), (2, half), (3, half), (2, half), (1, half))
-            stage_passes = [(k, 0, 3) for k in up] + [(k, 2, 5) for k in down]
+        plan: list[tuple[int, float]] = []  # (axis, tau) of each pass
+        stage_passes = []  # (k, p, q): level k rotates in the passes p..q-1, in stage order
+        for share, reverse in SWEEPS[scheme]:
+            sweep = [(axis, share * tau) for axis in sorted((1, 2, 3), reverse=reverse)]
+            # a sweep that starts on the pass the last one ended on composes into it
+            merged = plan[-1:] == sweep[:1]
+            first = len(plan) - merged
+            plan += sweep[merged:]
+            stage_passes += [(k, first, len(plan))
+                             for k in sorted(range(1, n + 1), reverse=reverse)]
         sectors = [_live_sectors(model, axis) for axis in (1, 2, 3)]
         thetas = [sectors[axis - 1][0] * step_tau / (2 * h) for axis, step_tau in plan]
         bounds = np.cumsum([0] + [len(theta) for theta in thetas])

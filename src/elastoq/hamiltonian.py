@@ -22,6 +22,7 @@ from .media import (
     AxisEigenSystem,
     CellMatrices,
     build_cell_matrices,
+    check_count,
     compliance_inverse_norm,
     eigendecompose_axis,
     check_real,
@@ -31,8 +32,11 @@ from .media import (
     STATE_DIM,
 )
 
-#: The two Trotter step schemes: first order (u1) and symmetric second order (u2).
-SCHEMES = ("u1", "u2")
+#: Each Trotter scheme's product schedule: its sweeps in time order, as (share of tau,
+#: reverse).  A sweep applies every term once, axes, eigenindices j and levels k ascending,
+#: or all three descending if reversed: u1 is first order, u2 symmetric second order.
+SWEEPS = {"u1": ((1.0, False),), "u2": ((0.5, False), (0.5, True))}
+SCHEMES = tuple(SWEEPS)
 
 #: The paper's one-step error bounds; "second" prices u2 steps, the others u1 steps.
 BOUND_SCHEMES = ("first-norm", "first-commutator", "second")
@@ -53,6 +57,11 @@ class TermKey:
     axis: int
     j: int
     k: int
+
+    def __post_init__(self):
+        check_count("axis", self.axis, 1, 3)
+        check_count("eigenindex j", self.j, 0, STATE_DIM - 1)
+        check_count("level k", self.k)
 
 
 @dataclass(frozen=True, eq=False)
@@ -102,6 +111,7 @@ def build_model(n: int, h: float, params: MaterialParams) -> HamiltonianModel:
 
 def term_angle(model: HamiltonianModel, key: TermKey, tau: float) -> float:
     """Rotation angle lambda_j * tau / (2h) of one term for step size tau."""
+    check_count("level k", key.k, 1, model.shape.n)
     lam = model.eigensystems[key.axis - 1].lambdas[key.j]
     return float(lam * tau / (2 * model.shape.h))
 
@@ -387,11 +397,10 @@ def check_scheme(scheme: str, name: str = "scheme") -> None:
 
 
 def step_cnots(scheme: str, n: int) -> int:
-    """CNOT count of one step: 432n^2 + 378 for u1 (ladders, controlled RZ, basis
-    changes), twice that for u2 (two half-steps)."""
+    """CNOT count of one step: 432n^2 + 378 per sweep of the scheme (ladders,
+    controlled RZ, basis changes)."""
     check_scheme(scheme)
-    sweep = 432 * n * n + 378
-    return sweep if scheme == "u1" else 2 * sweep
+    return len(SWEEPS[scheme]) * (432 * n * n + 378)
 
 
 @dataclass(frozen=True)

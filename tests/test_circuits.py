@@ -16,6 +16,7 @@ from elastoq.circuits import (
     Gate,
     GateProgram,
     TrotterStep,
+    _ADJOINT,
     _lower,
     apply_block_fast,
     build_U1,
@@ -139,6 +140,36 @@ class TestTrotterPrograms:
             term = materialize_term(model, key).toarray()
             expected = scipy.linalg.expm(-1j * tau * term) @ expected
         assert np.abs(u - expected).max() < 1e-10
+
+    def test_u2_matches_termwise_product(self):
+        # every term for tau/2 in the first-order order, then in its reverse
+        model = build_model(1, 1.0, MaterialParams(rho=1.4, E=0.9, nu=0.21))
+        tau = 0.27
+        eye = np.eye(model.dim, dtype=complex)
+        keys = list(model.term_keys())
+        expected = eye
+        for key in keys + keys[::-1]:  # first factor applied first
+            term = materialize_term(model, key).toarray()
+            expected = scipy.linalg.expm(-1j * tau / 2 * term) @ expected
+        assert np.abs(simulate(build_U2(model, tau), eye) - expected).max() < 1e-10
+        assert np.abs(TrotterStep(model, "u2", tau).apply(eye) - expected).max() < 1e-10
+
+    @pytest.mark.parametrize("tau", [0.3, -0.7])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_u2_is_half_u1_then_its_mirror(self, n, tau):
+        # the first half is u1 at tau/2, field for field; the second is the first
+        # reversed, each uncontrolled gate by its adjoint kind and all else equal
+        def fields_of(gate, kind):
+            return (kind, gate.target, gate.controls, gate.pattern, gate.angle,
+                    gate.targets, id(gate.unitary))  # a payload compares by object
+
+        model = build_model(n, 1.0, REFERENCE_MEDIUM)
+        gates = build_U2(model, tau).gates
+        first, second = gates[:len(gates) // 2], gates[len(gates) // 2:]
+        assert ([fields_of(g, g.kind) for g in first]
+                == [fields_of(g, g.kind) for g in build_U1(model, tau / 2).gates])
+        assert ([fields_of(g, g.kind) for g in second]
+                == [fields_of(g, _ADJOINT.get(g.kind, g.kind)) for g in first[::-1]])
 
     def test_u1_unitary_output(self):
         model = build_model(2, 1.0, REFERENCE_MEDIUM)

@@ -13,7 +13,17 @@ from functools import cache
 import numpy as np
 import pytest
 
-from elastoq.circuits import Gate, GateProgram, TrotterStep, build_U1, folded_rotations, simulate
+from elastoq.circuits import (
+    Gate,
+    GateProgram,
+    TrotterStep,
+    build_U1,
+    build_U2,
+    build_W_jk,
+    build_script_W,
+    folded_rotations,
+    simulate,
+)
 from elastoq.classical import (
     cost_model,
     global_error_certificate,
@@ -27,7 +37,14 @@ from elastoq.experiments import (
     fidelity_curve,
     reconstruct_fields,
 )
-from elastoq.hamiltonian import Propagator, apply_H, build_model, steps_and_cost
+from elastoq.hamiltonian import (
+    Propagator,
+    TermKey,
+    apply_H,
+    build_model,
+    steps_and_cost,
+    term_angle,
+)
 from elastoq.lattice import apply_pair_rotation, s_cell_matrix
 from elastoq.media import MaterialParams
 
@@ -96,6 +113,27 @@ CASES = [
         n=1, scheme="u1", tau=0.1, gates=(Gate("pcrz", target=5, angle=0.1),)))),
     ("folded_rotations", "qubit", lambda: folded_rotations(GateProgram(
         n=1, scheme="u1", tau=0.1, gates=(Gate("h", target=99),)))),
+    # the builders wrote tau nan, inf or 1 (for True) into a program, or failed
+    # late with TypeError
+    ("build_U1", "tau", lambda: build_U1(_model(1), math.nan)),
+    ("build_U1", "tau", lambda: build_U1(_model(1), True)),
+    ("build_U1", "tau", lambda: build_U1(_model(1), None)),
+    ("build_U2", "tau", lambda: build_U2(_model(1), math.inf)),
+    ("build_U2", "tau", lambda: build_U2(_model(1), "0.1")),
+    # a term index out of range read axis 3's angle through index -1, built
+    # j = 15 for j = -1, raised IndexError, or placed a level past n on the
+    # state register
+    ("TermKey", "axis", lambda: TermKey(0, 15, 1)),
+    ("TermKey", "axis", lambda: TermKey(4, 0, 1)),
+    ("TermKey", "j", lambda: TermKey(1, -1, 1)),
+    ("TermKey", "j", lambda: TermKey(1, 16, 1)),
+    ("TermKey", "k", lambda: TermKey(1, 0, 0)),
+    ("TermKey", "k", lambda: TermKey(1, 0, True)),
+    ("term_angle", "k", lambda: term_angle(_model(1), TermKey(1, 0, 2), 0.4)),
+    ("build_W_jk", "k", lambda: build_W_jk(_model(2), TermKey(1, 15, 3), 0.4)),
+    ("build_script_W", "axis", lambda: build_script_W(_model(2), 0, 3, 0.4)),
+    ("build_script_W", "j", lambda: build_script_W(_model(2), 1, -1, 0.4)),
+    ("build_script_W", "j", lambda: build_script_W(_model(2), 1, 16, 0.4)),
 ]
 
 

@@ -80,8 +80,9 @@ def test_input_rules_live_in_one_place():
     # the per-step CNOT account is hamiltonian.step_cnots, which a program derives
     assert _modules_with(r"\bu[12]_step_cnots\b") == []
     assert "cnot_account" not in {f.name for f in dataclasses.fields(GateProgram)}
-    # one list of names per kind: hamiltonian.SCHEMES and BOUND_SCHEMES, experiments.INITS
-    assert _modules_with(r'\("u1", "u2"\)') == ["hamiltonian"]
+    # one list of names per kind: hamiltonian.SWEEPS (whose keys are SCHEMES) and
+    # BOUND_SCHEMES, experiments.INITS
+    assert _modules_with(r'\{"u1": .*, "u2": ') == ["hamiltonian"]
     assert _modules_with(r'\("pulse", "p", "s"\)') == ["experiments"]
     for scheme in BOUND_SCHEMES:
         assert _modules_with(f'"{scheme}"') == ["hamiltonian"]
