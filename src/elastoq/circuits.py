@@ -47,21 +47,20 @@ from .hamiltonian import (
     HamiltonianModel,
     TermKey,
     ZERO_EIGENVALUE_TOL,
-    check_scheme,
     check_state,
     qubit_count,
     step_cnots,
     term_angle,
 )
 from .lattice import apply_pair_rotation
-from .media import STATE_DIM, check_count, check_real
+from .media import STATE_DIM, check_choice, check_count, check_real
 
 STATE_QUBITS = (1, 2, 3, 4)
 #: The 2x2 matrices of the single-qubit gates, and the adjoint of each uncontrolled kind.
 _ONE_QUBIT = {"h": np.array([[1, 1], [1, -1]]) / math.sqrt(2.0),
               "s": np.diag([1, 1j]), "sdg": np.diag([1, -1j])}
 _ADJOINT = {"h": "h", "s": "sdg", "sdg": "s", "v4": "v4dg", "v4dg": "v4"}
-_ROTATIONS = ("mcrz", "pcrz")
+ROTATIONS = ("mcrz", "pcrz")
 _PAYLOADS = ("v4", "v4dg")
 #: The fields each gate kind reads; simulate and the text format drop the rest.
 _READS = {**dict.fromkeys(_ONE_QUBIT, ("target",)), "cnot": ("target", "controls"),
@@ -131,7 +130,7 @@ def _validate_gate(gate: Gate, qubits: int) -> None:
     if kind == "pcrz" and gate.pattern not in range(STATE_DIM):
         raise ValueError(f"gate pcrz needs a pattern in 0..{STATE_DIM - 1}, "
                          f"got {gate.pattern!r}")
-    if kind in _ROTATIONS and not math.isfinite(gate.angle):
+    if kind in ROTATIONS and not math.isfinite(gate.angle):
         raise ValueError(f"gate {kind} needs a finite angle, got {gate.angle}")
     if kind in _PAYLOADS:
         if gate.targets != STATE_QUBITS:
@@ -205,9 +204,10 @@ def build_script_W(model: HamiltonianModel, axis: int, j: int, tau: float,
     return gates
 
 
-def _program(model: HamiltonianModel, scheme: str, tau: float) -> GateProgram:
+def build_program(model: HamiltonianModel, scheme: str, tau: float) -> GateProgram:
     """The step's gates: each sweep of SWEEPS[scheme] in time order, over axes, j and k."""
     check_real("tau", tau, -math.inf, math.inf)
+    check_choice("scheme", scheme, SWEEPS)
     gates: list[Gate] = []
     for share, reverse in SWEEPS[scheme]:
         for axis in sorted((1, 2, 3), reverse=reverse):
@@ -218,12 +218,12 @@ def _program(model: HamiltonianModel, scheme: str, tau: float) -> GateProgram:
 
 def build_U1(model: HamiltonianModel, tau: float) -> GateProgram:
     """First-order step, the schedule SWEEPS["u1"]."""
-    return _program(model, "u1", tau)
+    return build_program(model, "u1", tau)
 
 
 def build_U2(model: HamiltonianModel, tau: float) -> GateProgram:
     """Symmetric second-order step, the schedule SWEEPS["u2"]."""
-    return _program(model, "u2", tau)
+    return build_program(model, "u2", tau)
 
 
 # ---------------------------------------------------------------------------
@@ -251,25 +251,38 @@ def _rz_parts(basis: tuple[str, ...]) -> tuple[np.ndarray, np.ndarray]:
 def _lower(gates: tuple[Gate, ...], qubits: int) -> tuple[list, int]:
     """Validate the gates; the steps simulate applies by its hold-back rule, and the folds.
 
+    Each distinct payload is checked once for finite entries and unitarity.
     A step is (i0, i1, mat): the index tuples of the target's 0 and 1 halves
     on the gate's control subspace, and the 2x2 to apply there, or None for a
-    CNOT's swap; or it is (None, None, payload gates) for one 16x16 product.
+    CNOT's swap; or it is (None, None, product) for a held payload run's 16x16
+    product in gate order.
     """
     steps: list = []
     folds = 0
     held: dict[int, list[Gate]] = {}  # wire -> its held 1-qubit gates; 0 -> held payloads
+    adjoints: dict[int, np.ndarray] = {}  # id of each checked payload -> its adjoint
 
     def release(keys) -> None:
         for key in keys:
             run = held.pop(key, None)
             if run and key == 0:
-                steps.append((None, None, run))
+                mats = [adjoints[id(g.unitary)] if g.kind == "v4dg" else g.unitary for g in run]
+                steps.append((None, None, functools.reduce(lambda acc, mat: mat @ acc, mats)))
             elif run:
                 steps.extend((*_halves(qubits, key, {}), _ONE_QUBIT[g.kind]) for g in run)
 
     for gate in gates:
         _validate_gate(gate, qubits)
         kind, target = gate.kind, gate.target
+        if kind in _PAYLOADS and id(gate.unitary) not in adjoints:
+            u = gate.unitary
+            if not np.isfinite(u).all():
+                raise ValueError("four-qubit payload holds a non-finite entry")
+            adjoint = u.conj().T
+            defect = np.linalg.norm(adjoint @ u - np.eye(STATE_DIM), 2)
+            if defect > 1e-10:
+                raise ValueError(f"four-qubit payload is not unitary (defect {defect:.3e})")
+            adjoints[id(u)] = adjoint
         if kind in _ADJOINT:  # uncontrolled: held, or cancelled with the adjoint held last
             key = 0 if kind in _PAYLOADS else target
             if key == 0 or target in STATE_QUBITS:  # the other kind of held gate applies
@@ -302,10 +315,9 @@ def _lower(gates: tuple[Gate, ...], qubits: int) -> tuple[list, int]:
 def simulate(program: GateProgram, psi: np.ndarray) -> np.ndarray:
     """Apply the program to a state (dim,) or a batch of columns (dim, b).
 
-    Every gate is validated first, and each distinct payload is checked once
-    for finite entries and unitarity, so a bad program raises before any gate
-    runs.  The gates then apply in order under one hold-back rule, exact
-    because it matches by gate kind, wire and payload object:
+    The gates are validated and lowered first (_lower), so a bad program
+    raises before any gate runs.  They then apply in order under one hold-back
+    rule, exact because it matches by gate kind, wire and payload object:
 
     - an uncontrolled gate (H/S/SDG, or a payload on the state register) is
       held, not applied, or cancels the gate held last on its wires when that
@@ -323,28 +335,13 @@ def simulate(program: GateProgram, psi: np.ndarray) -> np.ndarray:
     check_state(psi, program.dim)
     qubits = program.qubits
     steps = _lower(program.gates, qubits)[0]
-    adjoints = {}
-    for gate in program.gates:
-        if gate.kind in _PAYLOADS and id(gate.unitary) not in adjoints:
-            u = gate.unitary
-            if not np.isfinite(u).all():
-                raise ValueError("four-qubit payload holds a non-finite entry")
-            adjoint = u.conj().T
-            defect = np.linalg.norm(adjoint @ u - np.eye(STATE_DIM), 2)
-            if defect > 1e-10:
-                raise ValueError(f"four-qubit payload is not unitary (defect {defect:.3e})")
-            adjoints[id(u)] = adjoint
     state = np.array(psi, dtype=complex)
-    spare = np.empty_like(state) if adjoints else None
+    spare = np.empty_like(state)
     nd_shape = (2,) * qubits + state.shape[1:]
     nd = state.reshape(nd_shape)
     for i0, i1, step in steps:
-        if i0 is None:  # held payloads, applied as one product in gate order
-            product = None
-            for g in step:
-                mat = adjoints[id(g.unitary)] if g.kind == "v4dg" else g.unitary
-                product = mat if product is None else mat @ product
-            np.matmul(product, state.reshape(STATE_DIM, -1), out=spare.reshape(STATE_DIM, -1))
+        if i0 is None:  # a held payload run's product
+            np.matmul(step, state.reshape(STATE_DIM, -1), out=spare.reshape(STATE_DIM, -1))
             state, spare = spare, state
             nd = state.reshape(nd_shape)
         elif step is None:  # a CNOT swaps its target pair
@@ -451,7 +448,7 @@ class TrotterStep:
 
     def __init__(self, model: HamiltonianModel, scheme: str, tau: float):
         check_real("tau", tau, -math.inf, math.inf)
-        check_scheme(scheme)
+        check_choice("scheme", scheme, SWEEPS)
         n, h, points = model.shape.n, model.shape.h, model.shape.points
         plan: list[tuple[int, float]] = []  # (axis, tau) of each pass
         stage_passes = []  # (k, p, q): level k rotates in the passes p..q-1, in stage order
@@ -527,6 +524,7 @@ def _fmt(x: float) -> str:
 
 def serialize_program(program: GateProgram) -> str:
     """Render a program in the text format (module docstring); parse_program checks it."""
+    check_real("tau", program.tau, -math.inf, math.inf)  # n and scheme: cnot_account
     payloads: dict[int, tuple[int, np.ndarray]] = {}  # id -> (index, payload)
     lines = [
         "ELASTOQ-PROGRAM v1",
@@ -544,7 +542,7 @@ def serialize_program(program: GateProgram) -> str:
         if g.kind == "pcrz":
             toks.append(f"p{g.pattern}")
         toks += map(str, g.controls)
-        if g.kind in _ROTATIONS:
+        if g.kind in ROTATIONS:
             toks.append(_fmt(g.angle))
         if g.kind in _PAYLOADS:
             index, _ = payloads.setdefault(id(g.unitary), (len(payloads), g.unitary))
@@ -580,7 +578,7 @@ def _parse_gate(line: str, payloads: dict[int, np.ndarray], qubits: int) -> Gate
         else:
             target = int(rest.pop(0))
             pattern = _index(rest.pop(0), "p") if kind == "pcrz" else None
-            angle = float(rest.pop()) if kind in _ROTATIONS else 0.0
+            angle = float(rest.pop()) if kind in ROTATIONS else 0.0
             gate = Gate(kind, target=target, controls=tuple(map(int, rest)),
                         pattern=pattern, angle=angle)
         _validate_gate(gate, qubits)
@@ -624,7 +622,7 @@ def parse_program(text: str) -> GateProgram:
     n = field("n", int, lambda v: v >= 1, "an integer >= 1")
     qubits = field("qubits", int, lambda v: v == qubit_count(n), f"3n + 4 = {qubit_count(n)}")
     scheme = meta["scheme"]
-    check_scheme(scheme, "metadata scheme")
+    check_choice("metadata scheme", scheme, SWEEPS)
     tau = field("tau", float, math.isfinite, "a finite number")
     account = step_cnots(scheme, n)
     field("cnot_account", int, lambda v: v == account,

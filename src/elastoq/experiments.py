@@ -18,22 +18,16 @@ from pathlib import Path
 
 import numpy as np
 
-from .circuits import GATE_KINDS, TrotterStep, build_U1, build_U2, folded_rotations
-from .hamiltonian import (
-    HamiltonianModel,
-    Propagator,
-    check_scheme,
-    check_state,
-    qubit_count,
-    step_cnots,
-)
+from .circuits import GATE_KINDS, ROTATIONS, TrotterStep, build_program, folded_rotations
+from .hamiltonian import SWEEPS, HamiltonianModel, Propagator, check_state, qubit_count, step_cnots
 from .lattice import LatticeShape
-from .media import MaterialParams, STATE_DIM, check_count, check_real, whole_steps
+from .media import MaterialParams, STATE_DIM, check_choice, check_count, check_real, whole_steps
 
 THREADS_ENV_VAR = "ELASTOQ_THREADS"
 
-#: The initial states: a central pulse, and P and S waves on the bulk.
-INITS = ("pulse", "p", "s")
+#: The initial states, a central pulse and P and S waves on the bulk, each as (velocity
+#: component excited, least n, whether y and z span the bulk 2..N-3 or the central pair).
+INITS = {"pulse": (2, 2, False), "p": (2, 3, True), "s": (0, 3, True)}
 
 #: State-register component indices of the reconstructed fields.
 FIELD_COMPONENTS = {"v_z": 2, "sigma_zz": 5}
@@ -66,14 +60,11 @@ class ExperimentConfig:
         # init and scheme are refused below unless they are one of their strings
         if not isinstance(self.out_dir, str):
             raise ValueError(f"out_dir must be a string, got {self.out_dir!r}")
-        if self.init not in INITS:
-            raise ValueError(f"init must be one of {', '.join(INITS)}, got {self.init!r}")
-        check_scheme(self.scheme)
-        if self.init == "pulse" and self.n < 2:
-            raise ValueError("pulse initial state needs n >= 2")
-        if self.init in ("p", "s") and self.n < 3:
-            raise ValueError(f"{self.init}-wave initial state needs n >= 3 "
-                             "(the bulk index set is empty below that)")
+        check_choice("init", self.init, INITS)
+        check_choice("scheme", self.scheme, SWEEPS)
+        least_n = INITS[self.init][1]
+        if self.n < least_n:
+            raise ValueError(f"{self.init} initial state needs n >= {least_n}")
         if not self.taus:
             raise ValueError("at least one tau is required")
         for tau in self.taus:  # before the %g below formats it
@@ -122,15 +113,11 @@ def build_initial_state(config: ExperimentConfig, model: HamiltonianModel) -> Pr
     if model.shape.n != config.n:
         raise ValueError(f"n of the model ({model.shape.n}) differs from config n ({config.n})")
     points = model.shape.points
+    component, _, bulk = INITS[config.init]
     center = central_indices(config.n)
-    if config.init == "pulse":
-        component, support = 2, (center, center, center)
-    elif config.init == "p":
-        component, support = 2, (center, bulk_indices(config.n), bulk_indices(config.n))
-    else:
-        component, support = 0, (center, bulk_indices(config.n), bulk_indices(config.n))
+    span = bulk_indices(config.n) if bulk else center
     w = np.zeros((STATE_DIM, points, points, points))
-    w[np.ix_([component], *support)] = 1.0
+    w[np.ix_([component], center, span, span)] = 1.0
     w /= np.linalg.norm(w)
     u_tilde = _apply_cell(model.cell.b_sqrt, w)
     factor = float(np.linalg.norm(u_tilde))
@@ -162,6 +149,7 @@ def _field_plane(n: int) -> tuple[str, int]:
 def _physical_field(model: HamiltonianModel, psi: np.ndarray, norm_factor: float) -> np.ndarray:
     """The physical-frame field (16, N, N, N) of a full-register state."""
     check_state(psi, model.dim, batch=False)
+    check_real("norm_factor", norm_factor)
     points = model.shape.points
     return norm_factor * _apply_cell(model.cell.b_inv_sqrt,
                                      psi.reshape(STATE_DIM, points, points, points))
@@ -338,11 +326,10 @@ def run_experiment(config: ExperimentConfig) -> dict:
               f"per_step_cnot={per_step_cnot}")
         # the emitted gates by kind: the CNOT account above prices each
         # multi-controlled rotation and payload in CNOTs, the program keeps them whole
-        build = build_U1 if config.scheme == "u1" else build_U2
-        program = build(config_model(config), config.taus[0])
+        program = build_program(config_model(config), config.scheme, config.taus[0])
         kinds = [g.kind for g in program.gates]
         census = ", ".join(f"{kinds.count(k)} {k}" for k in GATE_KINDS if k in kinds)
-        rotations = kinds.count("mcrz") + kinds.count("pcrz")
+        rotations = sum(kinds.count(k) for k in ROTATIONS)
         print(f"  {config.scheme} program: {len(kinds)} gates ({census}); simulate folds "
               f"{folded_rotations(program)} of {rotations} rotations")
         for tau_key, steps in plan.items():

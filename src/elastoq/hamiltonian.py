@@ -22,6 +22,7 @@ from .media import (
     AxisEigenSystem,
     CellMatrices,
     build_cell_matrices,
+    check_choice,
     check_count,
     compliance_inverse_norm,
     eigendecompose_axis,
@@ -37,9 +38,6 @@ from .media import (
 #: or all three descending if reversed: u1 is first order, u2 symmetric second order.
 SWEEPS = {"u1": ((1.0, False),), "u2": ((0.5, False), (0.5, True))}
 SCHEMES = tuple(SWEEPS)
-
-#: The paper's one-step error bounds; "second" prices u2 steps, the others u1 steps.
-BOUND_SCHEMES = ("first-norm", "first-commutator", "second")
 
 #: Eigenvalues below this are treated as exact zeros of the padding/kernel
 #: sector; the gate builders and the fast path skip them, cost accounting never does.
@@ -356,18 +354,24 @@ def bound_first_order_commutator(model: HamiltonianModel, tau: float) -> float:
     return 9.0 * tau**2 / (4 * h**2) * s_inv / model.params.rho * (5 * n - 1)
 
 
-def bound_second_order(model: HamiltonianModel, tau: float) -> tuple[float, bool]:
-    """One-step second-order bound and its applicability flag.
+def bound_second_order(model: HamiltonianModel, tau: float) -> float:
+    """One-step second-order bound 2 * arg^3.
 
     The underlying inequality only holds while the cubed argument stays at or
-    below one, equivalently bound/2 <= 1; outside that window the value is
-    still returned but flagged inapplicable.
+    below one, equivalently bound <= 2, the limit its BOUNDS row records.
     """
     n, h = model.shape.n, model.shape.h
     v = wave_speed_scale(model.params)
     arg = 1440.0 * n * tau * v / h
-    bound = 2.0 * arg**3
-    return bound, bound <= 2.0
+    return 2.0 * arg**3
+
+
+#: The paper's one-step error bounds C * tau^p, each as (bound(model, tau), order p,
+#: the scheme whose steps it prices, the largest bound value at which it holds).
+BOUNDS = {"first-norm": (bound_first_order_norm, 2, "u1", math.inf),
+          "first-commutator": (bound_first_order_commutator, 2, "u1", math.inf),
+          "second": (bound_second_order, 3, "u2", 2.0)}
+BOUND_SCHEMES = tuple(BOUNDS)
 
 
 # ---------------------------------------------------------------------------
@@ -390,16 +394,11 @@ def check_state(psi: np.ndarray, *lengths: int, batch: bool = True) -> None:
                          f"got {got}")
 
 
-def check_scheme(scheme: str, name: str = "scheme") -> None:
-    """Refuse a step scheme that is not one of SCHEMES; the message names the field."""
-    if scheme not in SCHEMES:
-        raise ValueError(f"{name} must be {' or '.join(SCHEMES)}, got {scheme!r}")
-
-
 def step_cnots(scheme: str, n: int) -> int:
     """CNOT count of one step: 432n^2 + 378 per sweep of the scheme (ladders,
     controlled RZ, basis changes)."""
-    check_scheme(scheme)
+    check_choice("scheme", scheme, SWEEPS)
+    check_count("n", n)
     return len(SWEEPS[scheme]) * (432 * n * n + 378)
 
 
@@ -419,28 +418,20 @@ class ErrorBudget:
     formula_total_cnot: float
 
 
-def trotter_constant(model: HamiltonianModel, scheme: str) -> tuple[float, int]:
-    """Prefactor C and order p of the one-step bound C * tau^p."""
-    if scheme == "first-norm":
-        return bound_first_order_norm(model, 1.0), 2
-    if scheme == "first-commutator":
-        return bound_first_order_commutator(model, 1.0), 2
-    if scheme == "second":
-        return bound_second_order(model, 1.0)[0], 3
-    raise ValueError(f"unknown bound scheme {scheme!r}")
-
-
 def steps_and_cost(model: HamiltonianModel, T: float, epsilon: float,
                    scheme: str) -> ErrorBudget:
-    """Convert a one-step bound into global step and CNOT counts."""
+    """Convert the one-step bound C * tau^p of BOUNDS[scheme] into global step and
+    CNOT counts; the budget is applicable while the bound at tau = T/m holds."""
     check_real("T", T)
     check_real("epsilon", epsilon)
-    c, p = trotter_constant(model, scheme)
+    check_choice("scheme", scheme, BOUNDS)
+    bound, p, step_scheme, limit = BOUNDS[scheme]
+    c = bound(model, 1.0)
     n = model.shape.n
     m_formula = (c * T**p / epsilon) ** (1.0 / (p - 1))
     m = step_ceiling(m_formula)
-    per_step = step_cnots("u2" if scheme == "second" else "u1", n)
-    applicable = scheme != "second" or bound_second_order(model, T / m)[1]
+    per_step = step_cnots(step_scheme, n)
+    applicable = bound(model, T / m) <= limit
     budget = ErrorBudget(
         scheme=scheme,
         constant=c,

@@ -43,6 +43,12 @@ def check_count(name: str, value, low: int = 1, high: int | None = None) -> None
         raise ValueError(f"{name} must be an integer {span}, got {value!r}")
 
 
+def check_choice(name: str, value, choices) -> None:
+    """Refuse a value that is not one of the string names in choices (a table's keys)."""
+    if not (isinstance(value, str) and value in choices):
+        raise ValueError(f"{name} must be one of {', '.join(choices)}, got {value!r}")
+
+
 def whole_steps(T: float, tau: float) -> int:
     """Steps of size tau in the horizon T: T/tau within 1e-9 of an integer >= 1."""
     check_real("T", T)

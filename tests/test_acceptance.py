@@ -31,6 +31,7 @@ from elastoq.experiments import (
     run_fidelity_sweep,
 )
 from elastoq.hamiltonian import (
+    BOUNDS,
     bound_first_order_commutator,
     bound_first_order_norm,
     bound_second_order,
@@ -104,7 +105,8 @@ def test_2_bound_dominance():
                     if not d1 <= comm <= norm:
                         violations += 1
                     d2 = empirical_trotter_error(model, tau, "u2")
-                    b2, applicable = bound_second_order(model, tau)
+                    b2 = bound_second_order(model, tau)
+                    applicable = b2 <= BOUNDS["second"][3]
                     if applicable and not d2 <= b2:
                         violations += 1
     _report(2, "bound dominance", violations == 0, started, 600.0)

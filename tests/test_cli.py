@@ -247,3 +247,81 @@ class TestCompare:
         assert "m_cl" in out
         for scheme in ("first-norm", "first-commutator", "second"):
             assert f"scheme {scheme}" in out
+
+
+#: The exact stdout of `bounds --n 5 --T 30`, the paper's three bound rows at its n and T:
+#: pure float arithmetic, so any change to a bound, order or CNOT account shows here.
+PAPER_BOUNDS_N5_T30 = (
+    "scheme first-norm\n"
+    "n 5\n"
+    "h 1.0\n"
+    "T 30.0\n"
+    "epsilon 0.1\n"
+    "rho 1.0\n"
+    "E 0.646\n"
+    "nu 0.255\n"
+    "C 1334.8469387755104\n"
+    "p 2\n"
+    "m 12013623\n"
+    "m_formula 12013622.448979592\n"
+    "applicable True\n"
+    "qubits 19\n"
+    "per_step_cnot 11178\n"
+    "total_cnot 134288277894\n"
+    "formula_total_cnot 134288271734.69388\n"
+    "\n"
+    "scheme first-commutator\n"
+    "n 5\n"
+    "h 1.0\n"
+    "T 30.0\n"
+    "epsilon 0.1\n"
+    "rho 1.0\n"
+    "E 0.646\n"
+    "nu 0.255\n"
+    "C 71.19183673469388\n"
+    "p 2\n"
+    "m 640727\n"
+    "m_formula 640726.5306122449\n"
+    "applicable True\n"
+    "qubits 19\n"
+    "per_step_cnot 11178\n"
+    "total_cnot 7162046406\n"
+    "formula_total_cnot 7162041159.183673\n"
+    "\n"
+    "scheme second\n"
+    "n 5\n"
+    "h 1.0\n"
+    "T 30.0\n"
+    "epsilon 0.1\n"
+    "rho 1.0\n"
+    "E 0.646\n"
+    "nu 0.255\n"
+    "C 1130009623049.1997\n"
+    "p 3\n"
+    "m 552360932\n"
+    "m_formula 552360931.1159542\n"
+    "applicable True\n"
+    "qubits 19\n"
+    "per_step_cnot 22356\n"
+    "total_cnot 12348580995792\n"
+    "formula_total_cnot 12348580976028.271\n"
+)
+
+#: The exact stdout of `run --n 5 --T 2 --tau 0.5 --dry-run`: CNOT account, gate census
+#: and step plan of the paper's n = 5 u1 step.
+PAPER_DRY_RUN_N5 = (
+    "dry run: qubits=19 scheme=u1 per_step_cnot=11178\n"
+    "  u1 program: 906 gates (180 h, 90 s, 90 sdg, 360 cnot, 90 pcrz, 48 v4, 48 v4dg); "
+    "simulate folds 90 of 90 rotations\n"
+    "  tau=0.5: steps=4 total_cnot=44712\n"
+)
+
+
+class TestPaperAccounts:
+    def test_bounds_stdout_pinned(self, capsys):
+        assert main(["bounds", "--n", "5", "--T", "30"]) == 0
+        assert capsys.readouterr().out == PAPER_BOUNDS_N5_T30
+
+    def test_dry_run_stdout_pinned(self, capsys):
+        assert main(["run", "--n", "5", "--T", "2", "--tau", "0.5", "--dry-run"]) == 0
+        assert capsys.readouterr().out == PAPER_DRY_RUN_N5

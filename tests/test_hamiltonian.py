@@ -155,8 +155,8 @@ class TestBounds:
         model = build_model(2, 1.0, REFERENCE_MEDIUM)
         assert bound_first_order_norm(model, 0.0) == 0.0
         assert bound_first_order_commutator(model, 0.0) == 0.0
-        bound, ok = bound_second_order(model, 0.0)
-        assert bound == 0.0 and ok
+        bound = bound_second_order(model, 0.0)
+        assert bound == 0.0 and bound <= hamiltonian.BOUNDS["second"][3]
 
     def test_norm_scaling_value(self):
         model = build_model(5, 1.0, REFERENCE_MEDIUM)
@@ -181,12 +181,12 @@ class TestBounds:
 
     def test_second_order_value_and_applicability(self):
         model = build_model(1, 1.0, IDENTITY_MEDIUM)
-        bound, ok = bound_second_order(model, 1e-4)
+        limit = hamiltonian.BOUNDS["second"][3]
+        bound = bound_second_order(model, 1e-4)
         assert bound == pytest.approx(2 * 1440**3 * 1e-12, rel=1e-12)
-        assert ok
+        assert bound <= limit
         model5 = build_model(5, 1.0, IDENTITY_MEDIUM)
-        _, ok5 = bound_second_order(model5, 0.1)
-        assert not ok5
+        assert not bound_second_order(model5, 0.1) <= limit
 
 
 class TestStepsAndCost:

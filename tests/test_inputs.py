@@ -6,6 +6,7 @@ names no field, before the real-number, whole-number, step-count and state
 rules (media.check_real, media.check_count, media.whole_steps,
 hamiltonian.check_state) were shared.
 """
+import dataclasses
 import math
 import re
 from functools import cache
@@ -20,8 +21,10 @@ from elastoq.circuits import (
     build_U1,
     build_U2,
     build_W_jk,
+    build_program,
     build_script_W,
     folded_rotations,
+    serialize_program,
     simulate,
 )
 from elastoq.classical import (
@@ -42,6 +45,7 @@ from elastoq.hamiltonian import (
     TermKey,
     apply_H,
     build_model,
+    step_cnots,
     steps_and_cost,
     term_angle,
 )
@@ -64,6 +68,14 @@ def _propagator():
 @cache
 def _prepared():
     return build_initial_state(ExperimentConfig(n=2), _model(2))
+
+
+def _with_payloads(payload: np.ndarray) -> GateProgram:
+    """The n = 1 u1 program with every V4/V4DG payload replaced by one array."""
+    program = build_U1(_model(1), 0.1)
+    gates = tuple(dataclasses.replace(g, unitary=payload) if g.unitary is not None else g
+                  for g in program.gates)
+    return dataclasses.replace(program, gates=gates)
 
 
 CASES = [
@@ -134,6 +146,41 @@ CASES = [
     ("build_script_W", "axis", lambda: build_script_W(_model(2), 0, 3, 0.4)),
     ("build_script_W", "j", lambda: build_script_W(_model(2), 1, -1, 0.4)),
     ("build_script_W", "j", lambda: build_script_W(_model(2), 1, 16, 0.4)),
+    # a scheme, bound name or init that is no string is refused by name, never by the
+    # TypeError of a table lookup
+    ("TrotterStep", "scheme", lambda: TrotterStep(_model(1), ["u1"], 0.1)),
+    ("TrotterStep", "scheme", lambda: TrotterStep(_model(1), None, 0.1)),
+    ("ExperimentConfig", "scheme", lambda: ExperimentConfig(n=3, scheme=["u1"])),
+    ("ExperimentConfig", "scheme", lambda: ExperimentConfig(n=3, scheme=None)),
+    ("ExperimentConfig", "init", lambda: ExperimentConfig(n=3, init=["p"])),
+    ("ExperimentConfig", "init", lambda: ExperimentConfig(n=3, init=None)),
+    ("steps_and_cost", "scheme", lambda: steps_and_cost(_model(1), 1.0, 0.1, ["second"])),
+    ("steps_and_cost", "scheme", lambda: steps_and_cost(_model(1), 1.0, 0.1, None)),
+    ("build_program", "scheme", lambda: build_program(_model(1), "u3", 0.1)),
+    ("build_program", "scheme", lambda: build_program(_model(1), ["u1"], 0.1)),
+    # folded_rotations counted 18 folds of a program whose payloads simulate refuses
+    ("folded_rotations", "payload", lambda: folded_rotations(_with_payloads(2 * np.eye(16)))),
+    ("folded_rotations", "payload", lambda: folded_rotations(
+        _with_payloads(np.full((16, 16), math.nan)))),
+    # serialize_program wrote n and tau values that parse_program refuses, and
+    # step_cnots priced n = 0 at 378 CNOTs
+    ("serialize_program", "n", lambda: serialize_program(
+        GateProgram(n=0, scheme="u1", tau=0.1, gates=()))),
+    ("serialize_program", "n", lambda: serialize_program(
+        GateProgram(n=True, scheme="u1", tau=0.1, gates=()))),
+    ("serialize_program", "tau", lambda: serialize_program(
+        GateProgram(n=1, scheme="u1", tau=math.nan, gates=()))),
+    ("serialize_program", "tau", lambda: serialize_program(
+        GateProgram(n=1, scheme="u1", tau=math.inf, gates=()))),
+    ("step_cnots", "n", lambda: step_cnots("u1", 0)),
+    # a NaN or negative norm factor gave all-NaN or sign-flipped fields, and a bool one
+    # was read as 1
+    ("reconstruct_fields", "norm_factor", lambda: reconstruct_fields(
+        _model(2), _prepared().psi, math.nan)),
+    ("reconstruct_fields", "norm_factor", lambda: reconstruct_fields(
+        _model(2), _prepared().psi, -1.0)),
+    ("b_weighted_norm_sq", "norm_factor", lambda: b_weighted_norm_sq(
+        _model(2), _prepared().psi, True)),
 ]
 
 

@@ -8,7 +8,8 @@ from pathlib import Path
 
 import elastoq
 from elastoq.circuits import GateProgram
-from elastoq.hamiltonian import BOUND_SCHEMES
+from elastoq.experiments import INITS
+from elastoq.hamiltonian import BOUNDS, SWEEPS
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 ROOT_NAMES = ["MaterialParams", "Propagator", "TrotterStep", "build_U1",
@@ -80,13 +81,26 @@ def test_input_rules_live_in_one_place():
     # the per-step CNOT account is hamiltonian.step_cnots, which a program derives
     assert _modules_with(r"\bu[12]_step_cnots\b") == []
     assert "cnot_account" not in {f.name for f in dataclasses.fields(GateProgram)}
-    # one list of names per kind: hamiltonian.SWEEPS (whose keys are SCHEMES) and
-    # BOUND_SCHEMES, experiments.INITS
+    # one table per kind of name: hamiltonian.SWEEPS (whose keys are SCHEMES) and
+    # BOUNDS (whose keys are BOUND_SCHEMES), experiments.INITS
     assert _modules_with(r'\{"u1": .*, "u2": ') == ["hamiltonian"]
-    assert _modules_with(r'\("pulse", "p", "s"\)') == ["experiments"]
-    for scheme in BOUND_SCHEMES:
+    assert _modules_with(r'\{"pulse": .*, "p": .*, "s": ') == ["experiments"]
+    for scheme in BOUNDS:
         assert _modules_with(f'"{scheme}"') == ["hamiltonian"]
-    # one scheme rule, hamiltonian.check_scheme, and one step-count ceiling,
-    # media.step_ceiling
-    assert _modules_with(r"\bin SCHEMES\b") == ["hamiltonian"]
+    # one name rule, media.check_choice, and one step-count ceiling, media.step_ceiling
+    assert _modules_with(r"\bin SCHEMES\b") == []
     assert _modules_with(r"math\.ceil\b") == ["media"]
+
+
+def test_named_choices_read_their_tables():
+    # a scheme, bound name or init selects its row of SWEEPS, BOUNDS or INITS; no code
+    # compares one against a literal name
+    names = "|".join(re.escape(name) for name in [*SWEEPS, *BOUNDS, *INITS])
+    literal = rf'["\'](?:{names})["\']'
+    operator = r"(?:[=!]=|(?:not\s+)?in\b)"
+    assert _modules_with(rf"\b\w*(?:scheme|init)\s*{operator}\s*\(?\s*{literal}") == []
+    assert _modules_with(rf"{literal}\s*{operator}\s*[\w.]*(?:scheme|init)\b") == []
+    # and media.check_choice is the one membership rule for such a name
+    tables = "SWEEPS|SCHEMES|BOUNDS|BOUND_SCHEMES|INITS"
+    assert _modules_with(rf"(?m)^(?!\s*for\b).*\bin (?:{tables})\b") == []
+    assert _modules_with(r"must be one of") == ["media"]
