@@ -43,8 +43,10 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .hamiltonian import (
+    DENSE_MAX_N,
     SWEEPS,
     HamiltonianModel,
+    Propagator,
     TermKey,
     ZERO_EIGENVALUE_TOL,
     check_state,
@@ -485,23 +487,29 @@ class TrotterStep:
         fidelity_curve and Propagator.evolve refuse a non-finite state.
         """
         check_state(psi, self.model.dim)
+        dtype = np.dtype(complex if np.iscomplexobj(psi) else np.float64)
         # proj and work share one buffer, allocated before the state copy: the
         # buffer freed at the end of a step leaves a hole that the next step's
         # buffer fills, so a walk of steps holds a steady peak memory
-        columns = (2 if np.iscomplexobj(psi) else 1) * (psi.size // STATE_DIM)
+        columns = psi.size // STATE_DIM * dtype.itemsize // 8  # float64 columns of the slab
         width = max(len(w_minus_i) for _, _, w_minus_i, _ in self._passes)
         proj, work = np.empty((2, width, columns))
-        if np.iscomplexobj(psi):
-            state = np.array(psi, dtype=complex)
-            slab = state.reshape(STATE_DIM, -1).view(np.float64)
-        else:
-            state = np.array(psi, dtype=np.float64)
-            slab = state.reshape(STATE_DIM, -1)
+        state = np.array(psi, dtype=dtype)
+        slab = state.reshape(STATE_DIM, -1).view(np.float64)
         for first, vectors, w_minus_i, outer in self._passes:
             sectors = len(w_minus_i)
             _axis_pass(slab[first:first + len(vectors)], vectors, w_minus_i,
                        proj[:sectors], work[:sectors], outer)
         return state
+
+
+def empirical_trotter_error(model: HamiltonianModel, tau: float, scheme: str) -> float:
+    """Exact ||U(tau) - exp(-iH tau)||_2 for scheme 'u1' or 'u2', up to n = DENSE_MAX_N."""
+    if model.shape.n > DENSE_MAX_N:
+        raise ValueError(f"exact Trotter defect needs n <= {DENSE_MAX_N}, got n={model.shape.n}")
+    u_trotter = TrotterStep(model, scheme, tau).apply(np.eye(model.dim))
+    u_exact = Propagator(model).evolve(np.eye(model.dim), tau)
+    return float(np.linalg.norm(u_trotter - u_exact, 2))
 
 
 def apply_block_fast(model: HamiltonianModel, scheme: str, tau: float,

@@ -1,7 +1,7 @@
 """Classical reference integrator on the physical nine-component sector.
 
 The padded components are dynamically decoupled, so a sector state is one
-(9, N, N, N) array, the layout Propagator.evolve takes flattened: velocity
+(9, N, N, N) array, the physical rows of the register: velocity
 q = state[:3], stress r = state[3:].  In the transformed frame the generator
 is the block anti-Hermitian [[0, L], [-L*, 0]]; the partitioned leapfrog
 splits it into two nilpotent halves whose exponentials are exact, giving the
@@ -58,12 +58,10 @@ def coupling_map(model: HamiltonianModel, adjoint: bool = False):
     diff_t = np.eye(points, k=-1) - np.eye(points, k=1)  # (y @ diff_t)_j = y_{j+1} - y_{j-1}
 
     def apply(grid: np.ndarray) -> np.ndarray:
-        flat = np.ascontiguousarray(grid.reshape(grid.shape[0], -1))
-        if np.iscomplexobj(flat):  # one real GEMM on the float view
-            mixed = (stack @ flat.view(flat.real.dtype)).view(complex)
-        else:
-            mixed = stack @ flat
-        mixed = mixed.reshape(3, -1, points)
+        flat = np.ascontiguousarray(grid.reshape(grid.shape[0], -1),
+                                    dtype=np.result_type(grid, np.float64))
+        # one real GEMM on the float view; a real grid is its own float view
+        mixed = (stack @ flat.view(np.float64)).view(flat.dtype).reshape(3, -1, points)
         out = mixed[2] @ diff_t
         for axis, stride, width in ((1, points, plane), (0, plane, cube)):
             src = mixed[axis].reshape(-1, width)
@@ -227,7 +225,7 @@ class CertificateReport:
         return "\n".join(f"{key} {value}" for key, value in rows)
 
 
-#: Orthonormal probes of the power bound (fewer on a smaller sector).
+#: Orthonormal probes of the power bound.
 POWER_BOUND_PROBES = 16
 
 
@@ -248,7 +246,7 @@ def power_bound_certificate(model: HamiltonianModel, config: LeapfrogConfig,
     check_count("m_max", m_max)
     points = model.shape.points
     dim = 9 * points**3
-    probes = _orthonormal_probes(dim, min(POWER_BOUND_PROBES, dim))
+    probes = _orthonormal_probes(dim, POWER_BOUND_PROBES)
     # each probe column is a flat (9, N, N, N) state: q rows first, then r
     grid = np.ascontiguousarray(
         probes.T.reshape(-1, 9, points, points, points).swapaxes(0, 1))

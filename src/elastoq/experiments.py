@@ -336,6 +336,12 @@ def run_experiment(config: ExperimentConfig) -> dict:
             print(f"  tau={tau_key}: steps={steps} total_cnot={steps * per_step_cnot}")
         return {"dry_run": True, "qubits": qubit_count(config.n), "plan": plan}
 
+    # refused now, not at the mkdir after the sweep
+    out = Path(config.out_dir)
+    existing = next((path for path in (out, *out.parents) if path.exists()), out)
+    if not existing.is_dir():
+        raise ValueError(f"out_dir {config.out_dir!r} is unusable: {existing} is not a directory")
+
     started = time.perf_counter()
     model = config_model(config)
     prepared = build_initial_state(config, model)
@@ -345,7 +351,6 @@ def run_experiment(config: ExperimentConfig) -> dict:
     snapshot_steps = tuple(sorted({round(t / tau_min) for t in quarters}))
     curves = _sweep(config, model, prepared, snapshot_steps)
     # made after the sweep, so a failed run leaves no output directory
-    out = Path(config.out_dir)
     (out / "fields").mkdir(parents=True, exist_ok=True)
 
     curve_meta = {}

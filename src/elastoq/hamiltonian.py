@@ -172,9 +172,8 @@ class Propagator:
     Spectral coordinates have the layout of the state: the physical part holds
     eigen-coefficients (eigenindex-major, then mode), the padding part the
     untouched amplitudes, and `eigenvalues` gives the matching generator
-    eigenvalue of every entry (zero on the padding).  States may be the full
-    16-component register or the 9-component physical sector (the classical
-    q, r layout), each with an optional trailing batch axis.
+    eigenvalue of every entry (zero on the padding).  A state is the
+    16-component register, with an optional trailing batch axis.
 
     A real state needs one real DST-I, not a complex one.  P^-1 psi is real on
     cells with j1 + j2 + j3 even and imaginary on odd ones, so both parts fit
@@ -215,8 +214,8 @@ class Propagator:
     def _grid_shape(self, arr: np.ndarray) -> tuple[int, ...]:
         """Shape (components, N, N, N, batch...) of a state; checks its length."""
         points = self.model.shape.points
-        check_state(arr, STATE_DIM * points**3, PHYSICAL_DIM * points**3)
-        return (-1, points, points, points) + arr.shape[1:]
+        check_state(arr, self.model.dim)
+        return (STATE_DIM, points, points, points) + arr.shape[1:]
 
     def _grid(self, arr: np.ndarray) -> np.ndarray:
         """Complex copy of a state as (components, N, N, N, batch...)."""
@@ -285,7 +284,7 @@ class Propagator:
         return grid.reshape(coeffs.shape)
 
     def phases(self, t: float) -> np.ndarray:
-        """exp(-i*lambda*t) for every spectral entry of a full-register state."""
+        """exp(-i*lambda*t) for every spectral entry of a state."""
         check_real("t", t, -math.inf, math.inf)
         return np.exp(-1j * t * self.eigenvalues)
 
@@ -295,8 +294,6 @@ class Propagator:
         if not np.isfinite(psi).all():
             raise ValueError("psi must be finite: it holds NaN or inf entries")
         coeffs = self.to_spectral(psi)  # refuses a shape check_state does not accept
-        # a 9-component sector state takes the leading (physical) entries
-        phases = phases[:len(coeffs)]
         return self.from_spectral(phases.reshape(phases.shape + (1,) * (psi.ndim - 1)) * coeffs)
 
 
@@ -383,15 +380,14 @@ def qubit_count(n: int) -> int:
     return 3 * n + 4
 
 
-def check_state(psi: np.ndarray, *lengths: int, batch: bool = True) -> None:
-    """Refuse a state that is not a (length,) array, or with batch a (length, b) one,
-    length in lengths; callers that take one state pass batch=False."""
+def check_state(psi: np.ndarray, length: int, batch: bool = True) -> None:
+    """Refuse a state that is not a (length,) array, or with batch a (length, b) one;
+    callers that take one state pass batch=False."""
     array = isinstance(psi, np.ndarray)
-    if not array or psi.ndim == 0 or psi.ndim > 1 and not batch or psi.shape[0] not in lengths:
-        shapes = "(length,) or (length, b)" if batch else "(length,)"
+    if not array or psi.ndim == 0 or psi.ndim > 1 and not batch or psi.shape[0] != length:
+        shapes = f"({length},) or ({length}, b)" if batch else f"({length},)"
         got = psi.shape if array else f"a {type(psi).__name__}"
-        raise ValueError(f"psi must be a state of shape {shapes} with length in {lengths}, "
-                         f"got {got}")
+        raise ValueError(f"psi must be a state of length {length}: shape {shapes}, got {got}")
 
 
 def step_cnots(scheme: str, n: int) -> int:
@@ -477,14 +473,3 @@ def format_cost_report(model: HamiltonianModel, T: float, epsilon: float,
         ("formula_total_cnot", budget.formula_total_cnot),
     ]
     return "\n".join(f"{key} {value}" for key, value in rows)
-
-
-def empirical_trotter_error(model: HamiltonianModel, tau: float, scheme: str) -> float:
-    """Exact ||U(tau) - exp(-iH tau)||_2 for scheme 'u1' or 'u2', up to n = DENSE_MAX_N."""
-    if model.shape.n > DENSE_MAX_N:
-        raise ValueError(f"exact Trotter defect needs n <= {DENSE_MAX_N}, got n={model.shape.n}")
-    from .circuits import TrotterStep  # circuits imports this module
-
-    u_trotter = TrotterStep(model, scheme, tau).apply(np.eye(model.dim))
-    u_exact = Propagator(model).evolve(np.eye(model.dim), tau)
-    return float(np.linalg.norm(u_trotter - u_exact, 2))

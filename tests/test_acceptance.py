@@ -8,9 +8,10 @@ import time
 import numpy as np
 
 from elastoq.circuits import (
-    apply_block_fast,
+    TrotterStep,
     build_U1,
     build_U2,
+    empirical_trotter_error,
     simulate,
 )
 from elastoq.classical import (
@@ -37,7 +38,6 @@ from elastoq.hamiltonian import (
     bound_second_order,
     build_model,
     dense_evolve,
-    empirical_trotter_error,
     materialize_sparse_H,
     qubit_count,
     step_cnots,
@@ -125,7 +125,7 @@ def test_3_convergence_orders():
         for tau in taus:
             psi = prepared.psi.copy()
             for _ in range(round(config.T / tau)):
-                psi = apply_block_fast(model, scheme, tau, psi)
+                psi = TrotterStep(model, scheme, tau).apply(psi)
             errors.append(np.linalg.norm(psi - reference))
         slopes[scheme] = np.polyfit(np.log(taus), np.log(errors), 1)[0]
     ok = abs(slopes["u1"] - 1.0) <= 0.3 and abs(slopes["u2"] - 2.0) <= 0.3
@@ -166,7 +166,7 @@ def test_5_cross_implementation_equivalence():
             for _ in range(count):
                 psi = random_state(rng, model.dim)
                 gate_out = simulate(program, psi)
-                fast_out = apply_block_fast(model, scheme, tau, psi)
+                fast_out = TrotterStep(model, scheme, tau).apply(psi)
                 worst = max(worst, float(np.abs(gate_out - fast_out).max()))
     _report(5, f"gate-IR vs block application (max dev {worst:.2e})",
             worst < 1e-10, started, 600.0)

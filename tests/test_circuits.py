@@ -18,7 +18,6 @@ from elastoq.circuits import (
     TrotterStep,
     _ADJOINT,
     _lower,
-    apply_block_fast,
     build_U1,
     build_U2,
     build_W_jk,
@@ -464,7 +463,7 @@ class TestFastPath:
         for _ in range(3):
             psi = random_state(rng, model.dim)
             gate_out = simulate(prog, psi)
-            fast_out = apply_block_fast(model, scheme, 0.3, psi)
+            fast_out = TrotterStep(model, scheme, 0.3).apply(psi)
             assert np.abs(gate_out - fast_out).max() < 1e-10
 
     def test_padding_sector_untouched(self):
@@ -477,7 +476,7 @@ class TestFastPath:
         psi = psi / np.linalg.norm(psi)
         # the padding rows are never read or written, so they pass bit-exactly
         for scheme in ("u1", "u2"):
-            assert np.array_equal(apply_block_fast(model, scheme, 0.6, psi), psi)
+            assert np.array_equal(TrotterStep(model, scheme, 0.6).apply(psi), psi)
 
     def test_batch_columns(self):
         # n >= 2 puts a trailing batch axis behind the axis-2/3 rotations
@@ -486,20 +485,20 @@ class TestFastPath:
             model = build_model(n, 1.0, REFERENCE_MEDIUM)
             batch = np.stack([random_state(rng, model.dim) for _ in range(4)], axis=1)
             for scheme in ("u1", "u2"):
-                out = apply_block_fast(model, scheme, 0.2, batch)
+                out = TrotterStep(model, scheme, 0.2).apply(batch)
                 for i in range(4):
-                    single = apply_block_fast(model, scheme, 0.2, batch[:, i])
+                    single = TrotterStep(model, scheme, 0.2).apply(batch[:, i])
                     assert np.abs(out[:, i] - single).max() < 1e-13
 
     def test_u2_reverses_at_n3(self):
         model = build_model(3, 1.0, REFERENCE_MEDIUM)
         rng = np.random.default_rng(16)
         batch = np.stack([random_state(rng, model.dim) for _ in range(2)], axis=1)
-        there = apply_block_fast(model, "u2", 0.3, batch)
-        back = apply_block_fast(model, "u2", -0.3, there)
+        there = TrotterStep(model, "u2", 0.3).apply(batch)
+        back = TrotterStep(model, "u2", -0.3).apply(there)
         assert np.abs(back - batch).max() < 1e-12
         real = batch.real / np.linalg.norm(batch.real, axis=0)
-        back = apply_block_fast(model, "u2", -0.3, apply_block_fast(model, "u2", 0.3, real))
+        back = TrotterStep(model, "u2", -0.3).apply(TrotterStep(model, "u2", 0.3).apply(real))
         assert back.dtype == np.float64
         assert np.abs(back - real).max() < 1e-12
 
@@ -513,9 +512,9 @@ class TestFastPath:
         for shape in ((model.dim,), (model.dim, 2)):
             psi = rng.standard_normal(shape)
             psi /= np.linalg.norm(psi, axis=0)
-            real = apply_block_fast(model, scheme, 0.3, psi)
+            real = TrotterStep(model, scheme, 0.3).apply(psi)
             assert real.dtype == np.float64
-            assert np.abs(real - apply_block_fast(model, scheme, 0.3, psi.astype(complex))
+            assert np.abs(real - TrotterStep(model, scheme, 0.3).apply(psi.astype(complex))
                           ).max() <= 1e-14
 
     def test_reused_plan_is_bit_identical(self):
@@ -526,7 +525,7 @@ class TestFastPath:
             planned = direct = psi
             for _ in range(10):
                 planned = step.apply(planned)
-                direct = apply_block_fast(model, scheme, 0.2, direct)
+                direct = TrotterStep(model, scheme, 0.2).apply(direct)
             assert np.array_equal(planned, direct)
             assert step.apply(psi.astype(complex)).dtype == complex
 
@@ -542,7 +541,7 @@ class TestFastPath:
         psi = np.zeros(model.dim, dtype=complex)
         for tau in (np.nan, np.inf):
             with pytest.raises(ValueError, match="tau"):
-                apply_block_fast(model, "u1", tau, psi)
+                TrotterStep(model, "u1", tau).apply(psi)
 
     def test_peak_memory_below_two_states(self):
         # the returned copy plus two six-row work buffers; a full-state
@@ -553,10 +552,10 @@ class TestFastPath:
         psi = np.zeros(model.dim, dtype=complex)
         psi[0] = 1.0
         for scheme in ("u1", "u2"):
-            apply_block_fast(model, scheme, 0.1, psi)  # warm up lazy imports
+            TrotterStep(model, scheme, 0.1).apply(psi)  # warm up lazy imports
             tracemalloc.start()
             try:
-                apply_block_fast(model, scheme, 0.1, psi)
+                TrotterStep(model, scheme, 0.1).apply(psi)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -572,9 +571,9 @@ class TestFastPath:
             model = build_model(n, 1.0, REFERENCE_MEDIUM)
             psi = np.zeros(model.dim, dtype=complex)
             psi[0] = 1.0
-            apply_block_fast(model, "u1", 0.1, psi)  # warm up
+            TrotterStep(model, "u1", 0.1).apply(psi)  # warm up
             best = min(
-                _timed(lambda: apply_block_fast(model, "u1", 0.1, psi))
+                _timed(lambda: TrotterStep(model, "u1", 0.1).apply(psi))
                 for _ in range(3))
             timings.append(best)
         slope = np.polyfit([3, 4, 5], np.log2(timings), 1)[0]
@@ -725,8 +724,8 @@ class TestEigenbasisFreedom:
             model = build_model(n, 1.0, REFERENCE_MEDIUM)
             rotated = _rotate_degenerate_clusters(model, rng)
             psi = random_state(rng, model.dim)
-            out_a = apply_block_fast(model, "u1", 0.4, psi)
-            out_b = apply_block_fast(rotated, "u1", 0.4, psi)
+            out_a = TrotterStep(model, "u1", 0.4).apply(psi)
+            out_b = TrotterStep(rotated, "u1", 0.4).apply(psi)
             assert np.abs(out_a - out_b).max() < 1e-9
 
     def test_u2_invariant_under_degenerate_rotations(self):
@@ -735,8 +734,8 @@ class TestEigenbasisFreedom:
             model = build_model(n, 1.0, REFERENCE_MEDIUM)
             rotated = _rotate_degenerate_clusters(model, rng)
             psi = random_state(rng, model.dim)
-            out_a = apply_block_fast(model, "u2", 0.4, psi)
-            out_b = apply_block_fast(rotated, "u2", 0.4, psi)
+            out_a = TrotterStep(model, "u2", 0.4).apply(psi)
+            out_b = TrotterStep(rotated, "u2", 0.4).apply(psi)
             assert np.abs(out_a - out_b).max() < 1e-9
 
 

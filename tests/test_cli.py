@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import elastoq
+from elastoq import cli
 from elastoq.cli import main
 
 
@@ -231,6 +232,16 @@ class TestCertify:
         record = json.loads(capsys.readouterr().err.strip())
         assert record["error"] == "ValueError"
         assert "m_max" in record["message"]
+
+    def test_partial_step_refused_before_the_probes_walk(self, monkeypatch, capsys):
+        # the whole-steps error used to come after the 1000-step probe walk
+        def no_walk(*args, **kwargs):
+            raise AssertionError("probes walked")
+        monkeypatch.setattr(cli, "power_bound_certificate", no_walk)
+        assert main(["certify", "--n", "1", "--T", "2.05", "--tau", "0.1"]) == 1
+        record = json.loads(capsys.readouterr().err.strip())
+        assert record["error"] == "ValueError"
+        assert "does not divide T=2.05" in record["message"]
 
     def test_unstable_tau_fails(self, capsys):
         argv = ["certify", "--n", "1", "--T", "2", "--tau", "5.0"]

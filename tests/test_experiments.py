@@ -4,7 +4,8 @@ import json
 import numpy as np
 import pytest
 
-from elastoq.circuits import apply_block_fast
+from elastoq import experiments
+from elastoq.circuits import TrotterStep
 from elastoq.hamiltonian import Propagator, dense_evolve, materialize_sparse_H
 from elastoq.experiments import (
     ExperimentConfig,
@@ -185,7 +186,7 @@ class TestFidelity:
         psi_trotter = prepared.psi
         for m, t in enumerate(curve.times):
             if m:
-                psi_trotter = apply_block_fast(model, "u1", 0.5, psi_trotter)
+                psi_trotter = TrotterStep(model, "u1", 0.5).apply(psi_trotter)
             psi_exact = evecs @ (np.exp(-1j * t * evals) * coeffs)
             fidelity = abs(np.vdot(psi_exact, psi_trotter)) ** 2
             assert abs(curve.fidelities[m] - fidelity) < 1e-8
@@ -323,6 +324,18 @@ class TestRunExperiment:
             outputs.append({path.relative_to(out): path.read_bytes().replace(
                 str(out).encode(), b"OUT") for path in out.rglob("*") if path.is_file()})
         assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize("below", ["", "x", "x/y"], ids=["file", "child", "grandchild"])
+    def test_unusable_out_dir_refused_before_the_sweep(self, below, monkeypatch, tmp_path):
+        # out_dir at or under a file used to fail at mkdir, after the whole sweep
+        def no_sweep(*args):
+            raise AssertionError("sweep ran")
+        monkeypatch.setattr(experiments, "_sweep", no_sweep)
+        afile = tmp_path / "afile"
+        afile.write_text("")
+        with pytest.raises(ValueError, match="out_dir"):
+            run_experiment(identity_config(out_dir=str(afile / below)))
+        assert sorted(tmp_path.iterdir()) == [afile] and afile.read_text() == ""
 
 
 class TestThreadCap:

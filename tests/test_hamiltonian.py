@@ -3,7 +3,8 @@ import dataclasses
 import numpy as np
 import pytest
 
-from elastoq import hamiltonian
+from elastoq import circuits, hamiltonian
+from elastoq.circuits import empirical_trotter_error
 from elastoq.hamiltonian import (
     TermKey,
     apply_H,
@@ -11,7 +12,6 @@ from elastoq.hamiltonian import (
     bound_first_order_norm,
     bound_second_order,
     build_model,
-    empirical_trotter_error,
     format_cost_report,
     materialize_sparse_H,
     materialize_term,
@@ -277,7 +277,7 @@ class TestEmpiricalError:
         def no_propagator(model):
             raise AssertionError("Propagator built")
         model = build_model(3, 1.0, REFERENCE_MEDIUM)
-        monkeypatch.setattr(hamiltonian, "Propagator", no_propagator)
+        monkeypatch.setattr(circuits, "Propagator", no_propagator)
         with pytest.raises(ValueError, match=r"n=3"):
             empirical_trotter_error(model, 0.05, "u1")
 

@@ -181,6 +181,11 @@ CASES = [
         _model(2), _prepared().psi, -1.0)),
     ("b_weighted_norm_sq", "norm_factor", lambda: b_weighted_norm_sq(
         _model(2), _prepared().psi, True)),
+    # a 9-row physical-sector state was taken as a second state layout
+    ("Propagator.evolve", "psi", lambda: _propagator().evolve(
+        np.ones(9 * _model(2).shape.points**3), 0.1)),
+    ("Propagator.to_spectral", "psi", lambda: _propagator().to_spectral(
+        np.ones(9 * _model(2).shape.points**3))),
 ]
 
 

@@ -92,6 +92,11 @@ def test_input_rules_live_in_one_place():
     assert _modules_with(r"math\.ceil\b") == ["media"]
 
 
+def test_hamiltonian_imports_nothing_from_circuits():
+    # circuits builds on the generator, not the other way round
+    assert "from .circuits" not in _sources()["hamiltonian"]
+
+
 def test_named_choices_read_their_tables():
     # a scheme, bound name or init selects its row of SWEEPS, BOUNDS or INITS; no code
     # compares one against a literal name
