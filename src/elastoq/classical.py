@@ -12,7 +12,8 @@ hamiltonian.Propagator) makes L block diagonal: one 3x6 block per 3D mode.
 Both the leapfrog and the exact flow act on each singular pair (u, v) of L
 as a 2x2 map in the basis (u, 0), (0, v) and leave the kernel directions
 alone, so ||L|| and the local and global defects are exact maxima over the
-3 N^3 singular values.
+3 N^3 singular values.  make_leapfrog_config computes them once, and the
+certificates read them, and the model, from its LeapfrogConfig alone.
 """
 from __future__ import annotations
 
@@ -78,11 +79,6 @@ def coupling_singular_values(model: HamiltonianModel) -> np.ndarray:
     return np.linalg.svd(mode_blocks(model)[..., :3, 3:], compute_uv=False).reshape(-1)
 
 
-def estimate_l_norm(model: HamiltonianModel) -> float:
-    """||L||, the largest singular value of the coupling (exact)."""
-    return float(coupling_singular_values(model).max())
-
-
 def _c_eta(eta: float) -> float:
     """C_eta = (1 - eta^2/4)^(-1/2), the leapfrog's power bound at margin eta."""
     return (1.0 - eta**2 / 4.0) ** -0.5
@@ -91,14 +87,20 @@ def _c_eta(eta: float) -> float:
 _COST_ETA = 1.0  # the cost model's stability margin, the largest its error bound admits
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LeapfrogConfig:
-    """Validated step size, stability margin, and horizon for the leapfrog."""
+    """A validated leapfrog on one model: step size, stability margin, horizon, and
+    the coupling's 3 N^3 singular values sigma (read-only), so ||L|| = max sigma."""
 
+    model: HamiltonianModel
     tau: float
     eta: float
     T: float
-    l_norm: float
+    sigma: np.ndarray
+
+    @property
+    def l_norm(self) -> float:
+        return float(self.sigma.max())
 
     @property
     def c_eta(self) -> float:
@@ -111,11 +113,13 @@ def make_leapfrog_config(model: HamiltonianModel, tau: float, eta: float,
     check_real("eta", eta, 0.0, 2.0)
     check_real("tau", tau)
     check_real("T", T)
-    l_norm = estimate_l_norm(model)
-    if tau * l_norm > eta:
+    sigma = coupling_singular_values(model)
+    sigma.setflags(write=False)
+    config = LeapfrogConfig(model=model, tau=tau, eta=eta, T=T, sigma=sigma)
+    if tau * config.l_norm > eta:
         raise ValueError(
-            f"stability violated: tau * ||L|| = {tau * l_norm:.6g} exceeds eta = {eta}")
-    return LeapfrogConfig(tau=tau, eta=eta, T=T, l_norm=l_norm)
+            f"stability violated: tau * ||L|| = {tau * config.l_norm:.6g} exceeds eta = {eta}")
+    return config
 
 
 def leapfrog_step(l_fn, lt_fn, q: np.ndarray, r: np.ndarray,
@@ -162,22 +166,16 @@ def dense_coupling(model: HamiltonianModel) -> np.ndarray:
     """Dense matrix of the coupling L (test reference)."""
     if model.shape.n > DENSE_MAX_N:
         raise ValueError(f"dense coupling needs n <= {DENSE_MAX_N}, got n={model.shape.n}")
-    l_mat = None
-    for axis in (1, 2, 3):
-        block = sp.kron(sp.csr_matrix(velocity_coupling(model, axis)),
-                        d_axis_matrix(axis, model.shape), format="csr")
-        l_mat = block if l_mat is None else l_mat + block
-    return l_mat.toarray()
+    return sum(sp.kron(sp.csr_matrix(velocity_coupling(model, axis)),
+                       d_axis_matrix(axis, model.shape), format="csr")
+               for axis in (1, 2, 3)).toarray()
 
 
 def dense_generator(model: HamiltonianModel) -> np.ndarray:
     """Dense block generator [[0, L], [-L*, 0]] of the exact sector flow."""
     l_mat = dense_coupling(model)
     nq, nr = l_mat.shape
-    k = np.zeros((nq + nr, nq + nr))
-    k[:nq, nq:] = l_mat
-    k[nq:, :nq] = -l_mat.T
-    return k
+    return np.block([[np.zeros((nq, nq)), l_mat], [-l_mat.T, np.zeros((nr, nr))]])
 
 
 def dense_leapfrog_matrix(model: HamiltonianModel, tau: float) -> np.ndarray:
@@ -236,22 +234,20 @@ def _orthonormal_probes(dim: int, count: int) -> np.ndarray:
     return q
 
 
-def power_bound_certificate(model: HamiltonianModel, config: LeapfrogConfig,
-                            m_max: int) -> CertificateReport:
+def power_bound_certificate(config: LeapfrogConfig, m_max: int) -> CertificateReport:
     """Evolve orthonormal probes m_max >= 1 steps and bound the worst norm growth.
 
     The probes run as one batch (axis 1 of q and r).  Both coupling maps are
     built once; each step is one leapfrog_step with them.
     """
     check_count("m_max", m_max)
-    points = model.shape.points
-    dim = 9 * points**3
-    probes = _orthonormal_probes(dim, POWER_BOUND_PROBES)
+    points = config.model.shape.points
+    probes = _orthonormal_probes(9 * points**3, POWER_BOUND_PROBES)
     # each probe column is a flat (9, N, N, N) state: q rows first, then r
     grid = np.ascontiguousarray(
         probes.T.reshape(-1, 9, points, points, points).swapaxes(0, 1))
     q, r = grid[:3], grid[3:]
-    l_fn, lt_fn = coupling_map(model), coupling_map(model, adjoint=True)
+    l_fn, lt_fn = coupling_map(config.model), coupling_map(config.model, adjoint=True)
     growth = 0.0
     for _ in range(m_max):
         q, r = leapfrog_step(l_fn, lt_fn, q, r, config.tau)
@@ -271,32 +267,29 @@ def _pair_defect(sigma: np.ndarray, t: float, tau: float, steps: int) -> float:
     return float(np.linalg.norm(gap, 2, axis=(-2, -1)).max())
 
 
-def local_error_certificate(model: HamiltonianModel, tau: float) -> CertificateReport:
-    """One-step defect ||exp(tau K) - leapfrog|| vs (1/2) tau^3 ||L||^3."""
-    check_real("tau", tau)
-    sigma = coupling_singular_values(model)
-    l_norm = float(sigma.max())
+def local_error_certificate(config: LeapfrogConfig) -> CertificateReport:
+    """One-step defect ||exp(tau K) - leapfrog|| vs (1/2) tau^3 ||L||^3 at the config's tau."""
+    tau, l_norm = config.tau, config.l_norm
     if tau * l_norm > 1.0:
         raise ValueError(f"local error bound needs tau * ||L|| <= 1, got {tau * l_norm:.6g}")
     certified = 0.5 * tau**3 * l_norm**3
-    return CertificateReport(name="local-error", measured=_pair_defect(sigma, tau, tau, 1),
+    return CertificateReport(name="local-error", measured=_pair_defect(config.sigma, tau, tau, 1),
                              certified=certified, method="spectral",
                              details=(("tau", tau), ("l_norm", l_norm)))
 
 
-def global_error_certificate(model: HamiltonianModel,
-                             config: LeapfrogConfig) -> CertificateReport:
+def global_error_certificate(config: LeapfrogConfig) -> CertificateReport:
     """Final-time defect ||exp(T K) - leapfrog^M|| vs (C_eta/2) T tau^2 ||L||^3."""
     if config.tau * config.l_norm > min(1.0, config.eta):
         raise ValueError("global error bound needs tau * ||L|| <= min(1, eta)")
     steps = whole_steps(config.T, config.tau)
-    measured = _pair_defect(coupling_singular_values(model), config.T, config.tau, steps)
+    measured = _pair_defect(config.sigma, config.T, config.tau, steps)
     certified = config.c_eta / 2 * config.T * config.tau**2 * config.l_norm**3
     return CertificateReport(
         name="global-error", measured=measured, certified=certified, method="spectral",
         details=(("T", config.T), ("tau", config.tau), ("steps", steps),
                  ("eta", config.eta), ("l_norm", config.l_norm),
-                 ("l_norm_bound", operator_norm_bound(model))))
+                 ("l_norm_bound", operator_norm_bound(config.model))))
 
 
 # ---------------------------------------------------------------------------
@@ -354,10 +347,10 @@ def cost_model(model: HamiltonianModel, T: float, epsilon: float) -> ClassicalCo
     """Classical work/memory for the same semidiscrete system at accuracy epsilon."""
     check_real("T", T)
     check_real("epsilon", epsilon)
-    l_norm = estimate_l_norm(model)
+    l_norm = float(coupling_singular_values(model).max())
     c_eta = _c_eta(_COST_ETA)
     tau_max = min(_COST_ETA / l_norm, math.sqrt(2 * epsilon / (c_eta * T * l_norm**3)))
-    steps = step_ceiling(T / tau_max)
+    steps = step_ceiling(T / tau_max if tau_max > 0 else math.inf)
     points = model.shape.points
     per_step = leapfrog_flops_per_point() * points**3
     return ClassicalCostReport(

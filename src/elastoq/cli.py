@@ -129,14 +129,17 @@ def _cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
+def _budget_blocks(model: HamiltonianModel, t: float, eps: float,
+                   schemes: tuple[str, ...]) -> list[str]:
+    """One cost record per bound, all built before the caller prints any."""
+    return [format_cost_report(model, t, eps, steps_and_cost(model, t, eps, scheme))
+            for scheme in schemes]
+
+
 def _cmd_bounds(args: argparse.Namespace) -> int:
     model, t = _model_from_args(args)
     schemes = BOUND_SCHEMES if args.scheme == "all" else (args.scheme,)
-    blocks = []
-    for scheme in schemes:
-        budget = steps_and_cost(model, t, args.eps, scheme)
-        blocks.append(format_cost_report(model, t, args.eps, budget))
-    print("\n\n".join(blocks))
+    print("\n\n".join(_budget_blocks(model, t, args.eps, schemes)))
     return 0
 
 
@@ -145,25 +148,21 @@ def _cmd_certify(args: argparse.Namespace) -> int:
     config = make_leapfrog_config(model, tau=args.tau, eta=args.eta, T=t)
     # the spectral certificates walk nothing, so a bad horizon is refused before the probes walk
     spectral = []
-    if args.tau * config.l_norm <= 1.0:
-        spectral = [local_error_certificate(model, args.tau),
-                    global_error_certificate(model, config)]
-    reports = [power_bound_certificate(model, config, m_max=args.steps)] + spectral
+    if config.tau * config.l_norm <= 1.0:
+        spectral = [local_error_certificate(config), global_error_certificate(config)]
+    reports = [power_bound_certificate(config, m_max=args.steps)] + spectral
     print("\n\n".join(rep.to_text() for rep in reports))
     return 0 if all(rep.passed for rep in reports) else 1
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
     model, t = _model_from_args(args)
-    print("# Resource comparison on the same semidiscrete system.")
-    print("# Excludes spatial discretization error, source terms, state")
-    print("# preparation, readout, and fault-tolerance overhead.")
-    print()
-    print(cost_model(model, t, args.eps).to_text())
-    for scheme in BOUND_SCHEMES:
-        budget = steps_and_cost(model, t, args.eps, scheme)
-        print()
-        print(format_cost_report(model, t, args.eps, budget))
+    blocks = ["# Resource comparison on the same semidiscrete system.\n"
+              "# Excludes spatial discretization error, source terms, state\n"
+              "# preparation, readout, and fault-tolerance overhead.",
+              cost_model(model, t, args.eps).to_text()]
+    blocks += _budget_blocks(model, t, args.eps, BOUND_SCHEMES)
+    print("\n\n".join(blocks))
     return 0
 
 

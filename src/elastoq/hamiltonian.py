@@ -299,11 +299,8 @@ class Propagator:
 
 def materialize_sparse_H(model: HamiltonianModel) -> sp.csr_matrix:
     """Sparse Hermitian matrix of the generator (test reference only)."""
-    h = None
-    for axis in (1, 2, 3):
-        m_cell = sp.csr_matrix(model.axis_matrix(axis))
-        block = sp.kron(m_cell, 1j * d_axis_matrix(axis, model.shape), format="csr")
-        h = block if h is None else h + block
+    h = sum(sp.kron(sp.csr_matrix(model.axis_matrix(axis)),
+                    1j * d_axis_matrix(axis, model.shape), format="csr") for axis in (1, 2, 3))
     residual = abs(h - h.getH())
     if residual.nnz and residual.max() > 1e-14:
         raise AssertionError(f"hermiticity residual {residual.max():.3e} exceeds 1e-14")
@@ -424,7 +421,10 @@ def steps_and_cost(model: HamiltonianModel, T: float, epsilon: float,
     bound, p, step_scheme, limit = BOUNDS[scheme]
     c = bound(model, 1.0)
     n = model.shape.n
-    m_formula = (c * T**p / epsilon) ** (1.0 / (p - 1))
+    try:
+        m_formula = (c * T**p / epsilon) ** (1.0 / (p - 1))
+    except OverflowError:  # T**p past the float range
+        m_formula = math.inf
     m = step_ceiling(m_formula)
     per_step = step_cnots(step_scheme, n)
     applicable = bound(model, T / m) <= limit

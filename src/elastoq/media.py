@@ -50,9 +50,12 @@ def check_choice(name: str, value, choices) -> None:
 
 
 def whole_steps(T: float, tau: float) -> int:
-    """Steps of size tau in the horizon T: T/tau within 1e-9 of an integer >= 1."""
+    """Steps of size tau in the horizon T: T/tau within 1e-9 of an integer in 1..2**53
+    (past 2**53 every float is whole, so that test would pass any T/tau)."""
     check_real("T", T)
     check_real("tau", tau)
+    if T / tau > 2**53:
+        raise ValueError(f"T={T} holds more than 2**53 steps of tau={tau}")
     steps = round(T / tau)
     if abs(T / tau - steps) > 1e-9 or steps < 1:
         raise ValueError(f"tau={tau} does not divide T={T} into an integer number of steps")
@@ -60,8 +63,11 @@ def whole_steps(T: float, tau: float) -> int:
 
 
 def step_ceiling(steps: float) -> int:
-    """The whole step count >= 1 that covers a real one; a relative slack of 1e-12
-    keeps float noise from pushing an exact integer over the ceiling."""
+    """The whole step count >= 1 that covers the real one of a (T, epsilon) budget; a
+    relative slack of 1e-12 keeps float noise from pushing an exact integer over the
+    ceiling.  A count that is not finite is refused."""
+    if not math.isfinite(steps):
+        raise ValueError(f"T and epsilon give no finite step count, got {steps}")
     return max(1, math.ceil(steps * (1.0 - 1e-12)))
 
 

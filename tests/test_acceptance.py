@@ -15,8 +15,8 @@ from elastoq.circuits import (
     simulate,
 )
 from elastoq.classical import (
+    coupling_singular_values,
     dense_sector_evolve,
-    estimate_l_norm,
     global_error_certificate,
     local_error_certificate,
     m_sigma,
@@ -234,22 +234,23 @@ def test_6_structural_invariants():
 def test_7_classical_certificates():
     started = time.perf_counter()
     model = build_model(1, 1.0, REFERENCE_MEDIUM)
-    l_norm = estimate_l_norm(model)
+    l_norm = float(coupling_singular_values(model).max())
     ok = True
 
     for eta in (0.5, 1.0, 1.9):
         tau = eta / l_norm * (1 - 1e-9)
         config = make_leapfrog_config(model, tau=tau, eta=eta, T=1000 * tau)
-        report = power_bound_certificate(model, config, m_max=1000)
+        report = power_bound_certificate(config, m_max=1000)
         ok &= report.measured <= config.c_eta + 1e-8
 
-    local = local_error_certificate(model, 0.5 / l_norm)
+    local = local_error_certificate(
+        make_leapfrog_config(model, tau=0.5 / l_norm, eta=1.0, T=1.0))
     ok &= local.passed
 
     for steps in (8, 16, 32):
         tau = 2.0 / steps
         config = make_leapfrog_config(model, tau=tau, eta=1.0, T=2.0)
-        ok &= global_error_certificate(model, config).passed
+        ok &= global_error_certificate(config).passed
 
     rng = np.random.default_rng(11)
     for _ in range(50):

@@ -14,7 +14,6 @@ from elastoq.classical import (
     dense_generator,
     dense_leapfrog_matrix,
     dense_sector_evolve,
-    estimate_l_norm,
     global_error_certificate,
     leapfrog_flops_per_point,
     leapfrog_step,
@@ -54,7 +53,7 @@ class TestCoupling:
 
     def test_norm_bounded(self):
         model = build_model(2, 0.5, REFERENCE_MEDIUM)
-        assert estimate_l_norm(model) <= operator_norm_bound(model) + 1e-9
+        assert coupling_singular_values(model).max() <= operator_norm_bound(model) + 1e-9
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_singular_values_match_dense_svd(self, n):
@@ -64,7 +63,8 @@ class TestCoupling:
             sigma = coupling_singular_values(model)
             assert sigma.shape == (3 * model.shape.points**3,)
             assert np.abs(np.sort(sigma) - np.sort(dense)).max() <= 1e-12 * dense.max()
-            assert estimate_l_norm(model) == pytest.approx(dense.max(), rel=1e-12)
+            config = make_leapfrog_config(model, tau=0.01, eta=1.0, T=1.0)
+            assert config.l_norm == pytest.approx(dense.max(), rel=1e-12)
 
     def test_adjoint_pairing(self):
         model = build_model(2, 1.0, REFERENCE_MEDIUM)
@@ -211,6 +211,25 @@ class TestStabilityCertificates:
         with pytest.raises(ValueError, match="eta"):
             make_leapfrog_config(model, tau=0.1, eta=2.0, T=1.0)
 
+    def test_config_holds_model_and_read_only_spectrum(self):
+        model = build_model(2, 1.0, REFERENCE_MEDIUM)
+        config = make_leapfrog_config(model, tau=0.1, eta=1.0, T=1.0)
+        assert config.model is model
+        assert np.array_equal(config.sigma, coupling_singular_values(model))
+        assert not config.sigma.flags.writeable
+        assert config.l_norm == config.sigma.max()
+        # a record that holds an array compares by identity
+        assert config != make_leapfrog_config(model, tau=0.1, eta=1.0, T=1.0)
+
+    def test_certificates_read_the_config_model(self):
+        # l_norm and l_norm_bound of one report come from one model
+        stiff = build_model(2, 1.0, MaterialParams(rho=1.0, E=30.0, nu=0.255))
+        config = make_leapfrog_config(stiff, tau=0.02, eta=1.0, T=0.2)
+        details = dict(global_error_certificate(config).details)
+        assert details["l_norm"] == config.l_norm
+        assert details["l_norm_bound"] == operator_norm_bound(stiff)
+        assert dict(power_bound_certificate(config, m_max=2).details)["l_norm"] == config.l_norm
+
     def test_c_eta_closed_form(self):
         model = build_model(1, 1.0, REFERENCE_MEDIUM)
         config = make_leapfrog_config(model, tau=0.1, eta=1.0, T=1.0)
@@ -219,7 +238,7 @@ class TestStabilityCertificates:
     def test_power_bound_certificate(self):
         model = build_model(1, 1.0, REFERENCE_MEDIUM)
         config = make_leapfrog_config(model, tau=0.5, eta=1.0, T=1.0)
-        report = power_bound_certificate(model, config, m_max=300)
+        report = power_bound_certificate(config, m_max=300)
         assert report.passed
         assert report.measured <= config.c_eta + 1e-8
 
@@ -227,7 +246,7 @@ class TestStabilityCertificates:
     def test_power_bound_batch_matches_probe_loop(self, n):
         model = build_model(n, 1.0, REFERENCE_MEDIUM)
         config = make_leapfrog_config(model, tau=0.1, eta=1.0, T=1.0)
-        report = power_bound_certificate(model, config, m_max=20)
+        report = power_bound_certificate(config, m_max=20)
         points = model.shape.points
         probes = _orthonormal_probes(9 * points**3, 16)
         growth = 0.0
@@ -254,14 +273,14 @@ class TestStabilityCertificates:
             norm_sq = sum(np.sum(part.real**2 + part.imag**2, axis=(0, 2, 3, 4))
                           for part in (state[:3], state[3:]))
             growth = max(growth, float(np.sqrt(norm_sq).max()))
-        assert power_bound_certificate(model, config, m_max=20).measured == growth
+        assert power_bound_certificate(config, m_max=20).measured == growth
 
     def test_power_bound_steps_through_leapfrog_step(self, monkeypatch):
         # every step resolves the module attribute, so a wrapper around it
         # (a tracing span, say) sees each one
         model = build_model(2, 1.0, REFERENCE_MEDIUM)
         config = make_leapfrog_config(model, tau=0.1, eta=1.0, T=1.0)
-        expected = power_bound_certificate(model, config, m_max=20).measured
+        expected = power_bound_certificate(config, m_max=20).measured
         calls = []
 
         def counting(*args):
@@ -269,7 +288,7 @@ class TestStabilityCertificates:
             return leapfrog_step(*args)
 
         monkeypatch.setattr(elastoq.classical, "leapfrog_step", counting)
-        assert power_bound_certificate(model, config, m_max=20).measured == expected
+        assert power_bound_certificate(config, m_max=20).measured == expected
         assert calls == [config.tau] * 20
 
     @pytest.mark.parametrize("m_max", [0, -5, 2.5, True, "3"])
@@ -278,16 +297,16 @@ class TestStabilityCertificates:
         model = build_model(1, 1.0, REFERENCE_MEDIUM)
         config = make_leapfrog_config(model, tau=0.1, eta=1.0, T=1.0)
         with pytest.raises(ValueError, match="m_max"):
-            power_bound_certificate(model, config, m_max=m_max)
+            power_bound_certificate(config, m_max=m_max)
 
     def test_near_unitary_regime(self):
         # at tau * ||L|| = 0.01 the growth envelope is C_eta(0.01) ~ 1 + 1.25e-5;
         # measured probe growth over 1000 steps sits around 1e-6
         model = build_model(1, 1.0, REFERENCE_MEDIUM)
-        l_norm = estimate_l_norm(model)
+        l_norm = float(coupling_singular_values(model).max())
         tau = 0.01 / l_norm
         config = make_leapfrog_config(model, tau=tau, eta=0.01, T=1.0)
-        report = power_bound_certificate(model, config, m_max=1000)
+        report = power_bound_certificate(config, m_max=1000)
         assert report.passed
         assert report.measured <= 1.0 + 1.3e-5
 
@@ -319,7 +338,7 @@ class TestStabilityCertificates:
 class TestErrorCertificates:
     def test_local_error(self):
         model = build_model(1, 1.0, REFERENCE_MEDIUM)
-        report = local_error_certificate(model, 0.4)
+        report = local_error_certificate(make_leapfrog_config(model, tau=0.4, eta=1.0, T=1.0))
         assert report.passed
         assert report.method == "spectral"
 
@@ -327,27 +346,28 @@ class TestErrorCertificates:
     def test_local_defect_matches_dense_norm(self, n):
         for h in (1.0, 0.7):
             model = build_model(n, h, REFERENCE_MEDIUM)
-            tau = 0.5 / estimate_l_norm(model)
+            tau = 0.5 / float(coupling_singular_values(model).max())
             gap = (scipy.linalg.expm(tau * dense_generator(model))
                    - dense_leapfrog_matrix(model, tau))
             dense = np.linalg.norm(gap, 2)
-            assert local_error_certificate(model, tau).measured == pytest.approx(
-                dense, rel=1e-10)
+            config = make_leapfrog_config(model, tau=tau, eta=1.0, T=1.0)
+            assert local_error_certificate(config).measured == pytest.approx(dense, rel=1e-10)
 
     def test_local_error_precondition(self):
+        # a stable config (tau * ||L|| = 1.38 <= eta) past the local bound's tau * ||L|| <= 1
         model = build_model(1, 1.0, REFERENCE_MEDIUM)
+        config = make_leapfrog_config(model, tau=1.5, eta=1.9, T=1.5)
         with pytest.raises(ValueError, match="tau"):
-            local_error_certificate(model, 5.0)
+            local_error_certificate(config)
 
     def test_global_error_certified(self):
         model = build_model(1, 1.0, REFERENCE_MEDIUM)
-        l_norm = estimate_l_norm(model)
-        tau = 0.5 / l_norm
+        tau = 0.5 / float(coupling_singular_values(model).max())
         # snap tau onto the T grid
         steps = round(2.0 / tau)
         tau = 2.0 / steps
         config = make_leapfrog_config(model, tau=tau, eta=1.0, T=2.0)
-        report = global_error_certificate(model, config)
+        report = global_error_certificate(config)
         assert report.passed
 
     def test_global_error_refuses_zero_steps(self):
@@ -355,7 +375,7 @@ class TestErrorCertificates:
         model = build_model(1, 1.0, REFERENCE_MEDIUM)
         config = make_leapfrog_config(model, tau=0.1, eta=1.0, T=1e-10)
         with pytest.raises(ValueError, match="does not divide"):
-            global_error_certificate(model, config)
+            global_error_certificate(config)
 
     def test_global_error_quadratic_in_tau(self):
         model = build_model(1, 1.0, REFERENCE_MEDIUM)
@@ -363,7 +383,7 @@ class TestErrorCertificates:
         for steps in (8, 16, 32):
             tau = 2.0 / steps
             config = make_leapfrog_config(model, tau=tau, eta=1.0, T=2.0)
-            errors.append(global_error_certificate(model, config).measured)
+            errors.append(global_error_certificate(config).measured)
         # halving tau divides the measured defect by about four
         assert 3.0 <= errors[0] / errors[1] <= 5.0
         assert 3.0 <= errors[1] / errors[2] <= 5.0
@@ -377,7 +397,7 @@ class TestErrorCertificates:
             config = make_leapfrog_config(model, tau=tau, eta=1.0, T=8 * tau)
             gap = (scipy.linalg.expm(config.T * dense_generator(model))
                    - np.linalg.matrix_power(dense_leapfrog_matrix(model, tau), 8))
-            report = global_error_certificate(model, config)
+            report = global_error_certificate(config)
             assert report.method == "spectral"
             assert report.passed
             assert report.measured == pytest.approx(np.linalg.norm(gap, 2), rel=1e-10)
@@ -385,7 +405,7 @@ class TestErrorCertificates:
     def test_certificate_text_format(self):
         model = build_model(1, 1.0, REFERENCE_MEDIUM)
         config = make_leapfrog_config(model, tau=0.25, eta=1.0, T=2.0)
-        text = global_error_certificate(model, config).to_text()
+        text = global_error_certificate(config).to_text()
         for key in ("certificate", "measured", "certified", "margin", "passed", "method"):
             assert any(line.startswith(key + " ") for line in text.splitlines())
 
@@ -421,7 +441,7 @@ class TestCostModel:
 
     def test_epsilon_branch_switch(self):
         model = build_model(1, 1.0, REFERENCE_MEDIUM)
-        l_norm = estimate_l_norm(model)
+        l_norm = float(coupling_singular_values(model).max())
         loose = cost_model(model, 10.0, 100.0)
         # stability-limited branch: step count set by T * ||L|| / eta
         assert loose.steps == math.ceil(10.0 * l_norm / loose.eta * (1 - 1e-12))

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import elastoq
-from elastoq import cli
+from elastoq import classical, cli
 from elastoq.cli import main
 
 
@@ -20,6 +20,19 @@ def test_module_entry_point():
                           env=env, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     assert "scheme first-norm" in done.stdout
+
+
+def _count_coupling_svds(monkeypatch) -> list:
+    """Record each call of classical.coupling_singular_values, the SVD of all mode blocks."""
+    svd = classical.coupling_singular_values
+    calls = []
+
+    def counting(model):
+        calls.append(model)
+        return svd(model)
+
+    monkeypatch.setattr(classical, "coupling_singular_values", counting)
+    return calls
 
 
 @pytest.mark.parametrize("argv,field", [
@@ -243,6 +256,14 @@ class TestCertify:
         assert record["error"] == "ValueError"
         assert "does not divide T=2.05" in record["message"]
 
+    def test_one_coupling_svd_per_certify(self, monkeypatch, capsys):
+        # the config holds the singular values; the three certificates read them there
+        calls = _count_coupling_svds(monkeypatch)
+        argv = ["certify", "--n", "2", "--T", "2", "--tau", "0.1", "--steps", "2"]
+        assert main(argv) == 0
+        assert capsys.readouterr().out.count("certificate ") == 3
+        assert len(calls) == 1
+
     def test_unstable_tau_fails(self, capsys):
         argv = ["certify", "--n", "1", "--T", "2", "--tau", "5.0"]
         assert main(argv) == 1
@@ -258,6 +279,24 @@ class TestCompare:
         assert "m_cl" in out
         for scheme in ("first-norm", "first-commutator", "second"):
             assert f"scheme {scheme}" in out
+
+    def test_one_coupling_svd_per_compare(self, monkeypatch, capsys):
+        calls = _count_coupling_svds(monkeypatch)
+        assert main(["compare", "--n", "2", "--T", "10"]) == 0
+        assert "partitioned-leapfrog" in capsys.readouterr().out
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("argv", [["compare", "--n", "2", "--T", "1e200"],
+                                      ["bounds", "--n", "2", "--T", "1e200"]])
+    def test_failing_budget_prints_nothing(self, argv, capsys):
+        # compare printed its header and the classical block before the quantum
+        # budget failed; every block is now built before any is printed
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        record = json.loads(captured.err.strip())
+        assert record["error"] == "ValueError"
+        assert re.search(r"\bT\b.*\bepsilon\b", record["message"])
 
 
 #: The exact stdout of `bounds --n 5 --T 30`, the paper's three bound rows at its n and T:

@@ -88,12 +88,16 @@ CASES = [
     ("cost_model", "T", lambda: cost_model(_model(1), True, 0.1)),
     ("make_leapfrog_config", "tau", lambda: make_leapfrog_config(_model(1), True, 1.0, 1.0)),
     ("make_leapfrog_config", "eta", lambda: make_leapfrog_config(_model(1), 0.1, True, 1.0)),
-    ("local_error_certificate", "tau", lambda: local_error_certificate(_model(1), -0.1)),
-    ("local_error_certificate", "tau", lambda: local_error_certificate(_model(1), math.nan)),
+    # the certificate's tau is its config's: a stable one (tau * ||L|| = 1.38 <= eta)
+    # past the local bound's tau * ||L|| <= 1, and one the config refuses
+    ("local_error_certificate", "tau", lambda: local_error_certificate(
+        make_leapfrog_config(_model(1), 1.5, 1.9, 1.5))),
+    ("local_error_certificate", "tau", lambda: local_error_certificate(
+        make_leapfrog_config(_model(1), math.nan, 1.0, 1.0))),
     # T/tau = 99.999999999 misses 100 by 1.000004e-9; the certificate's own
     # tolerance, |m tau - T| <= 1e-9 max(1, T), let it through
     ("global_error_certificate", "tau", lambda: global_error_certificate(
-        _model(1), make_leapfrog_config(_model(1), 0.100000000001, 1.0, 10.0))),
+        make_leapfrog_config(_model(1), 0.100000000001, 1.0, 10.0))),
     ("fidelity_curve", "tau", lambda: fidelity_curve(_propagator(), _prepared(), "u1", 0.4, 1.0)),
     ("fidelity_curve", "tau", lambda: fidelity_curve(_propagator(), _prepared(), "u1", 0.0, 1.0)),
     ("reconstruct_fields", "psi", lambda: reconstruct_fields(_model(2), np.zeros(5), 1.0)),
@@ -186,6 +190,17 @@ CASES = [
         np.ones(9 * _model(2).shape.points**3), 0.1)),
     ("Propagator.to_spectral", "psi", lambda: _propagator().to_spectral(
         np.ones(9 * _model(2).shape.points**3))),
+    # past 2**53 steps every float T/tau is whole: 1e30 failed in the defect's
+    # matrix_power with LinAlgError, 1e18 read a defect of 7.26e62
+    ("global_error_certificate", "T", lambda: global_error_certificate(
+        make_leapfrog_config(_model(1), 0.25, 1.0, 1e30))),
+    ("global_error_certificate", "T", lambda: global_error_certificate(
+        make_leapfrog_config(_model(1), 0.25, 1.0, 1e18))),
+    # a step count past the float range failed with OverflowError (T**p, or the
+    # ceiling of inf) or, for tau_max = 0, ZeroDivisionError
+    ("steps_and_cost", "T", lambda: steps_and_cost(_model(2), 1e200, 0.1, "first-norm")),
+    ("steps_and_cost", "epsilon", lambda: steps_and_cost(_model(2), 10.0, 1e-320, "first-norm")),
+    ("cost_model", "epsilon", lambda: cost_model(_model(2), 1e300, 1e-300)),
 ]
 
 
