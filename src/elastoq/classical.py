@@ -24,7 +24,8 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
 
-from .hamiltonian import DENSE_MAX_N, HamiltonianModel, mode_blocks, operator_norm_bound
+from .hamiltonian import (DENSE_MAX_N, HamiltonianModel, mode_blocks, operator_norm_bound,
+                          record_text)
 from .lattice import d_axis_matrix
 from .media import check_count, check_real, step_ceiling, whole_steps
 
@@ -216,11 +217,9 @@ class CertificateReport:
         return self.measured <= self.certified
 
     def to_text(self) -> str:
-        rows = [("certificate", self.name), ("measured", self.measured),
-                ("certified", self.certified), ("margin", self.margin),
-                ("passed", self.passed), ("method", self.method)]
-        rows += list(self.details)
-        return "\n".join(f"{key} {value}" for key, value in rows)
+        return record_text([("certificate", self.name), ("measured", self.measured),
+                            ("certified", self.certified), ("margin", self.margin),
+                            ("passed", self.passed), ("method", self.method), *self.details])
 
 
 #: Orthonormal probes of the power bound.
@@ -333,14 +332,13 @@ class ClassicalCostReport:
     memory_complex: int
 
     def to_text(self) -> str:
-        rows = [("method", "partitioned-leapfrog"), ("n", self.n), ("N", self.points),
-                ("T", self.T), ("epsilon", self.epsilon), ("eta", self.eta),
-                ("l_norm", self.l_norm), ("l_norm_bound", self.l_norm_bound),
-                ("tau_max", self.tau_max), ("m_cl", self.steps),
-                ("flops_per_step", self.flops_per_step),
-                ("total_flops", self.total_flops),
-                ("memory_complex", self.memory_complex)]
-        return "\n".join(f"{key} {value}" for key, value in rows)
+        return record_text([
+            ("method", "partitioned-leapfrog"), ("n", self.n), ("N", self.points),
+            ("T", self.T), ("epsilon", self.epsilon), ("eta", self.eta),
+            ("l_norm", self.l_norm), ("l_norm_bound", self.l_norm_bound),
+            ("tau_max", self.tau_max), ("m_cl", self.steps),
+            ("flops_per_step", self.flops_per_step), ("total_flops", self.total_flops),
+            ("memory_complex", self.memory_complex)])
 
 
 def cost_model(model: HamiltonianModel, T: float, epsilon: float) -> ClassicalCostReport:

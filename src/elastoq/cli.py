@@ -19,6 +19,7 @@ import argparse
 import dataclasses
 import json
 import sys
+from collections.abc import Iterable
 
 from .classical import (
     cost_model,
@@ -28,8 +29,7 @@ from .classical import (
     power_bound_certificate,
 )
 from .experiments import INITS, ExperimentConfig, run_experiment
-from .hamiltonian import (BOUND_SCHEMES, SCHEMES, HamiltonianModel, build_model,
-                          format_cost_report, steps_and_cost)
+from .hamiltonian import BOUNDS, SWEEPS, HamiltonianModel, build_model, steps_and_cost
 from .media import MaterialParams
 
 FULL_SCALE = {"n": 5, "T": 30.0, "taus": (0.1, 0.2, 0.5, 1.0)}
@@ -53,7 +53,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--tau", type=float, action="append", default=None,
                      help="Trotter step size (repeatable)")
     run.add_argument("--init", choices=INITS, default=None)
-    run.add_argument("--scheme", choices=SCHEMES, default=None)
+    run.add_argument("--scheme", choices=SWEEPS, default=None)
     run.add_argument("--out", default=None, help="output directory")
     run.add_argument("--clip", type=float, default=None,
                      help="clip fraction for exported field values")
@@ -66,7 +66,8 @@ def build_parser() -> argparse.ArgumentParser:
     bounds = sub.add_parser("bounds", help="print error bound and gate cost tables")
     _add_model_flags(bounds)
     bounds.add_argument("--eps", type=float, default=0.1, help="target accuracy")
-    bounds.add_argument("--scheme", choices=BOUND_SCHEMES + ("all",), default="all")
+    bounds.add_argument("--scheme", choices=[*BOUNDS, "all"], default="all",
+                        help="the row of hamiltonian.BOUNDS to price, or all of them")
 
     certify = sub.add_parser("certify", help="classical integrator certificates")
     _add_model_flags(certify)
@@ -103,6 +104,9 @@ def _merged_run_config(args: argparse.Namespace) -> ExperimentConfig:
     if args.config:
         with open(args.config) as fh:
             loaded = json.load(fh)
+        if not isinstance(loaded, dict):
+            raise ValueError(f"config must be a JSON object of field values, "
+                             f"got a {type(loaded).__name__}")
         unknown = set(loaded) - set(_CONFIG_FIELDS)
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
@@ -130,16 +134,15 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _budget_blocks(model: HamiltonianModel, t: float, eps: float,
-                   schemes: tuple[str, ...]) -> list[str]:
+                   bounds: Iterable[str]) -> list[str]:
     """One cost record per bound, all built before the caller prints any."""
-    return [format_cost_report(model, t, eps, steps_and_cost(model, t, eps, scheme))
-            for scheme in schemes]
+    return [steps_and_cost(model, t, eps, bound).to_text() for bound in bounds]
 
 
 def _cmd_bounds(args: argparse.Namespace) -> int:
     model, t = _model_from_args(args)
-    schemes = BOUND_SCHEMES if args.scheme == "all" else (args.scheme,)
-    print("\n\n".join(_budget_blocks(model, t, args.eps, schemes)))
+    bounds = BOUNDS if args.scheme == "all" else (args.scheme,)
+    print("\n\n".join(_budget_blocks(model, t, args.eps, bounds)))
     return 0
 
 
@@ -150,6 +153,9 @@ def _cmd_certify(args: argparse.Namespace) -> int:
     spectral = []
     if config.tau * config.l_norm <= 1.0:
         spectral = [local_error_certificate(config), global_error_certificate(config)]
+    else:
+        print(f"warning: skipped certificates local-error and global-error, which need "
+              f"tau*||L|| <= 1, got {config.tau * config.l_norm:.6g}", file=sys.stderr)
     reports = [power_bound_certificate(config, m_max=args.steps)] + spectral
     print("\n\n".join(rep.to_text() for rep in reports))
     return 0 if all(rep.passed for rep in reports) else 1
@@ -161,7 +167,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
               "# Excludes spatial discretization error, source terms, state\n"
               "# preparation, readout, and fault-tolerance overhead.",
               cost_model(model, t, args.eps).to_text()]
-    blocks += _budget_blocks(model, t, args.eps, BOUND_SCHEMES)
+    blocks += _budget_blocks(model, t, args.eps, BOUNDS)
     print("\n\n".join(blocks))
     return 0
 

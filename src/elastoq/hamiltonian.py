@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterable, Iterator
 
 import numpy as np
 import scipy.sparse as sp
@@ -37,7 +37,6 @@ from .media import (
 #: reverse).  A sweep applies every term once, axes, eigenindices j and levels k ascending,
 #: or all three descending if reversed: u1 is first order, u2 symmetric second order.
 SWEEPS = {"u1": ((1.0, False),), "u2": ((0.5, False), (0.5, True))}
-SCHEMES = tuple(SWEEPS)
 
 #: Eigenvalues below this are treated as exact zeros of the padding/kernel
 #: sector; the gate builders and the fast path skip them, cost accounting never does.
@@ -365,7 +364,6 @@ def bound_second_order(model: HamiltonianModel, tau: float) -> float:
 BOUNDS = {"first-norm": (bound_first_order_norm, 2, "u1", math.inf),
           "first-commutator": (bound_first_order_commutator, 2, "u1", math.inf),
           "second": (bound_second_order, 3, "u2", 2.0)}
-BOUND_SCHEMES = tuple(BOUNDS)
 
 
 # ---------------------------------------------------------------------------
@@ -395,81 +393,72 @@ def step_cnots(scheme: str, n: int) -> int:
     return len(SWEEPS[scheme]) * (432 * n * n + 378)
 
 
-@dataclass(frozen=True)
-class ErrorBudget:
-    """Step count and CNOT totals implied by one error bound at (T, epsilon)."""
+def record_text(rows: Iterable[tuple[str, object]]) -> str:
+    """Flat text record of (key, value) rows, one "key value" line each."""
+    return "\n".join(f"{key} {value}" for key, value in rows)
 
-    scheme: str
+
+@dataclass(frozen=True, eq=False)
+class ErrorBudget:
+    """Step count and CNOT totals that one bound of BOUNDS implies for a model at (T, epsilon).
+
+    Holds the model, T and epsilon it prices, so its record cannot mix two
+    calls; compared and hashed by identity, like the model it holds.
+    """
+
+    model: HamiltonianModel
+    T: float
+    epsilon: float
+    bound: str
     constant: float
     order: int
     applicable: bool
     steps: int
     steps_formula: float
-    qubits: int
     per_step_cnot: int
     total_cnot: int
     formula_total_cnot: float
 
+    @property
+    def qubits(self) -> int:
+        return self.model.qubits
+
+    def to_text(self) -> str:
+        """Flat key-value text record; its first line names the bound as `scheme`."""
+        shape, p = self.model.shape, self.model.params
+        return record_text([
+            ("scheme", self.bound), ("n", shape.n), ("h", shape.h), ("T", self.T),
+            ("epsilon", self.epsilon), ("rho", p.rho), ("E", p.E), ("nu", p.nu),
+            ("C", self.constant), ("p", self.order), ("m", self.steps),
+            ("m_formula", self.steps_formula), ("applicable", self.applicable),
+            ("qubits", self.qubits), ("per_step_cnot", self.per_step_cnot),
+            ("total_cnot", self.total_cnot), ("formula_total_cnot", self.formula_total_cnot),
+        ])
+
 
 def steps_and_cost(model: HamiltonianModel, T: float, epsilon: float,
-                   scheme: str) -> ErrorBudget:
-    """Convert the one-step bound C * tau^p of BOUNDS[scheme] into global step and
+                   bound: str) -> ErrorBudget:
+    """Convert the one-step bound C * tau^p of BOUNDS[bound] into global step and
     CNOT counts; the budget is applicable while the bound at tau = T/m holds."""
     check_real("T", T)
     check_real("epsilon", epsilon)
-    check_choice("scheme", scheme, BOUNDS)
-    bound, p, step_scheme, limit = BOUNDS[scheme]
-    c = bound(model, 1.0)
-    n = model.shape.n
+    check_choice("bound", bound, BOUNDS)
+    one_step, p, step_scheme, limit = BOUNDS[bound]
+    c = one_step(model, 1.0)
     try:
         m_formula = (c * T**p / epsilon) ** (1.0 / (p - 1))
     except OverflowError:  # T**p past the float range
         m_formula = math.inf
     m = step_ceiling(m_formula)
-    per_step = step_cnots(step_scheme, n)
-    applicable = bound(model, T / m) <= limit
-    budget = ErrorBudget(
-        scheme=scheme,
-        constant=c,
-        order=p,
-        applicable=applicable,
-        steps=m,
-        steps_formula=m_formula,
-        qubits=qubit_count(n),
-        per_step_cnot=per_step,
-        total_cnot=m * per_step,
-        formula_total_cnot=m_formula * per_step,
-    )
+    per_step = step_cnots(step_scheme, model.shape.n)
+    total, formula_total = m * per_step, m_formula * per_step
     # Ceiling slack: the integer total can exceed the closed form by at most
     # one step's worth of gates.
-    if not budget.total_cnot <= budget.formula_total_cnot + per_step:
+    if not total <= formula_total + per_step:
         raise RuntimeError(
-            f"total CNOT count {budget.total_cnot} exceeds the closed form "
-            f"{budget.formula_total_cnot:.6g} by more than one step ({per_step})")
-    return budget
-
-
-def format_cost_report(model: HamiltonianModel, T: float, epsilon: float,
-                       budget: ErrorBudget) -> str:
-    """Flat key-value text record of one cost calculation."""
-    p = model.params
-    rows = [
-        ("scheme", budget.scheme),
-        ("n", model.shape.n),
-        ("h", model.shape.h),
-        ("T", T),
-        ("epsilon", epsilon),
-        ("rho", p.rho),
-        ("E", p.E),
-        ("nu", p.nu),
-        ("C", budget.constant),
-        ("p", budget.order),
-        ("m", budget.steps),
-        ("m_formula", budget.steps_formula),
-        ("applicable", budget.applicable),
-        ("qubits", budget.qubits),
-        ("per_step_cnot", budget.per_step_cnot),
-        ("total_cnot", budget.total_cnot),
-        ("formula_total_cnot", budget.formula_total_cnot),
-    ]
-    return "\n".join(f"{key} {value}" for key, value in rows)
+            f"total CNOT count {total} exceeds the closed form "
+            f"{formula_total:.6g} by more than one step ({per_step})")
+    return ErrorBudget(
+        model=model, T=T, epsilon=epsilon, bound=bound, constant=c, order=p,
+        applicable=one_step(model, T / m) <= limit, steps=m, steps_formula=m_formula,
+        per_step_cnot=per_step, total_cnot=total, formula_total_cnot=formula_total)

@@ -76,6 +76,12 @@ def test_dry_run_rejects_bad_medium(argv, field, capsys):
     ({"taus": [0.5, "x"]}, "taus"),
     ({"h": True}, "h"),
     ({"n": True}, "n"),
+    # a file that is no JSON object failed with TypeError or a message about its items
+    ([["n", 3]], "config"),
+    (5, "config"),
+    (None, "config"),
+    ("abc", "config"),
+    (["n"], "config"),
 ])
 def test_config_value_of_wrong_type_named(config, field, tmp_path, capsys):
     cfg_path = tmp_path / "config.json"
@@ -263,6 +269,20 @@ class TestCertify:
         assert main(argv) == 0
         assert capsys.readouterr().out.count("certificate ") == 3
         assert len(calls) == 1
+
+    def test_skipped_certificates_named(self, capsys):
+        # tau*||L|| = 1.338 > 1: the spectral certificates do not apply, and the
+        # skip is said on stderr, while stdout and the exit code stay the power bound's
+        argv = ["certify", "--n", "2", "--T", "1.8", "--tau", "0.9", "--eta", "1.9",
+                "--steps", "20"]
+        assert main(argv) == 0
+        captured = capsys.readouterr()
+        assert captured.out.count("certificate ") == 1
+        assert "certificate power-bound" in captured.out
+        warning, = captured.err.splitlines()
+        assert warning.startswith("warning: ")
+        assert "local-error" in warning and "global-error" in warning
+        assert "tau*||L|| <= 1" in warning
 
     def test_unstable_tau_fails(self, capsys):
         argv = ["certify", "--n", "1", "--T", "2", "--tau", "5.0"]

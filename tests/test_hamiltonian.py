@@ -6,13 +6,13 @@ import pytest
 from elastoq import circuits, hamiltonian
 from elastoq.circuits import empirical_trotter_error
 from elastoq.hamiltonian import (
+    BOUNDS,
     TermKey,
     apply_H,
     bound_first_order_commutator,
     bound_first_order_norm,
     bound_second_order,
     build_model,
-    format_cost_report,
     materialize_sparse_H,
     materialize_term,
     operator_norm_bound,
@@ -241,16 +241,31 @@ class TestStepsAndCost:
             steps_and_cost(model, 0.0, 0.1, "first-norm")
         with pytest.raises(ValueError, match="epsilon"):
             steps_and_cost(model, 1.0, 0.0, "first-norm")
-        with pytest.raises(ValueError, match="scheme"):
+        with pytest.raises(ValueError, match="bound must be one of"):
             steps_and_cost(model, 1.0, 0.1, "third")
+        with pytest.raises(ValueError, match="bound must be one of"):
+            steps_and_cost(model, 1.0, 0.1, "u1")
 
     def test_report_record(self):
         model = build_model(2, 1.0, REFERENCE_MEDIUM)
-        budget = steps_and_cost(model, 5.0, 0.2, "second")
-        text = format_cost_report(model, 5.0, 0.2, budget)
+        text = steps_and_cost(model, 5.0, 0.2, "second").to_text()
         for key in ("scheme", "n", "h", "T", "epsilon", "rho", "E", "nu",
                     "C", "p", "m", "qubits", "per_step_cnot", "total_cnot"):
             assert any(line.startswith(key + " ") for line in text.splitlines())
+
+    @pytest.mark.parametrize("bound", BOUNDS)
+    def test_record_prints_the_model_it_prices(self, bound):
+        # the budget holds its model, T and epsilon, so its record cannot print
+        # one call's inputs next to another call's figures
+        b = build_model(3, 0.5, MaterialParams(rho=2.0, E=30.0, nu=0.1))
+        budget = steps_and_cost(b, 5.0, 0.2, bound)
+        assert (budget.model, budget.T, budget.epsilon, budget.bound) == (b, 5.0, 0.2, bound)
+        record = dict(line.split(" ", 1) for line in budget.to_text().splitlines())
+        assert record["scheme"] == bound
+        assert [record[key] for key in ("n", "h", "rho", "E", "nu", "T", "epsilon")] == [
+            "3", "0.5", "2.0", "30.0", "0.1", "5.0", "0.2"]
+        assert budget.qubits == 13 and record["qubits"] == "13"
+        assert record["per_step_cnot"] == str(step_cnots(BOUNDS[bound][2], 3))
 
 
 class TestEmpiricalError:

@@ -158,8 +158,8 @@ CASES = [
     ("ExperimentConfig", "scheme", lambda: ExperimentConfig(n=3, scheme=None)),
     ("ExperimentConfig", "init", lambda: ExperimentConfig(n=3, init=["p"])),
     ("ExperimentConfig", "init", lambda: ExperimentConfig(n=3, init=None)),
-    ("steps_and_cost", "scheme", lambda: steps_and_cost(_model(1), 1.0, 0.1, ["second"])),
-    ("steps_and_cost", "scheme", lambda: steps_and_cost(_model(1), 1.0, 0.1, None)),
+    ("steps_and_cost", "bound", lambda: steps_and_cost(_model(1), 1.0, 0.1, ["second"])),
+    ("steps_and_cost", "bound", lambda: steps_and_cost(_model(1), 1.0, 0.1, None)),
     ("build_program", "scheme", lambda: build_program(_model(1), "u3", 0.1)),
     ("build_program", "scheme", lambda: build_program(_model(1), ["u1"], 0.1)),
     # folded_rotations counted 18 folds of a program whose payloads simulate refuses

@@ -81,8 +81,8 @@ def test_input_rules_live_in_one_place():
     # the per-step CNOT account is hamiltonian.step_cnots, which a program derives
     assert _modules_with(r"\bu[12]_step_cnots\b") == []
     assert "cnot_account" not in {f.name for f in dataclasses.fields(GateProgram)}
-    # one table per kind of name: hamiltonian.SWEEPS (whose keys are SCHEMES) and
-    # BOUNDS (whose keys are BOUND_SCHEMES), experiments.INITS
+    # one table per kind of name, with no alias tuple of its keys: hamiltonian.SWEEPS
+    # (the schemes), hamiltonian.BOUNDS (the bound names) and experiments.INITS
     assert _modules_with(r'\{"u1": .*, "u2": ') == ["hamiltonian"]
     assert _modules_with(r'\{"pulse": .*, "p": .*, "s": ') == ["experiments"]
     for scheme in BOUNDS:
@@ -90,6 +90,13 @@ def test_input_rules_live_in_one_place():
     # one name rule, media.check_choice, and one step-count ceiling, media.step_ceiling
     assert _modules_with(r"\bin SCHEMES\b") == []
     assert _modules_with(r"math\.ceil\b") == ["media"]
+
+
+def test_one_printed_record_form():
+    # every "key value" text record is joined by hamiltonian.record_text, and a
+    # budget prints itself, so no report function takes its inputs a second time
+    assert _modules_with(r'f"\{key\} \{value\}"') == ["hamiltonian"]
+    assert not {"SCHEMES", "BOUND_SCHEMES", "format_cost_report"} & _package_names()
 
 
 def test_hamiltonian_imports_nothing_from_circuits():
