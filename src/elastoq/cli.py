@@ -1,17 +1,18 @@
 """Command-line front end.
 
-Subcommands: `run` executes a full experiment, `bounds` prints error/cost
-tables, `certify` runs the classical integrator certificates, and `compare`
-prints the quantum-vs-classical resource comparison.  All flags mirror
-config fields; a JSON config file can supply any of them, with explicit
-flags taking precedence.  ELASTOQ_THREADS caps the number of parallel
-step-size jobs in `run`.
+Subcommands: `run` executes a full experiment, or with --dry-run only prints
+its plan; `bounds` prints error/cost tables, `certify` runs the classical
+integrator certificates, and `compare` prints the quantum-vs-classical
+resource comparison.  The model and run flags mirror config fields; a JSON
+config file can supply any of them, with explicit flags taking precedence.
+ELASTOQ_THREADS caps the number of parallel step-size jobs in `run`.
 
 Each of those jobs also runs OpenBLAS threads.  numpy and scipy load separate
 OpenBLAS builds and the Trotter step alternates between them, so with more
 than one BLAS thread the two thread pools contend and a step runs several
 times slower.  Set OPENBLAS_NUM_THREADS=1 and take parallelism from
-ELASTOQ_THREADS instead; the worker count does not change the output bytes.
+ELASTOQ_THREADS instead.  The worker count does not change the output bytes,
+nor does running at one or two OpenBLAS threads.
 """
 from __future__ import annotations
 
@@ -28,7 +29,7 @@ from .classical import (
     make_leapfrog_config,
     power_bound_certificate,
 )
-from .experiments import INITS, ExperimentConfig, run_experiment
+from .experiments import INITS, ExperimentConfig, plan_experiment, run_experiment
 from .hamiltonian import BOUNDS, SWEEPS, HamiltonianModel, build_model, steps_and_cost
 from .media import MaterialParams
 
@@ -86,8 +87,7 @@ def build_parser() -> argparse.ArgumentParser:
 _RUN_DEFAULTS = ExperimentConfig(n=2)
 
 #: Config fields a JSON file or a flag may set, and the flags whose name differs.
-_CONFIG_FIELDS = tuple(f.name for f in dataclasses.fields(ExperimentConfig)
-                       if f.name != "dry_run")
+_CONFIG_FIELDS = tuple(f.name for f in dataclasses.fields(ExperimentConfig))
 _FLAG_NAMES = {"taus": "tau", "out_dir": "out"}
 
 _MODEL_FIELDS = ("n", "h", "rho", "E", "nu", "T")
@@ -99,11 +99,23 @@ def _given_flags(args: argparse.Namespace, names: tuple[str, ...]) -> dict:
     return {name: value for name, value in values.items() if value is not None}
 
 
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """A JSON object's members, refusing a key given twice (json keeps the last)."""
+    keys = [key for key, _ in pairs]
+    repeated = sorted({key for key in keys if keys.count(key) > 1})
+    if repeated:
+        raise ValueError(f"repeated keys {repeated}")
+    return dict(pairs)
+
+
 def _merged_run_config(args: argparse.Namespace) -> ExperimentConfig:
     values = {}
     if args.config:
-        with open(args.config) as fh:
-            loaded = json.load(fh)
+        try:
+            with open(args.config) as fh:
+                loaded = json.load(fh, object_pairs_hook=_unique_keys)
+        except (OSError, ValueError) as exc:  # a JSONDecodeError is a ValueError
+            raise ValueError(f"config file {args.config}: {exc}") from exc
         if not isinstance(loaded, dict):
             raise ValueError(f"config must be a JSON object of field values, "
                              f"got a {type(loaded).__name__}")
@@ -118,7 +130,7 @@ def _merged_run_config(args: argparse.Namespace) -> ExperimentConfig:
     values.update(_given_flags(args, _CONFIG_FIELDS))
     if isinstance(values.get("taus"), list):  # JSON and repeated --tau give lists
         values["taus"] = tuple(values["taus"])
-    return dataclasses.replace(_RUN_DEFAULTS, dry_run=args.dry_run, **values)
+    return dataclasses.replace(_RUN_DEFAULTS, **values)
 
 
 def _model_from_args(args: argparse.Namespace) -> tuple[HamiltonianModel, float]:
@@ -129,7 +141,7 @@ def _model_from_args(args: argparse.Namespace) -> tuple[HamiltonianModel, float]
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    run_experiment(_merged_run_config(args))
+    (plan_experiment if args.dry_run else run_experiment)(_merged_run_config(args))
     return 0
 
 

@@ -48,10 +48,9 @@ class ExperimentConfig:
     scheme: str = "u1"
     out_dir: str = "elastoq-out"
     clip: float = 0.02
-    dry_run: bool = False
 
     def __post_init__(self):
-        # the grid and medium refuse a bad value or type by name, also on a dry run
+        # the grid and medium refuse a bad value or type by name, also for plan_experiment
         LatticeShape(n=self.n, h=self.h)
         MaterialParams(rho=self.rho, E=self.E, nu=self.nu)
         check_real("T", self.T)
@@ -183,7 +182,7 @@ def b_weighted_norm_sq(model: HamiltonianModel, psi: np.ndarray,
     """Conserved energy-style quantity <w, B w> of the reconstructed field."""
     w = _physical_field(model, psi, norm_factor)
     bw = _apply_cell(model.cell.b_cell, w)
-    return float(np.vdot(w, bw).real)
+    return float((w.conj() * bw).sum().real)  # not vdot: BLAS splits its sum by thread count
 
 
 # ---------------------------------------------------------------------------
@@ -238,7 +237,13 @@ def fidelity_curve(exact: Propagator, prepared: PreparedState, scheme: str,
         psi_trotter = trotter.apply(psi_trotter)
         # in place, and rounded as step_phases * coeffs (coeffs *= step_phases is not)
         np.multiply(step_phases, coeffs, out=coeffs)
-        fidelities[m] = abs(np.vdot(coeffs, exact.to_spectral(psi_trotter))) ** 2
+        # summed by numpy, not BLAS zdotc, whose sum depends on the BLAS thread count;
+        # |<c, s>| = |<s, c>|, so the fresh array s is conjugated in place, and it is
+        # freed here, not held through the next step's transforms
+        spectral = exact.to_spectral(psi_trotter)
+        np.multiply(np.conjugate(spectral, out=spectral), coeffs, out=spectral)
+        fidelities[m] = abs(spectral.sum()) ** 2
+        del spectral
         if m in snapshot_steps:
             snapshots[m] = (psi_trotter.copy(), exact.from_spectral(coeffs))
     return FidelityCurve(tau=tau, times=times, fidelities=fidelities,
@@ -252,16 +257,9 @@ def _worker_count(n_jobs: int) -> int:
     return min(n_jobs, workers)
 
 
-def run_fidelity_sweep(config: ExperimentConfig,
+def run_fidelity_sweep(config: ExperimentConfig, model: HamiltonianModel, prepared: PreparedState,
                        snapshot_steps: tuple[int, ...] = ()) -> dict[float, FidelityCurve]:
-    """All configured step sizes; snapshots are taken on the smallest tau only."""
-    model = config_model(config)
-    return _sweep(config, model, build_initial_state(config, model), snapshot_steps)
-
-
-def _sweep(config: ExperimentConfig, model: HamiltonianModel, prepared: PreparedState,
-           snapshot_steps: tuple[int, ...]) -> dict[float, FidelityCurve]:
-    """run_fidelity_sweep on a built model and state; one propagator for all tau."""
+    """All configured step sizes from one propagator of model; snapshots on the smallest tau."""
     workers = _worker_count(len(config.taus))
     exact = Propagator(model)
     tau_min = min(config.taus)
@@ -312,30 +310,31 @@ def _write_json(path: Path, payload: dict) -> None:
     path.write_text(text + "\n")
 
 
+def plan_experiment(config: ExperimentConfig) -> dict:
+    """Print the CNOT account, gate census and step plan; returns {"qubits", "plan"}."""
+    per_step_cnot = step_cnots(config.scheme, config.n)
+    plan = {f"{tau:g}": whole_steps(config.T, tau) for tau in config.taus}
+    print(f"dry run: qubits={qubit_count(config.n)} scheme={config.scheme} "
+          f"per_step_cnot={per_step_cnot}")
+    # the emitted gates by kind: the CNOT account above prices each
+    # multi-controlled rotation and payload in CNOTs, the program keeps them whole
+    program = build_program(config_model(config), config.scheme, config.taus[0])
+    kinds = [g.kind for g in program.gates]
+    census = ", ".join(f"{kinds.count(k)} {k}" for k in GATE_KINDS if k in kinds)
+    rotations = sum(kinds.count(k) for k in ROTATIONS)
+    print(f"  {config.scheme} program: {len(kinds)} gates ({census}); simulate folds "
+          f"{folded_rotations(program)} of {rotations} rotations")
+    for tau_key, steps in plan.items():
+        print(f"  tau={tau_key}: steps={steps} total_cnot={steps * per_step_cnot}")
+    return {"qubits": qubit_count(config.n), "plan": plan}
+
+
 def run_experiment(config: ExperimentConfig) -> dict:
     """Execute the configured sweep, write outputs, print a summary.
 
     Returns the manifest dictionary.  Output files are a pure function of the
     config (no timestamps), so identical configs produce identical bytes.
     """
-    per_step_cnot = step_cnots(config.scheme, config.n)
-    plan = {f"{tau:g}": whole_steps(config.T, tau) for tau in config.taus}
-
-    if config.dry_run:
-        print(f"dry run: qubits={qubit_count(config.n)} scheme={config.scheme} "
-              f"per_step_cnot={per_step_cnot}")
-        # the emitted gates by kind: the CNOT account above prices each
-        # multi-controlled rotation and payload in CNOTs, the program keeps them whole
-        program = build_program(config_model(config), config.scheme, config.taus[0])
-        kinds = [g.kind for g in program.gates]
-        census = ", ".join(f"{kinds.count(k)} {k}" for k in GATE_KINDS if k in kinds)
-        rotations = sum(kinds.count(k) for k in ROTATIONS)
-        print(f"  {config.scheme} program: {len(kinds)} gates ({census}); simulate folds "
-              f"{folded_rotations(program)} of {rotations} rotations")
-        for tau_key, steps in plan.items():
-            print(f"  tau={tau_key}: steps={steps} total_cnot={steps * per_step_cnot}")
-        return {"dry_run": True, "qubits": qubit_count(config.n), "plan": plan}
-
     # refused now, not at the mkdir after the sweep
     out = Path(config.out_dir)
     existing = next((path for path in (out, *out.parents) if path.exists()), out)
@@ -349,16 +348,16 @@ def run_experiment(config: ExperimentConfig) -> dict:
     # five representative times, each moved to the nearest step of the smallest tau
     quarters = (0.0, config.T / 4, config.T / 2, 3 * config.T / 4, config.T)
     snapshot_steps = tuple(sorted({round(t / tau_min) for t in quarters}))
-    curves = _sweep(config, model, prepared, snapshot_steps)
+    curves = run_fidelity_sweep(config, model, prepared, snapshot_steps)
     # made after the sweep, so a failed run leaves no output directory
     (out / "fields").mkdir(parents=True, exist_ok=True)
 
+    per_step_cnot = step_cnots(config.scheme, config.n)
     curve_meta = {}
-    for tau in config.taus:
-        curve = curves[tau]
+    for tau, curve in curves.items():  # in the order of config.taus
         name = f"fidelity_tau{tau:g}.csv"
         (out / name).write_text(_fidelity_csv(curve))
-        steps = plan[f"{tau:g}"]
+        steps = len(curve.fidelities) - 1
         curve_meta[f"{tau:g}"] = {
             "file": name,
             "steps": steps,

@@ -137,7 +137,8 @@ def test_4_fidelity_experiment_desk_scale():
     started = time.perf_counter()
     taus = (0.1, 0.2, 0.5, 1.0)
     config = ExperimentConfig(n=2, T=10.0, taus=taus, E=0.646, nu=0.255, scheme="u1")
-    curves = run_fidelity_sweep(config)
+    model = config_model(config)
+    curves = run_fidelity_sweep(config, model, build_initial_state(config, model))
     ok = True
     for tau in taus:
         fid = curves[tau].fidelities

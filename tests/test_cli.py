@@ -94,6 +94,47 @@ def test_config_value_of_wrong_type_named(config, field, tmp_path, capsys):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("text,reason", [
+    ('{"n": 3,}', "Expecting property name"),
+    ('{"n": 2, "n": 3}', "repeated keys ['n']"),
+    ('{"n": 3, "taus": [0.5], "init": "p", "taus": [1.0], "n": 4}', "repeated keys ['n', 'taus']"),
+    (None, "No such file"),
+], ids=["trailing-comma", "repeated-key", "repeated-keys", "missing-file"])
+def test_config_file_text_refused_by_name(text, reason, tmp_path, capsys):
+    # text that is no JSON failed as a JSONDecodeError, a missing file as a bare
+    # FileNotFoundError, neither naming the config; a repeated key was taken silently
+    cfg_path = tmp_path / "config.json"
+    if text is not None:
+        cfg_path.write_text(text)
+    assert main(["run", "--config", str(cfg_path), "--dry-run"]) == 1
+    captured = capsys.readouterr()
+    record = json.loads(captured.err.strip())
+    assert record["error"] == "ValueError"
+    assert record["message"].startswith(f"config file {cfg_path}: ")
+    assert reason in record["message"]
+    assert captured.out == ""
+
+
+def test_run_bytes_independent_of_blas_threads(tmp_path):
+    # the fidelity overlap was a BLAS zdotc, whose sum splits over the BLAS threads:
+    # at n = 4 (a state of 65,536 entries) one and two threads wrote different bytes
+    src = Path(elastoq.__file__).resolve().parent.parent
+    outputs = []
+    for threads in ("1", "2"):
+        cwd = tmp_path / f"blas{threads}"
+        cwd.mkdir()
+        env = {**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": threads}
+        argv = ["run", "--n", "4", "--init", "p", "--T", "2", "--tau", "0.5", "--out", "out"]
+        done = subprocess.run([sys.executable, "-m", "elastoq", *argv], cwd=cwd, env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        out = cwd / "out"
+        outputs.append({path.relative_to(out): path.read_bytes()
+                        for path in out.rglob("*") if path.is_file()})
+    assert len(outputs[0]) == 22  # one CSV, twenty field records and the manifest
+    assert outputs[0] == outputs[1]
+
+
 @pytest.mark.parametrize("argv", [
     ["bounds", "--n", "1", "--T", "0.05"],
     ["compare", "--n", "1", "--T", "0.25"],

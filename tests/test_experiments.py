@@ -17,6 +17,7 @@ from elastoq.experiments import (
     clip_values,
     config_model,
     fidelity_curve,
+    plan_experiment,
     reconstruct_fields,
     run_experiment,
     run_fidelity_sweep,
@@ -33,6 +34,11 @@ def identity_config(**overrides):
     base = dict(n=2, h=1.0, rho=1.0, E=1.0, nu=0.0, T=2.0, taus=(0.5,))
     base.update(overrides)
     return ExperimentConfig(**base)
+
+
+def sweep(config, snapshot_steps=()):
+    model = config_model(config)
+    return run_fidelity_sweep(config, model, build_initial_state(config, model), snapshot_steps)
 
 
 class TestIndexSets:
@@ -131,7 +137,7 @@ class TestInitialStates:
 class TestFidelity:
     def test_initial_fidelity_is_one(self):
         config = identity_config(E=0.646, nu=0.255)
-        curves = run_fidelity_sweep(config)
+        curves = sweep(config)
         assert curves[0.5].fidelities[0] == 1.0
 
     def test_bounds_and_self_consistency(self):
@@ -160,17 +166,32 @@ class TestFidelity:
         with pytest.raises(ValueError, match="psi must be finite"):
             fidelity_curve(Propagator(model), broken, "u1", 0.5, config.T)
 
+    def test_padding_rows_count_in_the_overlap(self):
+        # a prepared state with weight on the padding components 9..15: the overlap
+        # sums every row, not only the nine physical ones
+        model = config_model(identity_config(E=0.646, nu=0.255))
+        rng = np.random.default_rng(3)
+        psi = rng.standard_normal(model.dim) + 1j * rng.standard_normal(model.dim)
+        prepared = PreparedState(psi=psi / np.linalg.norm(psi), norm_factor=1.0)
+        exact = Propagator(model)
+        curve = fidelity_curve(exact, prepared, "u1", 0.5, 2.0)
+        state = prepared.psi
+        for m in range(1, 5):
+            state = TrotterStep(model, "u1", 0.5).apply(state)
+            reference = abs(np.vdot(exact.evolve(prepared.psi, 0.5 * m), state)) ** 2
+            assert curve.fidelities[m] == pytest.approx(reference, abs=1e-12)
+
     def test_fidelity_deficit_scales_quadratically(self):
         # deficit 1 - F ~ (global error)^2 ~ tau^2 for the first-order scheme
         config = identity_config(E=0.646, nu=0.255, T=2.0, taus=(0.2, 0.1))
-        curves = run_fidelity_sweep(config)
+        curves = sweep(config)
         deficit_coarse = 1.0 - curves[0.2].final_fidelity
         deficit_fine = 1.0 - curves[0.1].final_fidelity
         assert 2.5 <= deficit_coarse / deficit_fine <= 6.0
 
     def test_snapshots_taken_on_requested_grid(self):
         config = identity_config(taus=(0.5,))
-        curves = run_fidelity_sweep(config, snapshot_steps=(0, 2, 4))
+        curves = sweep(config, snapshot_steps=(0, 2, 4))
         assert sorted(curves[0.5].snapshots) == [0, 2, 4]
 
     def test_propagator_reference_matches_dense(self):
@@ -297,9 +318,8 @@ class TestRunExperiment:
 
     def test_dry_run_writes_nothing(self, tmp_path, capsys):
         out = tmp_path / "dry"
-        config = identity_config(out_dir=str(out), dry_run=True)
-        result = run_experiment(config)
-        assert result["dry_run"] is True
+        result = plan_experiment(identity_config(out_dir=str(out)))
+        assert result == {"qubits": 10, "plan": {"0.5": 4}}
         assert not out.exists()
         printed = capsys.readouterr().out
         assert "qubits=10" in printed
@@ -330,7 +350,7 @@ class TestRunExperiment:
         # out_dir at or under a file used to fail at mkdir, after the whole sweep
         def no_sweep(*args):
             raise AssertionError("sweep ran")
-        monkeypatch.setattr(experiments, "_sweep", no_sweep)
+        monkeypatch.setattr(experiments, "run_fidelity_sweep", no_sweep)
         afile = tmp_path / "afile"
         afile.write_text("")
         with pytest.raises(ValueError, match="out_dir"):
@@ -364,9 +384,9 @@ class TestThreadCap:
     def test_parallel_sweep_matches_serial(self, monkeypatch):
         config = identity_config(taus=(0.5, 1.0))
         monkeypatch.delenv("ELASTOQ_THREADS", raising=False)
-        serial = run_fidelity_sweep(config)
+        serial = sweep(config)
         monkeypatch.setenv("ELASTOQ_THREADS", "2")
-        parallel = run_fidelity_sweep(config)
+        parallel = sweep(config)
         for tau in config.taus:
             assert np.array_equal(serial[tau].fidelities, parallel[tau].fidelities)
 
@@ -384,7 +404,7 @@ def _prepared():
     _cell,
     lambda: eigendecompose_axis(_cell(), 1),
     _prepared,
-    lambda: run_fidelity_sweep(identity_config())[0.5],
+    lambda: sweep(identity_config())[0.5],
     lambda: reconstruct_fields(config_model(identity_config()), _prepared().psi, 1.0)["v_z"],
 ], ids=["CellMatrices", "AxisEigenSystem", "PreparedState", "FidelityCurve", "FieldSlice"])
 def test_array_records_hash_and_equal_by_identity(build):

@@ -7,8 +7,9 @@ import re
 from pathlib import Path
 
 import elastoq
+from elastoq import cli, experiments
 from elastoq.circuits import GateProgram
-from elastoq.experiments import INITS
+from elastoq.experiments import INITS, ExperimentConfig
 from elastoq.hamiltonian import BOUNDS, SWEEPS
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -116,3 +117,11 @@ def test_named_choices_read_their_tables():
     tables = "SWEEPS|SCHEMES|BOUNDS|BOUND_SCHEMES|INITS"
     assert _modules_with(rf"(?m)^(?!\s*for\b).*\bin (?:{tables})\b") == []
     assert _modules_with(r"must be one of") == ["media"]
+
+
+def test_one_job_per_run_entry_point():
+    # a config holds no run mode: --dry-run picks plan_experiment over run_experiment,
+    # and a file or flag may set every field; the run and the tests call one sweep
+    assert cli._CONFIG_FIELDS == tuple(f.name for f in dataclasses.fields(ExperimentConfig))
+    assert "dry_run" not in cli._CONFIG_FIELDS
+    assert not hasattr(experiments, "_sweep")
