@@ -13,7 +13,11 @@ Both the leapfrog and the exact flow act on each singular pair (u, v) of L
 as a 2x2 map in the basis (u, 0), (0, v) and leave the kernel directions
 alone, so ||L|| and the local and global defects are exact maxima over the
 3 N^3 singular values.  make_leapfrog_config computes them once, and the
-certificates read them, and the model, from its LeapfrogConfig alone.
+certificates read them, and the model, from its LeapfrogConfig alone.  The
+power bound steps no grid either: it takes its probes onto the singular pairs
+once and reads each step count's norms from closed-form 2x2 powers, so the
+grid leapfrog (coupling_map, leapfrog_step) is the reference that the tests
+check it against.
 """
 from __future__ import annotations
 
@@ -24,8 +28,8 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
 
-from .hamiltonian import (DENSE_MAX_N, HamiltonianModel, mode_blocks, operator_norm_bound,
-                          record_text)
+from .hamiltonian import (DENSE_MAX_N, HamiltonianModel, mode_blocks, mode_tables,
+                          operator_norm_bound, phased_dst, record_text)
 from .lattice import d_axis_matrix
 from .media import check_count, check_real, step_ceiling, whole_steps
 
@@ -233,31 +237,63 @@ def _orthonormal_probes(dim: int, count: int) -> np.ndarray:
     return q
 
 
-def power_bound_certificate(config: LeapfrogConfig, m_max: int) -> CertificateReport:
-    """Evolve orthonormal probes m_max >= 1 steps and bound the worst norm growth.
+def _probe_pairs(model: HamiltonianModel) -> tuple[np.ndarray, np.ndarray]:
+    """The probes on the coupling's singular pairs: the pair weights (3 * 3 N^3, probes)
+    and each probe's kernel norm^2.
 
-    The probes run as one batch (axis 1 of q and r).  Both coupling maps are
-    built once; each step is one leapfrog_step with them.
+    The phased DST-I gives each probe's mode coordinates (q^, r^), and each
+    mode's block B = U S V^T gives its pair coordinates a = i U^T q^ and
+    b = (V^T r^)[:3]; in them one leapfrog step is m_sigma, and the rest of
+    V^T r^ is kernel, which it leaves alone.  The weight rows are |a|^2, then
+    |b|^2, then 2 Re(conj(a) b), each over the pairs in the order of
+    coupling_singular_values.
     """
-    check_count("m_max", m_max)
-    points = config.model.shape.points
+    points = model.shape.points
     probes = _orthonormal_probes(9 * points**3, POWER_BOUND_PROBES)
     # each probe column is a flat (9, N, N, N) state: q rows first, then r
-    grid = np.ascontiguousarray(
-        probes.T.reshape(-1, 9, points, points, points).swapaxes(0, 1))
-    q, r = grid[:3], grid[3:]
-    l_fn, lt_fn = coupling_map(config.model), coupling_map(config.model, adjoint=True)
-    growth = 0.0
-    for _ in range(m_max):
-        q, r = leapfrog_step(l_fn, lt_fn, q, r, config.tau)
-        norm_sq = sum(np.sum(part.real**2 + part.imag**2, axis=(0, 2, 3, 4))
-                      for part in (q, r))
-        growth = max(growth, float(np.sqrt(norm_sq).max()))
+    sine, phase, _ = mode_tables(points)
+    modes = phased_dst(probes.reshape(9, points, points, points, -1), sine, phase)
+    modes = modes.reshape(9, points**3, -1).transpose(1, 0, 2)  # (mode, component, probe)
+    u, _, vt = np.linalg.svd(mode_blocks(model)[..., :3, 3:].reshape(-1, 3, 6))
+    a = 1j * (u.transpose(0, 2, 1) @ modes[:, :3])
+    b, kernel = np.split(vt @ modes[:, 3:], 2, axis=1)
+    weights = np.concatenate([np.abs(a)**2, np.abs(b)**2, 2 * (a.conj() * b).real])
+    return weights.reshape(-1, POWER_BOUND_PROBES), np.sum(np.abs(kernel)**2, axis=(0, 1))
+
+
+#: Steps per block of the power bound's powers, so its memory does not grow with m_max.
+POWER_BOUND_BLOCK = 32
+
+
+def power_bound_certificate(config: LeapfrogConfig, m_max: int) -> CertificateReport:
+    """Worst norm growth max_{m <= m_max, j} ||leapfrog^m x_j|| of orthonormal probes x_j.
+
+    Taken on the coupling's singular pairs (_probe_pairs), not by stepping the
+    grid.  On a pair, leapfrog^m is M^m with M = m_sigma(tau, sigma), which has
+    det 1 and trace 2 cos(theta), sin(theta/2) = tau sigma / 2.  So
+    M^m = U_{m-1} M - U_{m-2} I in Chebyshev polynomials of cos(theta), that is
+    [[cos m theta, rho sin m theta], [-sin m theta / rho, cos m theta]] with
+    rho = cos(theta/2).  A probe's norm^2 at step m is its kernel norm^2 plus
+    the pairs' Gram entries of M^m against their weights: one GEMM per block
+    of POWER_BOUND_BLOCK steps.
+    """
+    check_count("m_max", m_max)
+    weights, kernel_sq = _probe_pairs(config.model)
+    x = config.tau * config.sigma
+    theta, rho = 2 * np.arcsin(x / 2), np.sqrt(1 - x**2 / 4)
+    growth_sq = 0.0
+    for first in range(1, m_max + 1, POWER_BOUND_BLOCK):
+        steps = np.arange(first, min(first + POWER_BOUND_BLOCK, m_max + 1))
+        angle = np.multiply.outer(steps, theta)
+        cos, sin = np.cos(angle), np.sin(angle)
+        gram = np.concatenate([cos**2 + (sin / rho)**2, cos**2 + (rho * sin)**2,
+                               cos * sin * (rho - 1 / rho)], axis=1)
+        growth_sq = max(growth_sq, float((gram @ weights + kernel_sq).max()))
     certified = config.c_eta + 1e-8
     return CertificateReport(
-        name="power-bound", measured=growth, certified=certified, method="probe",
+        name="power-bound", measured=math.sqrt(growth_sq), certified=certified, method="probe",
         details=(("eta", config.eta), ("tau", config.tau), ("steps", m_max),
-                 ("l_norm", config.l_norm), ("probes", probes.shape[1])))
+                 ("l_norm", config.l_norm), ("probes", POWER_BOUND_PROBES)))
 
 
 def _pair_defect(sigma: np.ndarray, t: float, tau: float, steps: int) -> float:

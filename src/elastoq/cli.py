@@ -161,7 +161,7 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
 def _cmd_certify(args: argparse.Namespace) -> int:
     model, t = _model_from_args(args)
     config = make_leapfrog_config(model, tau=args.tau, eta=args.eta, T=t)
-    # the spectral certificates walk nothing, so a bad horizon is refused before the probes walk
+    # the spectral certificates come first, so a bad horizon is refused before the power bound
     spectral = []
     if config.tau * config.l_norm <= 1.0:
         spectral = [local_error_certificate(config), global_error_certificate(config)]

@@ -152,6 +152,44 @@ def mode_blocks(model: HamiltonianModel) -> np.ndarray:
     return m1[:, None, None] + m2[None, :, None] + m3[None, None, :]
 
 
+def mode_tables(points: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Tables of the phased DST-I on N points per axis (see Propagator): the sine
+    matrix Q, the per-cell diagonal i^(j1+j2+j3) of P, and its parity signs."""
+    j = np.arange(points)
+    powers = (j[:, None, None] + j[None, :, None] + j[None, None, :]) % 4
+    k = j + 1  # outer(k, k) is symmetric, so Q is symmetric to the bit
+    sine = np.sqrt(2 / (points + 1)) * np.sin(np.pi * np.outer(k, k) / (points + 1))
+    return sine, _I_POWERS[powers], _PARITY_SIGNS[powers]
+
+
+def _per_cell(table: np.ndarray, grid: np.ndarray) -> np.ndarray:
+    """A per-cell (N, N, N) table broadcast over the batch axes of grid."""
+    return table.reshape(table.shape + (1,) * (grid.ndim - 4))
+
+
+def phased_dst(grid: np.ndarray, sine: np.ndarray, phase: np.ndarray | None = None) -> np.ndarray:
+    """Orthonormal DST-I of a (c, N, N, N, batch...) grid over its three spatial axes,
+    after P^-1 if the phase table of P is given: Q P^-1 grid, the grid in the mode basis.
+
+    One real GEMM per axis with the symmetric sine matrix Q; a complex grid
+    is transformed on its float view, real and imaginary parts as columns.
+    """
+    if phase is not None:
+        grid = grid * _per_cell(phase, grid).conj()
+    c, points = grid.shape[0], sine.shape[0]
+    x = np.ascontiguousarray(grid)
+    if np.iscomplexobj(x):
+        x = x.reshape(x.shape[:4] + (-1,)).view(np.float64)
+    out = np.matmul(sine, x.reshape(c, points, -1))
+    out = np.matmul(sine, out.reshape(c * points, points, -1))
+    if x.ndim == 4:  # no column axis: x Q on the last axis is Q x, as Q is symmetric
+        out = out.reshape(-1, points) @ sine
+    else:
+        out = np.matmul(sine, out.reshape(c * points * points, points, -1))
+    out = out.reshape(x.shape)
+    return (out.view(complex) if np.iscomplexobj(grid) else out).reshape(grid.shape)
+
+
 @dataclass(frozen=True, eq=False, init=False)
 class Propagator:
     """Exact propagator exp(-iHt) of the generator, diagonalised once.
@@ -165,8 +203,9 @@ class Propagator:
     passes through unchanged.
 
     Q_jk = sqrt(2/(N+1)) sin(pi (j+1)(k+1)/(N+1)) is symmetric and orthogonal,
-    so it is its own inverse.  It is built once, and the DST-I over the three
-    spatial axes runs as three real GEMMs with it, one per axis.
+    so it is its own inverse.  It is built once (mode_tables), and the DST-I
+    over the three spatial axes runs as three real GEMMs with it, one per axis
+    (phased_dst).
 
     Spectral coordinates have the layout of the state: the physical part holds
     eigen-coefficients (eigenindex-major, then mode), the padding part the
@@ -195,16 +234,13 @@ class Propagator:
         lambdas, vectors = np.linalg.eigh(mode_blocks(model))
         eigenvalues = np.zeros((STATE_DIM, points**3))
         eigenvalues[:PHYSICAL_DIM] = lambdas.reshape(points**3, PHYSICAL_DIM).T
-        j = np.arange(points)
-        powers = (j[:, None, None] + j[None, :, None] + j[None, None, :]) % 4
-        k = j + 1  # outer(k, k) is symmetric, so Q is symmetric to the bit
-        sine = np.sqrt(2 / (points + 1)) * np.sin(np.pi * np.outer(k, k) / (points + 1))
+        sine, phase, parity = mode_tables(points)
         for name, value in (("model", model),
                             ("eigenvalues", eigenvalues.reshape(-1)),
                             ("_vectors", vectors.reshape(points**3, PHYSICAL_DIM,
                                                          PHYSICAL_DIM)),
-                            ("_phase", _I_POWERS[powers]),
-                            ("_parity", _PARITY_SIGNS[powers]),
+                            ("_phase", phase),
+                            ("_parity", parity),
                             ("_sine", sine)):
             if isinstance(value, np.ndarray):
                 value.setflags(write=False)
@@ -220,30 +256,9 @@ class Propagator:
         """Complex copy of a state as (components, N, N, N, batch...)."""
         return np.array(arr, dtype=complex).reshape(self._grid_shape(arr))
 
-    @staticmethod
-    def _per_cell(table: np.ndarray, grid: np.ndarray) -> np.ndarray:
-        """A per-cell (N, N, N) table broadcast over the batch axes of grid."""
-        return table.reshape(table.shape + (1,) * (grid.ndim - 4))
-
     def _dst(self, grid: np.ndarray) -> np.ndarray:
-        """Orthonormal DST-I of a (c, N, N, N, batch...) grid over its three spatial axes.
-
-        One real GEMM per axis with the symmetric sine matrix Q; a complex grid
-        is transformed on its float view, real and imaginary parts as columns.
-        """
-        q = self._sine
-        c, points = grid.shape[0], q.shape[0]
-        x = np.ascontiguousarray(grid)
-        if np.iscomplexobj(x):
-            x = x.reshape(x.shape[:4] + (-1,)).view(np.float64)
-        out = np.matmul(q, x.reshape(c, points, -1))
-        out = np.matmul(q, out.reshape(c * points, points, -1))
-        if x.ndim == 4:  # no column axis: x Q on the last axis is Q x, as Q is symmetric
-            out = out.reshape(-1, points) @ q
-        else:
-            out = np.matmul(q, out.reshape(c * points * points, points, -1))
-        out = out.reshape(x.shape)
-        return (out.view(complex) if np.iscomplexobj(grid) else out).reshape(grid.shape)
+        """Orthonormal DST-I of a (c, N, N, N, batch...) grid over its three spatial axes."""
+        return phased_dst(grid, self._sine)
 
     def _mix(self, phys: np.ndarray, adjoint: bool) -> np.ndarray:
         """Apply each mode's 9x9 eigenvector block (or its transpose)."""
@@ -262,10 +277,10 @@ class Propagator:
         """
         if np.iscomplexobj(psi):
             grid = self._grid(psi)
-            phys = self._dst(grid[:PHYSICAL_DIM] * self._per_cell(self._phase, grid).conj())
+            phys = phased_dst(grid[:PHYSICAL_DIM], self._sine, self._phase)
         else:
             real = np.asarray(psi, dtype=np.float64).reshape(self._grid_shape(psi))
-            g = self._dst(real[:PHYSICAL_DIM] * self._per_cell(self._parity, real))
+            g = self._dst(real[:PHYSICAL_DIM] * _per_cell(self._parity, real))
             flipped = g[:, ::-1, ::-1, ::-1]
             phys = np.empty(g.shape, dtype=complex)
             np.add(g, flipped, out=phys.real)
@@ -279,7 +294,7 @@ class Propagator:
         """Inverse of to_spectral (the DST-I is its own inverse)."""
         grid = self._grid(coeffs)
         phys = self._dst(self._mix(grid[:PHYSICAL_DIM], adjoint=False))
-        grid[:PHYSICAL_DIM] = phys * self._per_cell(self._phase, grid)
+        grid[:PHYSICAL_DIM] = phys * _per_cell(self._phase, grid)
         return grid.reshape(coeffs.shape)
 
     def phases(self, t: float) -> np.ndarray:

@@ -1,11 +1,14 @@
 import math
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.linalg
 
-import elastoq.classical
 from elastoq.classical import (
+    POWER_BOUND_BLOCK,
+    POWER_BOUND_PROBES,
     _orthonormal_probes,
     cost_model,
     coupling_map,
@@ -36,6 +39,22 @@ def random_sector_state(rng, points):
     r = rng.standard_normal((6, points, points, points))
     st = np.concatenate([q, r])
     return st / np.linalg.norm(st)
+
+
+def grid_walk_growth(config, m_max):
+    """The power bound's growth by stepping its probes through the grid leapfrog, as one batch."""
+    points = config.model.shape.points
+    probes = _orthonormal_probes(9 * points**3, POWER_BOUND_PROBES)
+    # the batch rides as axis 1 of q and r
+    state = np.ascontiguousarray(probes.T.reshape(-1, 9, points, points, points).swapaxes(0, 1))
+    q, r = state[:3], state[3:]
+    l_fn, lt_fn = coupling_map(config.model), coupling_map(config.model, adjoint=True)
+    growth = 0.0
+    for _ in range(m_max):
+        q, r = leapfrog_step(l_fn, lt_fn, q, r, config.tau)
+        norm_sq = sum(np.sum(np.abs(part)**2, axis=(0, 2, 3, 4)) for part in (q, r))
+        growth = max(growth, float(np.sqrt(norm_sq).max()))
+    return growth
 
 
 def step(model, state, tau):
@@ -257,39 +276,42 @@ class TestStabilityCertificates:
                 growth = max(growth, np.linalg.norm(state))
         assert report.measured == pytest.approx(growth, rel=1e-12)
 
-    @pytest.mark.parametrize("n", [1, 2])
-    def test_power_bound_is_a_batched_leapfrog_step_loop(self, n):
-        # the coupling maps are built once per certificate, not once per step:
-        # the steps must still be leapfrog_step's, to the bit
-        model = build_model(n, 1.0, REFERENCE_MEDIUM)
-        config = make_leapfrog_config(model, tau=0.1, eta=1.0, T=1.0)
-        points = model.shape.points
-        probes = _orthonormal_probes(9 * points**3, 16)
-        state = np.ascontiguousarray(
-            probes.T.reshape(-1, 9, points, points, points).swapaxes(0, 1))
-        growth = 0.0
-        for _ in range(20):
-            state = step(model, state, config.tau)
-            norm_sq = sum(np.sum(part.real**2 + part.imag**2, axis=(0, 2, 3, 4))
-                          for part in (state[:3], state[3:]))
-            growth = max(growth, float(np.sqrt(norm_sq).max()))
-        assert power_bound_certificate(config, m_max=20).measured == growth
+    @pytest.mark.parametrize("eta", [1.0, 1.9])
+    @pytest.mark.parametrize("medium", [(1.0, 0.646, 0.255), (1.3, 1.0, 0.4)])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_power_bound_matches_grid_walk(self, n, medium, eta):
+        model = build_model(n, 1.0, MaterialParams(*medium))
+        tau = eta / coupling_singular_values(model).max() * (1 - 1e-9)
+        config = make_leapfrog_config(model, tau=tau, eta=eta, T=1.0)
+        report = power_bound_certificate(config, m_max=20)
+        assert report.measured == pytest.approx(grid_walk_growth(config, 20), rel=1e-12)
 
-    def test_power_bound_steps_through_leapfrog_step(self, monkeypatch):
-        # every step resolves the module attribute, so a wrapper around it
-        # (a tracing span, say) sees each one
+    def test_power_bound_block_boundaries(self):
+        model = build_model(1, 1.0, MaterialParams(1.3, 1.0, 0.4))
+        config = make_leapfrog_config(model, tau=0.3, eta=1.9, T=1.0)
+        block = POWER_BOUND_BLOCK
+        for m_max in (block - 1, block, block + 1, 2 * block + 1):
+            measured = power_bound_certificate(config, m_max=m_max).measured
+            assert measured == pytest.approx(grid_walk_growth(config, m_max), rel=1e-12)
+
+    def test_power_bound_long_walk(self):
+        model = build_model(1, 1.0, REFERENCE_MEDIUM)
+        config = make_leapfrog_config(model, tau=0.5, eta=1.0, T=1.0)
+        started = time.perf_counter()
+        report = power_bound_certificate(config, m_max=10**5)
+        assert time.perf_counter() - started < 1.0
+        assert report.passed
+
+    def test_power_bound_memory_does_not_grow_with_steps(self):
         model = build_model(2, 1.0, REFERENCE_MEDIUM)
         config = make_leapfrog_config(model, tau=0.1, eta=1.0, T=1.0)
-        expected = power_bound_certificate(config, m_max=20).measured
-        calls = []
-
-        def counting(*args):
-            calls.append(args[-1])
-            return leapfrog_step(*args)
-
-        monkeypatch.setattr(elastoq.classical, "leapfrog_step", counting)
-        assert power_bound_certificate(config, m_max=20).measured == expected
-        assert calls == [config.tau] * 20
+        peaks = []
+        for m_max in (POWER_BOUND_BLOCK, 50 * POWER_BOUND_BLOCK):
+            tracemalloc.start()
+            power_bound_certificate(config, m_max=m_max)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.stop()
+        assert peaks[1] <= peaks[0] * 1.05
 
     @pytest.mark.parametrize("m_max", [0, -5, 2.5, True, "3"])
     def test_power_bound_needs_a_step(self, m_max):

@@ -285,6 +285,14 @@ class TestCertify:
         assert out.count("method spectral") == 2
         assert "passed False" not in out
 
+    def test_power_bound_at_n3(self, capsys):
+        # the power bound reads the coupling's singular pairs, so no grid is stepped
+        assert main(["certify", "--n", "3", "--steps", "200"]) == 0
+        power_bound = capsys.readouterr().out.split("\n\n")[0].splitlines()
+        assert power_bound[0] == "certificate power-bound"
+        assert "passed True" in power_bound
+        assert "steps 200" in power_bound
+
     @pytest.mark.parametrize("steps", ["0", "-5"])
     def test_no_power_bound_steps_refused(self, steps, capsys):
         argv = ["certify", "--n", "1", "--T", "2", "--tau", "0.25", "--steps", steps]
