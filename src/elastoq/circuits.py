@@ -15,6 +15,13 @@ sector as exp(+theta * S_k) with theta = lambda * tau / 2h, so the step
 builders pass x = +theta while the standalone pair-rotation block below uses
 x = -theta (rotation matrix [[cos, -sin], [sin, cos]] on each pair).
 
+A program may hold one Gate object many times.  build_program and
+parse_program make one object per distinct gate (Gate is frozen and compares
+by identity): an n = 3 u2 program lists 948 gates but holds 96 objects.
+serialize_program renders, parse_program checks and simulate's lowering
+validates each distinct object once per call.  Nothing is kept between calls,
+since payloads are mutable numpy arrays.
+
 Program text format (see serialize_program / parse_program):
 
     ELASTOQ-PROGRAM v1        header, then one "key value" line each for
@@ -38,7 +45,7 @@ from __future__ import annotations
 import cmath
 import functools
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -156,32 +163,66 @@ def _validate_gate(gate: Gate, qubits: int) -> None:
 # builders
 # ---------------------------------------------------------------------------
 
-def _w_gates(n: int, axis: int, k: int, rz_angle: float,
-             pattern: int | None) -> list[Gate]:
-    """Gate subsequence realizing exp(rz_angle * S_k) on the (conditioned) axis.
+def _frame(n: int, axis: int, k: int) -> tuple[list[Gate], list[Gate], Gate]:
+    """The gates before and after the level-k rotation of one axis, and a
+    rotation template on its target and controls.
 
-    Time order: CNOT ladder off the target qubit, S^dag, H, the controlled
-    rotation, H, S, ladder again (the ladder gates are mutually commuting
-    involutions).
+    With the rotation between them they realize exp(x * S_k) on the
+    (conditioned) axis.  Time order: CNOT ladder off the target qubit, S^dag,
+    H, the controlled rotation, H, S, ladder again (the ladder gates are
+    mutually commuting involutions, and each is one object, as is the H).
     """
     target = ladder_qubit(n, axis, k)
     lowers = tuple(ladder_qubit(n, axis, l) for l in range(1, k))
     ladder = [Gate("cnot", target=l, controls=(target,)) for l in lowers]
-    if pattern is None:
-        rz = Gate("mcrz", target=target, controls=lowers, angle=rz_angle)
-    else:
-        rz = Gate("pcrz", target=target, controls=lowers, pattern=pattern,
-                  angle=rz_angle)
-    return (ladder
-            + [Gate("sdg", target=target), Gate("h", target=target), rz,
-               Gate("h", target=target), Gate("s", target=target)]
-            + ladder[::-1])
+    h = Gate("h", target=target)
+    return (ladder + [Gate("sdg", target=target), h], [h, Gate("s", target=target)] + ladder[::-1],
+            Gate("mcrz", target=target, controls=lowers))
 
 
 def build_W_jk(model: HamiltonianModel, key: TermKey, tau: float) -> list[Gate]:
     """Uncontrolled pair-rotation block for one term: exp(-theta_jk * S_k)."""
-    return _w_gates(model.shape.n, key.axis, key.k,
-                    rz_angle=-term_angle(model, key, tau), pattern=None)
+    before, after, rz = _frame(model.shape.n, key.axis, key.k)
+    return [*before, replace(rz, angle=-term_angle(model, key, tau)), *after]
+
+
+class _Blocks:
+    """The gates of one model's eigenindex blocks, each built once.
+
+    Per axis its two payload gates and per level its frame; each live
+    (axis, j, k) rotation once per distinct angle, so blocks of equal tau
+    share their rotations (a zero angle keys apart from its negative, which
+    the text writes differently).
+    """
+
+    def __init__(self, model: HamiltonianModel):
+        n = model.shape.n
+        self.model = model
+        self.payloads = [(Gate("v4dg", targets=STATE_QUBITS, unitary=eig.v),
+                          Gate("v4", targets=STATE_QUBITS, unitary=eig.v))
+                         for eig in model.eigensystems]
+        self.frames = [[_frame(n, axis, k) for k in range(1, n + 1)] for axis in (1, 2, 3)]
+        self.rotations: dict[tuple, list[Gate]] = {}
+
+    def script(self, axis: int, j: int, tau: float, k_descending: bool) -> list[Gate]:
+        """build_script_W's gates, from the shared objects."""
+        v4dg, v4 = self.payloads[axis - 1]
+        if abs(self.model.eigensystems[axis - 1].lambdas[j]) < ZERO_EIGENVALUE_TOL:
+            return [v4dg, v4]
+        theta = term_angle(self.model, TermKey(axis, j, 1), tau)  # the same at every level
+        frames = self.frames[axis - 1]
+        key = (axis, j, theta, math.copysign(1.0, theta))
+        if key not in self.rotations:
+            self.rotations[key] = [replace(rz, kind="pcrz", pattern=j, angle=theta)
+                                   for _, _, rz in frames]
+        levels = list(zip(frames, self.rotations[key]))
+        gates = [v4dg]
+        for (before, after, _), rz in levels[::-1] if k_descending else levels:
+            gates += before
+            gates.append(rz)
+            gates += after
+        gates.append(v4)
+        return gates
 
 
 def build_script_W(model: HamiltonianModel, axis: int, j: int, tau: float,
@@ -194,27 +235,22 @@ def build_script_W(model: HamiltonianModel, axis: int, j: int, tau: float,
     """
     check_count("axis", axis, 1, 3)
     check_count("eigenindex j", j, 0, STATE_DIM - 1)
-    eig = model.eigensystems[axis - 1]
-    n = model.shape.n
-    gates = [Gate("v4dg", targets=STATE_QUBITS, unitary=eig.v)]
-    if abs(eig.lambdas[j]) >= ZERO_EIGENVALUE_TOL:
-        theta = term_angle(model, TermKey(axis, j, 1), tau)  # the same at every level
-        levels = range(n, 0, -1) if k_descending else range(1, n + 1)
-        for k in levels:
-            gates += _w_gates(n, axis, k, rz_angle=theta, pattern=j)
-    gates.append(Gate("v4", targets=STATE_QUBITS, unitary=eig.v))
-    return gates
+    return _Blocks(model).script(axis, j, tau, k_descending)
 
 
 def build_program(model: HamiltonianModel, scheme: str, tau: float) -> GateProgram:
-    """The step's gates: each sweep of SWEEPS[scheme] in time order, over axes, j and k."""
+    """The step's gates: each sweep of SWEEPS[scheme] in time order, over axes, j and k.
+
+    Equal gates are one object (_Blocks), so each layer works once per distinct gate.
+    """
     check_real("tau", tau, -math.inf, math.inf)
     check_choice("scheme", scheme, SWEEPS)
+    blocks = _Blocks(model)
     gates: list[Gate] = []
     for share, reverse in SWEEPS[scheme]:
         for axis in sorted((1, 2, 3), reverse=reverse):
             for j in sorted(range(STATE_DIM), reverse=reverse):
-                gates += build_script_W(model, axis, j, share * tau, k_descending=reverse)
+                gates += blocks.script(axis, j, share * tau, k_descending=reverse)
     return GateProgram(n=model.shape.n, scheme=scheme, tau=tau, gates=tuple(gates))
 
 
@@ -250,19 +286,52 @@ def _rz_parts(basis: tuple[str, ...]) -> tuple[np.ndarray, np.ndarray]:
     return np.outer(a[0].conj(), a[0]), np.outer(a[1].conj(), a[1])
 
 
+def _check_gate(gate: Gate, qubits: int, adjoints: dict[int, np.ndarray]) -> tuple:
+    """Validate one gate for _lower; for any kind but a payload, (releases, i0, i1).
+
+    A payload not in adjoints (by id) is checked for finite entries and
+    unitarity, and its adjoint stored there.  releases are the wires whose
+    held gates apply before the gate (0 for the held payloads, when it reaches
+    the state register); i0 and i1 are the index tuples of its target's 0 and
+    1 halves on its control subspace.
+    """
+    _validate_gate(gate, qubits)
+    kind, target, u = gate.kind, gate.target, gate.unitary
+    if kind in _PAYLOADS:
+        if id(u) not in adjoints:
+            if not np.isfinite(u).all():
+                raise ValueError("four-qubit payload holds a non-finite entry")
+            adjoint = u.conj().T
+            defect = np.linalg.norm(adjoint @ u - np.eye(STATE_DIM), 2)
+            if defect > 1e-10:
+                raise ValueError(f"four-qubit payload is not unitary (defect {defect:.3e})")
+            adjoints[id(u)] = adjoint
+        return ()
+    fixed = {c: 1 for c in gate.controls}
+    if kind == "pcrz":
+        fixed.update({q: (gate.pattern >> (4 - q)) & 1 for q in STATE_QUBITS})
+    reads = [*fixed, target] if kind == "cnot" else [*fixed]
+    releases = [*reads, 0] if min([target, *fixed]) <= STATE_QUBITS[-1] else reads
+    return releases, *_halves(qubits, target, fixed)
+
+
 def _lower(gates: tuple[Gate, ...], qubits: int) -> tuple[list, int]:
     """Validate the gates; the steps simulate applies by its hold-back rule, and the folds.
 
-    Each distinct payload is checked once for finite entries and unitarity.
-    A step is (i0, i1, mat): the index tuples of the target's 0 and 1 halves
-    on the gate's control subspace, and the 2x2 to apply there, or None for a
-    CNOT's swap; or it is (None, None, product) for a held payload run's 16x16
-    product in gate order.
+    A program may hold one object many times; each distinct gate object is
+    checked (_check_gate) once, and each distinct payload once.  A step is
+    (i0, i1, mat): the index tuples of the target's 0 and 1 halves on the
+    gate's control subspace, and the 2x2 to apply there, or None for a CNOT's
+    swap; or it is (None, None, product) for a held payload run's 16x16
+    product in gate order.  Steps of one gate share their index tuples and,
+    under the same held basis, their 2x2.
     """
     steps: list = []
     folds = 0
     held: dict[int, list[Gate]] = {}  # wire -> its held 1-qubit gates; 0 -> held payloads
     adjoints: dict[int, np.ndarray] = {}  # id of each checked payload -> its adjoint
+    checked: dict[int, tuple] = {}  # id of each checked gate -> _check_gate's result
+    rotations: dict[tuple, np.ndarray] = {}  # (id of a rotation, held basis) -> its 2x2
 
     def release(keys) -> None:
         for key in keys:
@@ -271,20 +340,12 @@ def _lower(gates: tuple[Gate, ...], qubits: int) -> tuple[list, int]:
                 mats = [adjoints[id(g.unitary)] if g.kind == "v4dg" else g.unitary for g in run]
                 steps.append((None, None, functools.reduce(lambda acc, mat: mat @ acc, mats)))
             elif run:
-                steps.extend((*_halves(qubits, key, {}), _ONE_QUBIT[g.kind]) for g in run)
+                steps.extend((*checked[id(g)][1:], _ONE_QUBIT[g.kind]) for g in run)
 
     for gate in gates:
-        _validate_gate(gate, qubits)
+        if id(gate) not in checked:
+            checked[id(gate)] = _check_gate(gate, qubits, adjoints)
         kind, target = gate.kind, gate.target
-        if kind in _PAYLOADS and id(gate.unitary) not in adjoints:
-            u = gate.unitary
-            if not np.isfinite(u).all():
-                raise ValueError("four-qubit payload holds a non-finite entry")
-            adjoint = u.conj().T
-            defect = np.linalg.norm(adjoint @ u - np.eye(STATE_DIM), 2)
-            if defect > 1e-10:
-                raise ValueError(f"four-qubit payload is not unitary (defect {defect:.3e})")
-            adjoints[id(u)] = adjoint
         if kind in _ADJOINT:  # uncontrolled: held, or cancelled with the adjoint held last
             key = 0 if kind in _PAYLOADS else target
             if key == 0 or target in STATE_QUBITS:  # the other kind of held gate applies
@@ -295,21 +356,19 @@ def _lower(gates: tuple[Gate, ...], qubits: int) -> tuple[list, int]:
             else:
                 run.append(gate)
             continue
-        fixed = {c: 1 for c in gate.controls}
-        if kind == "pcrz":
-            fixed.update({q: (gate.pattern >> (4 - q)) & 1 for q in STATE_QUBITS})
-        reads = [*fixed, target] if kind == "cnot" else [*fixed]
-        release([*reads, 0] if min([target, *fixed]) <= STATE_QUBITS[-1] else reads)
-        i0, i1 = _halves(qubits, target, fixed)
+        releases, i0, i1 = checked[id(gate)]
+        release(releases)
         if kind == "cnot":
             steps.append((i0, i1, None))
             continue
         # the gates a held on the target stay held: C(RZ) a = a C(a^dag RZ a)
         basis = tuple(g.kind for g in held.get(target, ()))
         folds += bool(basis)
-        low, high = _rz_parts(basis)
-        phase = cmath.exp(1j * gate.angle)
-        steps.append((i0, i1, phase * low + phase.conjugate() * high))
+        if (id(gate), basis) not in rotations:
+            low, high = _rz_parts(basis)
+            phase = cmath.exp(1j * gate.angle)
+            rotations[id(gate), basis] = phase * low + phase.conjugate() * high
+        steps.append((i0, i1, rotations[id(gate), basis]))
     release(list(held))
     return steps, folds
 
@@ -543,7 +602,11 @@ def serialize_program(program: GateProgram) -> str:
         f"cnot_account {program.cnot_account}",
         f"gates {len(program.gates)}",
     ]
+    written: dict[int, str] = {}  # id of each gate -> its line
     for g in program.gates:
+        if id(g) in written:
+            lines.append(written[id(g)])
+            continue
         # every kind by one rule: wires, p<j>, controls, angle, u<i>
         wires = g.targets if g.kind in _PAYLOADS else (g.target,)
         toks = [g.kind.upper(), *map(str, wires)]
@@ -555,11 +618,12 @@ def serialize_program(program: GateProgram) -> str:
         if g.kind in _PAYLOADS:
             index, _ = payloads.setdefault(id(g.unitary), (len(payloads), g.unitary))
             toks.append(f"u{index}")
-        lines.append(" ".join(toks))
+        lines.append(written.setdefault(id(g), " ".join(toks)))
     for idx, u in payloads.values():
         lines.append(f"%unitary {idx}")
-        for row in np.asarray(u, dtype=complex):
-            lines.append(" ".join(f"{_fmt(z.real)} {_fmt(z.imag)}" for z in row))
+        # each row is re im re im ..., the memory layout of complex128 (as parse_program reads)
+        for row in np.ascontiguousarray(u, dtype=complex).view(np.float64).tolist():
+            lines.append(" ".join(map(_fmt, row)))
     return "\n".join(lines) + "\n"
 
 
@@ -666,8 +730,12 @@ def parse_program(text: str) -> GateProgram:
         # each row is re im re im ..., exactly the memory layout of complex128
         payloads[idx] = values.view(complex)
 
-    gates = tuple(_parse_gate(line, payloads, qubits) for line in gate_lines)
-    used = {id(g.unitary) for g in gates}
+    parsed: dict[str, Gate] = {}  # one Gate per distinct gate line, checked once
+    for line in gate_lines:
+        if line not in parsed:
+            parsed[line] = _parse_gate(line, payloads, qubits)
+    gates = tuple(map(parsed.__getitem__, gate_lines))
+    used = {id(g.unitary) for g in parsed.values()}
     for idx, payload in payloads.items():
         if id(payload) not in used:
             raise ValueError(f"%unitary {idx} is used by no gate")

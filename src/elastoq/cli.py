@@ -5,7 +5,9 @@ its plan; `bounds` prints error/cost tables, `certify` runs the classical
 integrator certificates, and `compare` prints the quantum-vs-classical
 resource comparison.  The model and run flags mirror config fields; a JSON
 config file can supply any of them, with explicit flags taking precedence.
-ELASTOQ_THREADS caps the number of parallel step-size jobs in `run`.
+ELASTOQ_THREADS caps the number of parallel step-size jobs in `run`.  An error
+ends the command with a one-line JSON record on stderr; ELASTOQ_DEBUG=1 prints
+the traceback behind it first.
 
 Each of those jobs also runs OpenBLAS threads.  numpy and scipy load separate
 OpenBLAS builds and the Trotter step alternates between them, so with more
@@ -19,7 +21,9 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import os
 import sys
+import traceback
 from collections.abc import Iterable
 
 from .classical import (
@@ -191,6 +195,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return handlers[args.command](args)
     except Exception as exc:  # structured error record, nonzero exit
+        if os.environ.get("ELASTOQ_DEBUG") == "1":
+            traceback.print_exc()
         record = {"error": type(exc).__name__, "message": str(exc)}
         print(json.dumps(record), file=sys.stderr)
         return 1

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import os
 import re
 import subprocess
@@ -17,10 +18,12 @@ from elastoq.circuits import (
     GateProgram,
     TrotterStep,
     _ADJOINT,
+    _Blocks,
     _lower,
     build_U1,
     build_U2,
     build_W_jk,
+    build_program,
     build_script_W,
     folded_rotations,
     ladder_qubit,
@@ -29,6 +32,7 @@ from elastoq.circuits import (
     simulate,
 )
 from elastoq.hamiltonian import (
+    SWEEPS,
     Propagator,
     TermKey,
     ZERO_EIGENVALUE_TOL,
@@ -886,6 +890,107 @@ class TestSerialization:
         # only u1 and u2 have a step_cnots account for the text's cnot_account line
         with pytest.raises(ValueError, match="scheme"):
             serialize_program(GateProgram(n=1, scheme=scheme, tau=0.1, gates=()))
+
+
+def gate_fields(gate):
+    return (gate.kind, gate.target, gate.controls, gate.pattern, gate.angle,
+            gate.targets, id(gate.unitary))  # a payload compares by object
+
+
+def distinct_gates(program):
+    return len({id(g) for g in program.gates})
+
+
+def program_text(lines):
+    """n = 1 u1 program text of the given gate lines, with no payloads."""
+    model = build_model(1, 1.0, REFERENCE_MEDIUM)
+    header = serialize_program(block_program(model, [])).splitlines()[:-1]
+    return "\n".join([*header, f"gates {len(lines)}", *lines]) + "\n"
+
+
+class TestSharedGates:
+    """A built or parsed program holds one Gate object per distinct gate."""
+
+    @pytest.mark.parametrize("tau", [0.1, 0.5])
+    @pytest.mark.parametrize("scheme", ["u1", "u2"])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_program_is_its_script_blocks(self, n, scheme, tau):
+        # the builder's definition before it shared gates: each block built alone
+        model = build_model(n, 1.0, REFERENCE_MEDIUM)
+        blocks = []
+        for share, reverse in SWEEPS[scheme]:
+            for axis in sorted((1, 2, 3), reverse=reverse):
+                for j in sorted(range(16), reverse=reverse):
+                    blocks += build_script_W(model, axis, j, share * tau, k_descending=reverse)
+        program = build_program(model, scheme, tau)
+        assert [gate_fields(g) for g in program.gates] == [gate_fields(g) for g in blocks]
+        alone = GateProgram(n=n, scheme=scheme, tau=tau, gates=tuple(blocks))
+        assert serialize_program(program) == serialize_program(alone)
+
+    @pytest.mark.parametrize("tau", [0.1, 0.5])
+    @pytest.mark.parametrize("scheme", ["u1", "u2"])
+    @pytest.mark.parametrize("n, count", [(1, 33), (2, 63), (3, 96)])
+    def test_distinct_gate_count(self, n, count, scheme, tau):
+        # per axis: two payloads and, per level k, k - 1 CNOTs, SDG, H and S;
+        # per live (axis, j) sector, one PCRZ per level
+        model = build_model(n, 1.0, REFERENCE_MEDIUM)
+        live = sum(int((np.abs(eig.lambdas) >= ZERO_EIGENVALUE_TOL).sum())
+                   for eig in model.eigensystems)
+        assert count == 3 * (2 + 3 * n + n * (n - 1) // 2) + n * live
+        program = build_program(model, scheme, tau)
+        assert distinct_gates(program) == count
+        text = serialize_program(program)
+        back = parse_program(text)
+        assert distinct_gates(back) == count
+        assert serialize_program(back) == text
+
+    def test_signed_zero_angles_stay_apart(self):
+        # a negative sweep share at tau = 0 gives -0.0 angles, which the text writes as -0
+        model = build_model(1, 1.0, REFERENCE_MEDIUM)
+        j = int(np.argmax(np.abs(model.eigensystems[0].lambdas)))
+        blocks = _Blocks(model)
+        (_, *plus, _), (_, *minus, _) = (blocks.script(1, j, tau, False) for tau in (0.0, -0.0))
+        rotations = [next(g for g in gates if g.kind == "pcrz") for gates in (plus, minus)]
+        assert sorted(math.copysign(1.0, rz.angle) for rz in rotations) == [-1.0, 1.0]
+        assert blocks.script(1, j, 0.0, False)[1:-1] == plus  # equal angles share objects
+
+    def test_lowering_independent_of_sharing(self):
+        # one object per gate entry lowers to the same steps, and simulates the same bytes
+        model = build_model(2, 1.0, REFERENCE_MEDIUM)
+        program = build_U2(model, 0.3)
+        unshared = dataclasses.replace(
+            program, gates=tuple(dataclasses.replace(g) for g in program.gates))
+        assert distinct_gates(unshared) == len(program.gates)
+        (steps, folds), (unshared_steps, unshared_folds) = (
+            _lower(p.gates, p.qubits) for p in (program, unshared))
+        assert folds == unshared_folds
+        assert len(steps) == len(unshared_steps)
+        for (i0, i1, mat), (j0, j1, other) in zip(steps, unshared_steps):
+            assert (i0, i1) == (j0, j1)
+            assert (mat is None and other is None) or np.array_equal(mat, other)
+        psi = random_state(np.random.default_rng(29), model.dim)
+        assert np.array_equal(simulate(program, psi), simulate(unshared, psi))
+
+    @pytest.mark.parametrize("layout", ["after-100-good", "repeated", "repeated-after-good"])
+    @pytest.mark.parametrize("bad, line, message", [
+        (Gate("h", target=99), "H 99", "gate h addresses qubit 99 outside 1..7"),
+        (Gate("pcrz", target=5, pattern=16, angle=0.1), "PCRZ 5 p16 0.1",
+         "gate pcrz needs a pattern in 0..15, got 16"),
+        (Gate("cnot", target=5, controls=(5,)), "CNOT 5 5",
+         "gate cnot touches a qubit twice: [5, 5]"),
+    ], ids=["qubit-outside", "pattern-16", "qubit-twice"])
+    def test_checked_once_refuses_every_bad_gate(self, bad, line, message, layout):
+        # a gate is checked at its first entry only, so no bad one may hide behind good ones
+        good, good_line = Gate("pcrz", target=5, pattern=3, angle=0.1), "PCRZ 5 p3 0.1"
+        entries = {"after-100-good": (100, 1), "repeated": (0, 50),
+                   "repeated-after-good": (100, 50)}[layout]
+        model = build_model(1, 1.0, REFERENCE_MEDIUM)
+        program = block_program(model, [good] * entries[0] + [bad] * entries[1])
+        with pytest.raises(ValueError, match=re.escape(message)):
+            simulate(program, np.zeros(model.dim, dtype=complex))
+        text = program_text([good_line] * entries[0] + [line] * entries[1])
+        with pytest.raises(ValueError, match=re.escape(f"gate line {line!r}: {message}")):
+            parse_program(text)
 
 
 _FLOATS = st.floats(allow_nan=False, allow_infinity=False)

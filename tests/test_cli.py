@@ -52,6 +52,30 @@ def test_nonfinite_input_named(argv, field, capsys):
     assert re.search(rf"\b{field}\b.* must be a real number in", record["message"])
 
 
+_T_INF_MESSAGE = "T must be a real number in (0, inf), got inf"
+_T_INF_RECORD = json.dumps({"error": "ValueError", "message": _T_INF_MESSAGE})
+
+
+@pytest.mark.parametrize("debug", [None, "0", ""])
+def test_error_record_alone_without_debug(debug, monkeypatch, capsys):
+    if debug is None:
+        monkeypatch.delenv("ELASTOQ_DEBUG", raising=False)
+    else:
+        monkeypatch.setenv("ELASTOQ_DEBUG", debug)
+    assert main(["bounds", "--T", "inf"]) == 1
+    assert capsys.readouterr().err == _T_INF_RECORD + "\n"
+
+
+def test_debug_prints_traceback_before_error_record(monkeypatch, capsys):
+    monkeypatch.setenv("ELASTOQ_DEBUG", "1")
+    assert main(["bounds", "--T", "inf"]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert lines[0] == "Traceback (most recent call last):"
+    assert lines[-2] == f"ValueError: {_T_INF_MESSAGE}"
+    assert lines[-1] == _T_INF_RECORD
+    assert any("check_real" in line for line in lines)
+
+
 @pytest.mark.parametrize("argv,field", [
     (["run", "--n", "2", "--h", "-1", "--dry-run"], "h"),
     (["run", "--n", "2", "--rho", "-3", "--nu", "0.7", "--dry-run"], "rho"),
