@@ -9,15 +9,13 @@ familiar kick-drift-kick update (leapfrog_step, with maps from coupling_map).
 
 The phased DST-I that diagonalises the central difference (see
 hamiltonian.Propagator) makes L block diagonal: one 3x6 block per 3D mode.
-Both the leapfrog and the exact flow act on each singular pair (u, v) of L
-as a 2x2 map in the basis (u, 0), (0, v) and leave the kernel directions
-alone, so ||L|| and the local and global defects are exact maxima over the
-3 N^3 singular values.  make_leapfrog_config computes them once, and the
-certificates read them, and the model, from its LeapfrogConfig alone.  The
-power bound steps no grid either: it takes its probes onto the singular pairs
-once and reads each step count's norms from closed-form 2x2 powers, so the
-grid leapfrog (coupling_map, leapfrog_step) is the reference that the tests
-check it against.
+make_leapfrog_config takes their SVD once, and the certificates read it and
+the model from its LeapfrogConfig alone.  The leapfrog (m steps by one closed
+form, _pair_power) and the exact flow act on each singular pair (u, v) of L
+as a 2x2 map in the basis (u, 0), (0, v) and leave the kernel alone.  So
+||L|| and the local and global defects are exact maxima over the 3 N^3
+pairs, and the power bound steps no grid: the grid leapfrog (coupling_map,
+leapfrog_step) is the reference that the tests check them against.
 """
 from __future__ import annotations
 
@@ -79,9 +77,15 @@ def coupling_map(model: HamiltonianModel, adjoint: bool = False):
     return apply
 
 
+def _coupling_svd(model: HamiltonianModel) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The SVD U S V^T of L's 3x6 mode blocks: u, the 3 N^3 sigma in mode order, and vt."""
+    u, sigma, vt = np.linalg.svd(mode_blocks(model)[..., :3, 3:].reshape(-1, 3, 6))
+    return u, sigma.reshape(-1), vt
+
+
 def coupling_singular_values(model: HamiltonianModel) -> np.ndarray:
     """All 3 N^3 singular values of the coupling L, from its per-mode 3x6 blocks."""
-    return np.linalg.svd(mode_blocks(model)[..., :3, 3:], compute_uv=False).reshape(-1)
+    return _coupling_svd(model)[1]
 
 
 def _c_eta(eta: float) -> float:
@@ -94,14 +98,16 @@ _COST_ETA = 1.0  # the cost model's stability margin, the largest its error boun
 
 @dataclass(frozen=True, eq=False)
 class LeapfrogConfig:
-    """A validated leapfrog on one model: step size, stability margin, horizon, and
-    the coupling's 3 N^3 singular values sigma (read-only), so ||L|| = max sigma."""
+    """A validated leapfrog on one model: tau, eta, T, and the SVD U S V^T of the coupling's
+    3x6 mode blocks (read-only): u, the 3 N^3 sigma in mode order and vt, ||L|| = max sigma."""
 
     model: HamiltonianModel
     tau: float
     eta: float
     T: float
+    u: np.ndarray
     sigma: np.ndarray
+    vt: np.ndarray
 
     @property
     def l_norm(self) -> float:
@@ -111,6 +117,10 @@ class LeapfrogConfig:
     def c_eta(self) -> float:
         return _c_eta(self.eta)
 
+    @property
+    def error_bounds_apply(self) -> bool:  # the local and global error bounds need this
+        return self.tau * self.l_norm <= 1.0
+
 
 def make_leapfrog_config(model: HamiltonianModel, tau: float, eta: float,
                          T: float) -> LeapfrogConfig:
@@ -118,9 +128,9 @@ def make_leapfrog_config(model: HamiltonianModel, tau: float, eta: float,
     check_real("eta", eta, 0.0, 2.0)
     check_real("tau", tau)
     check_real("T", T)
-    sigma = coupling_singular_values(model)
-    sigma.setflags(write=False)
-    config = LeapfrogConfig(model=model, tau=tau, eta=eta, T=T, sigma=sigma)
+    config = LeapfrogConfig(model, tau, eta, T, *_coupling_svd(model))
+    for array in (config.u, config.sigma, config.vt):
+        array.setflags(write=False)
     if tau * config.l_norm > eta:
         raise ValueError(
             f"stability violated: tau * ||L|| = {tau * config.l_norm:.6g} exceeds eta = {eta}")
@@ -157,10 +167,17 @@ def m_sigma(tau: float, sigma) -> np.ndarray:
     return _pair_matrices(diag, x * (1 - x**2 / 4), -x, diag)
 
 
-def _flow_sigma(t: float, sigma) -> np.ndarray:
-    """Restriction of the exact flow exp(tK) to a singular pair: a rotation by t*sigma."""
-    x = t * np.asarray(sigma, dtype=float)
-    return _pair_matrices(np.cos(x), np.sin(x), -np.sin(x), np.cos(x))
+def _pair_power(tau: float, sigma: np.ndarray):
+    """The map steps -> (cos m theta, sin m theta, rho) of M^m, M = m_sigma(tau, sigma): M has
+    det 1 and sin(theta/2) = tau sigma / 2, so M^m = U_{m-1} M - U_{m-2} I (Chebyshev, in
+    cos theta) = [[cos m theta, rho sin m theta], [-sin m theta / rho, cos m theta]] with
+    rho = cos(theta/2); the axes of steps lead."""
+    theta, rho = 2 * np.arcsin(tau * sigma / 2), np.sqrt(1 - (tau * sigma)**2 / 4)
+
+    def power(steps):
+        angle = np.multiply.outer(steps, theta)
+        return np.cos(angle), np.sin(angle), rho
+    return power
 
 
 # ---------------------------------------------------------------------------
@@ -237,26 +254,23 @@ def _orthonormal_probes(dim: int, count: int) -> np.ndarray:
     return q
 
 
-def _probe_pairs(model: HamiltonianModel) -> tuple[np.ndarray, np.ndarray]:
+def _probe_pairs(config: LeapfrogConfig) -> tuple[np.ndarray, np.ndarray]:
     """The probes on the coupling's singular pairs: the pair weights (3 * 3 N^3, probes)
     and each probe's kernel norm^2.
 
-    The phased DST-I gives each probe's mode coordinates (q^, r^), and each
-    mode's block B = U S V^T gives its pair coordinates a = i U^T q^ and
-    b = (V^T r^)[:3]; in them one leapfrog step is m_sigma, and the rest of
-    V^T r^ is kernel, which it leaves alone.  The weight rows are |a|^2, then
-    |b|^2, then 2 Re(conj(a) b), each over the pairs in the order of
-    coupling_singular_values.
+    The phased DST-I gives each probe's mode coordinates (q^, r^), and the config's SVD
+    B = U S V^T of each mode block its pair coordinates a = i U^T q^ and b = (V^T r^)[:3];
+    in them one leapfrog step is m_sigma, and the rest of V^T r^ is kernel, which it leaves
+    alone.  The weight rows are |a|^2, |b|^2 and 2 Re(conj(a) b), over config.sigma's pairs.
     """
-    points = model.shape.points
+    points = config.model.shape.points
     probes = _orthonormal_probes(9 * points**3, POWER_BOUND_PROBES)
     # each probe column is a flat (9, N, N, N) state: q rows first, then r
     sine, phase, _ = mode_tables(points)
     modes = phased_dst(probes.reshape(9, points, points, points, -1), sine, phase)
     modes = modes.reshape(9, points**3, -1).transpose(1, 0, 2)  # (mode, component, probe)
-    u, _, vt = np.linalg.svd(mode_blocks(model)[..., :3, 3:].reshape(-1, 3, 6))
-    a = 1j * (u.transpose(0, 2, 1) @ modes[:, :3])
-    b, kernel = np.split(vt @ modes[:, 3:], 2, axis=1)
+    a = 1j * (config.u.transpose(0, 2, 1) @ modes[:, :3])
+    b, kernel = np.split(config.vt @ modes[:, 3:], 2, axis=1)
     weights = np.concatenate([np.abs(a)**2, np.abs(b)**2, 2 * (a.conj() * b).real])
     return weights.reshape(-1, POWER_BOUND_PROBES), np.sum(np.abs(kernel)**2, axis=(0, 1))
 
@@ -268,24 +282,16 @@ POWER_BOUND_BLOCK = 32
 def power_bound_certificate(config: LeapfrogConfig, m_max: int) -> CertificateReport:
     """Worst norm growth max_{m <= m_max, j} ||leapfrog^m x_j|| of orthonormal probes x_j.
 
-    Taken on the coupling's singular pairs (_probe_pairs), not by stepping the
-    grid.  On a pair, leapfrog^m is M^m with M = m_sigma(tau, sigma), which has
-    det 1 and trace 2 cos(theta), sin(theta/2) = tau sigma / 2.  So
-    M^m = U_{m-1} M - U_{m-2} I in Chebyshev polynomials of cos(theta), that is
-    [[cos m theta, rho sin m theta], [-sin m theta / rho, cos m theta]] with
-    rho = cos(theta/2).  A probe's norm^2 at step m is its kernel norm^2 plus
-    the pairs' Gram entries of M^m against their weights: one GEMM per block
-    of POWER_BOUND_BLOCK steps.
+    Taken on the coupling's singular pairs (_probe_pairs) and their powers (_pair_power), not
+    by stepping the grid.  A probe's norm^2 at step m is its kernel norm^2 plus the pairs' Gram
+    entries of the power against their weights: one GEMM per block of POWER_BOUND_BLOCK steps.
     """
     check_count("m_max", m_max)
-    weights, kernel_sq = _probe_pairs(config.model)
-    x = config.tau * config.sigma
-    theta, rho = 2 * np.arcsin(x / 2), np.sqrt(1 - x**2 / 4)
+    weights, kernel_sq = _probe_pairs(config)
+    power = _pair_power(config.tau, config.sigma)
     growth_sq = 0.0
     for first in range(1, m_max + 1, POWER_BOUND_BLOCK):
-        steps = np.arange(first, min(first + POWER_BOUND_BLOCK, m_max + 1))
-        angle = np.multiply.outer(steps, theta)
-        cos, sin = np.cos(angle), np.sin(angle)
+        cos, sin, rho = power(np.arange(first, min(first + POWER_BOUND_BLOCK, m_max + 1)))
         gram = np.concatenate([cos**2 + (sin / rho)**2, cos**2 + (rho * sin)**2,
                                cos * sin * (rho - 1 / rho)], axis=1)
         growth_sq = max(growth_sq, float((gram @ weights + kernel_sq).max()))
@@ -298,14 +304,16 @@ def power_bound_certificate(config: LeapfrogConfig, m_max: int) -> CertificateRe
 
 def _pair_defect(sigma: np.ndarray, t: float, tau: float, steps: int) -> float:
     """||exp(tK) - leapfrog(tau)^steps||_2 as the worst 2x2 singular-pair block."""
-    gap = _flow_sigma(t, sigma) - np.linalg.matrix_power(m_sigma(tau, sigma), steps)
+    cos, sin, rho = _pair_power(tau, sigma)(steps)
+    rot_cos, rot_sin = np.cos(t * sigma), np.sin(t * sigma)
+    gap = _pair_matrices(rot_cos - cos, rot_sin - rho * sin, sin / rho - rot_sin, rot_cos - cos)
     return float(np.linalg.norm(gap, 2, axis=(-2, -1)).max())
 
 
 def local_error_certificate(config: LeapfrogConfig) -> CertificateReport:
     """One-step defect ||exp(tau K) - leapfrog|| vs (1/2) tau^3 ||L||^3 at the config's tau."""
     tau, l_norm = config.tau, config.l_norm
-    if tau * l_norm > 1.0:
+    if not config.error_bounds_apply:
         raise ValueError(f"local error bound needs tau * ||L|| <= 1, got {tau * l_norm:.6g}")
     certified = 0.5 * tau**3 * l_norm**3
     return CertificateReport(name="local-error", measured=_pair_defect(config.sigma, tau, tau, 1),
@@ -315,8 +323,9 @@ def local_error_certificate(config: LeapfrogConfig) -> CertificateReport:
 
 def global_error_certificate(config: LeapfrogConfig) -> CertificateReport:
     """Final-time defect ||exp(T K) - leapfrog^M|| vs (C_eta/2) T tau^2 ||L||^3."""
-    if config.tau * config.l_norm > min(1.0, config.eta):
-        raise ValueError("global error bound needs tau * ||L|| <= min(1, eta)")
+    if not config.error_bounds_apply or config.tau * config.l_norm > config.eta:
+        raise ValueError(f"global error bound needs tau * ||L|| <= min(1, eta), "
+                         f"got {config.tau * config.l_norm:.6g}")
     steps = whole_steps(config.T, config.tau)
     measured = _pair_defect(config.sigma, config.T, config.tau, steps)
     certified = config.c_eta / 2 * config.T * config.tau**2 * config.l_norm**3

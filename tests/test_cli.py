@@ -5,10 +5,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import elastoq
-from elastoq import classical, cli
+from elastoq import classical, cli, hamiltonian
 from elastoq.cli import main
 
 
@@ -22,17 +23,24 @@ def test_module_entry_point():
     assert "scheme first-norm" in done.stdout
 
 
-def _count_coupling_svds(monkeypatch) -> list:
-    """Record each call of classical.coupling_singular_values, the SVD of all mode blocks."""
-    svd = classical.coupling_singular_values
-    calls = []
+def _count_calls(monkeypatch, owner, name: str, calls: list | None = None) -> list:
+    """Record the (args, kwargs) of each call of owner.name, which still runs, in calls."""
+    func = getattr(owner, name)
+    calls = [] if calls is None else calls
 
-    def counting(model):
-        calls.append(model)
-        return svd(model)
+    def counting(*args, **kwargs):
+        calls.append((args, kwargs))
+        return func(*args, **kwargs)
 
-    monkeypatch.setattr(classical, "coupling_singular_values", counting)
+    monkeypatch.setattr(owner, name, counting)
     return calls
+
+
+def _count_coupling_work(monkeypatch) -> tuple[list, list]:
+    """Record each np.linalg.svd call and each mode_blocks build, wherever it is named."""
+    blocks = _count_calls(monkeypatch, classical, "mode_blocks")
+    _count_calls(monkeypatch, hamiltonian, "mode_blocks", blocks)
+    return _count_calls(monkeypatch, np.linalg, "svd"), blocks
 
 
 @pytest.mark.parametrize("argv,field", [
@@ -336,12 +344,13 @@ class TestCertify:
         assert "does not divide T=2.05" in record["message"]
 
     def test_one_coupling_svd_per_certify(self, monkeypatch, capsys):
-        # the config holds the singular values; the three certificates read them there
-        calls = _count_coupling_svds(monkeypatch)
+        # the config holds the coupling's one SVD U S V^T; the three certificates read it there
+        svds, blocks = _count_coupling_work(monkeypatch)
         argv = ["certify", "--n", "2", "--T", "2", "--tau", "0.1", "--steps", "2"]
         assert main(argv) == 0
         assert capsys.readouterr().out.count("certificate ") == 3
-        assert len(calls) == 1
+        assert len(svds) == 1
+        assert len(blocks) == 1
 
     def test_skipped_certificates_named(self, capsys):
         # tau*||L|| = 1.338 > 1: the spectral certificates do not apply, and the
@@ -374,10 +383,13 @@ class TestCompare:
             assert f"scheme {scheme}" in out
 
     def test_one_coupling_svd_per_compare(self, monkeypatch, capsys):
-        calls = _count_coupling_svds(monkeypatch)
+        calls = _count_calls(monkeypatch, classical, "coupling_singular_values")
+        svds, blocks = _count_coupling_work(monkeypatch)
         assert main(["compare", "--n", "2", "--T", "10"]) == 0
         assert "partitioned-leapfrog" in capsys.readouterr().out
         assert len(calls) == 1
+        assert len(svds) == 1
+        assert len(blocks) == 1
 
     @pytest.mark.parametrize("argv", [["compare", "--n", "2", "--T", "1e200"],
                                       ["bounds", "--n", "2", "--T", "1e200"]])
