@@ -568,7 +568,8 @@ def empirical_trotter_error(model: HamiltonianModel, tau: float, scheme: str) ->
         raise ValueError(f"exact Trotter defect needs n <= {DENSE_MAX_N}, got n={model.shape.n}")
     u_trotter = TrotterStep(model, scheme, tau).apply(np.eye(model.dim))
     u_exact = Propagator(model).evolve(np.eye(model.dim), tau)
-    return float(np.linalg.norm(u_trotter - u_exact, 2))
+    # H is i times a real antisymmetric matrix, so exp(-iH tau) is real orthogonal
+    return float(np.linalg.norm(u_trotter - u_exact.real, 2))
 
 
 def apply_block_fast(model: HamiltonianModel, scheme: str, tau: float,

@@ -5,7 +5,8 @@ The padded components are dynamically decoupled, so a sector state is one
 q = state[:3], stress r = state[3:].  In the transformed frame the generator
 is the block anti-Hermitian [[0, L], [-L*, 0]]; the partitioned leapfrog
 splits it into two nilpotent halves whose exponentials are exact, giving the
-familiar kick-drift-kick update (leapfrog_step, with maps from coupling_map).
+familiar kick-drift-kick update (leapfrog_step, with maps from coupling_map,
+which reach the grid stencil through lattice.apply_d_axis).
 
 The phased DST-I that diagonalises the central difference (see
 hamiltonian.Propagator) makes L block diagonal: one 3x6 block per 3D mode.
@@ -28,7 +29,7 @@ import scipy.sparse as sp
 
 from .hamiltonian import (DENSE_MAX_N, HamiltonianModel, mode_blocks, mode_tables,
                           operator_norm_bound, phased_dst, record_text)
-from .lattice import d_axis_matrix
+from .lattice import apply_d_axis, d_axis_matrix
 from .media import check_count, check_real, step_ceiling, whole_steps
 
 
@@ -42,37 +43,21 @@ def velocity_coupling(model: HamiltonianModel, axis: int) -> np.ndarray:
 
 
 def coupling_map(model: HamiltonianModel, adjoint: bool = False):
-    """The map grid -> L grid (or L* grid), with its two small matrices built once.
+    """The map grid -> L grid (or L* grid), with its three axis factors built once.
 
     grid is (c, ..., N, N, N), real or complex: r = (6, ...) for L, q = (3, ...)
-    for L*; a batch of b states rides as axis 1.  The components are
-    contracted first, by one real GEMM with the three axis factors stacked
-    row-wise and 1/(2h) folded in: C_a / 2h, (9, 6) in all, or -C_a^T / 2h,
-    (18, 3), for the adjoint, since the difference operator is anti-Hermitian.
-    Then the three unscaled central differences are added up: the last grid
-    axis by one GEMM with the N x N difference matrix, the other two by
-    shifted slice updates on flat views, so the ghost values stay exact zeros.
+    for L*; a batch of b states rides as axis 1.  L grid is the sum over axes of
+    C_a (D_a grid), and L* grid that of -C_a^T (D_a grid), since the difference
+    operator is anti-Hermitian: each axis differences first (apply_d_axis) and
+    then contracts the components, as apply_H does.
     """
     blocks = [velocity_coupling(model, axis) for axis in (1, 2, 3)]
     if adjoint:
         blocks = [-block.T for block in blocks]
-    stack = np.concatenate(blocks) / (2 * model.shape.h)
-    rows, points = stack.shape[0] // 3, model.shape.points
-    plane, cube = points * points, points**3
-    diff_t = np.eye(points, k=-1) - np.eye(points, k=1)  # (y @ diff_t)_j = y_{j+1} - y_{j-1}
 
     def apply(grid: np.ndarray) -> np.ndarray:
-        flat = np.ascontiguousarray(grid.reshape(grid.shape[0], -1),
-                                    dtype=np.result_type(grid, np.float64))
-        # one real GEMM on the float view; a real grid is its own float view
-        mixed = (stack @ flat.view(np.float64)).view(flat.dtype).reshape(3, -1, points)
-        out = mixed[2] @ diff_t
-        for axis, stride, width in ((1, points, plane), (0, plane, cube)):
-            src = mixed[axis].reshape(-1, width)
-            dst = out.reshape(-1, width)
-            dst[:, :-stride] += src[:, stride:]
-            dst[:, stride:] -= src[:, :-stride]
-        return out.reshape((rows,) + grid.shape[1:])
+        return sum(np.tensordot(block, apply_d_axis(axis, model.shape, grid), axes=(1, 0))
+                   for axis, block in zip((1, 2, 3), blocks))
 
     return apply
 
@@ -343,9 +328,8 @@ def global_error_certificate(config: LeapfrogConfig) -> CertificateReport:
 def leapfrog_flops_per_point() -> int:
     """Counted multiply-adds of one leapfrog step per grid point.
 
-    This counts the paper's stencil (difference first, then contraction, per
-    axis), not the maps of coupling_map, which contract first and difference
-    after; the count is the cost model's, so it stays fixed.
+    This counts the paper's stencil: per axis, difference first, then
+    contraction, as the maps of coupling_map do.
 
     Coupling apply: per axis, 6-component central difference (2 ops each)
     plus a 3x6 contraction (33 ops) plus accumulation (3), times 3 axes.

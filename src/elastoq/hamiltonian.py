@@ -390,7 +390,7 @@ def check_state(psi: np.ndarray, length: int, batch: bool = True) -> None:
     """Refuse a state that is not a (length,) array, or with batch a (length, b) one;
     callers that take one state pass batch=False."""
     array = isinstance(psi, np.ndarray)
-    if not array or psi.ndim == 0 or psi.ndim > 1 and not batch or psi.shape[0] != length:
+    if not array or not 1 <= psi.ndim <= 1 + batch or psi.shape[0] != length:
         shapes = f"({length},) or ({length}, b)" if batch else f"({length},)"
         got = psi.shape if array else f"a {type(psi).__name__}"
         raise ValueError(f"psi must be a state of length {length}: shape {shapes}, got {got}")

@@ -48,7 +48,8 @@ def _pair_indices(k: int, points: int) -> np.ndarray:
 
 
 def apply_d_cell(shape: LatticeShape, v: np.ndarray) -> np.ndarray:
-    """Apply the 1D central difference with ghost zeros: (q_{j+1}-q_{j-1})/2h."""
+    """Apply the 1D central difference with ghost zeros, (q_{j+1}-q_{j-1})/2h, along v's
+    first axis; the output keeps v's memory layout.  The package's one stencil."""
     if v.shape[0] != shape.points:
         raise ValueError(f"vector length {v.shape[0]} != 2^{shape.n}")
     out = np.zeros_like(v, dtype=np.result_type(v.dtype, float))
@@ -81,16 +82,11 @@ def apply_d_axis(axis: int, shape: LatticeShape, grid: np.ndarray) -> np.ndarray
     """Central difference along one axis of an array of grid shape (..., N, N, N).
 
     The three trailing axes are the spatial grid; leading axes (components,
-    batches) are carried through untouched.
+    batches) are carried through untouched.  apply_d_cell runs on the chosen
+    axis moved to the front.
     """
     nd_axis = grid.ndim - 3 + (axis - 1)
-    out = np.zeros_like(grid, dtype=np.result_type(grid.dtype, float))
-    vi = np.moveaxis(grid, nd_axis, -1)
-    vo = np.moveaxis(out, nd_axis, -1)
-    vo[..., :-1] = vi[..., 1:]
-    vo[..., 1:] -= vi[..., :-1]
-    out /= 2 * shape.h
-    return out
+    return np.moveaxis(apply_d_cell(shape, np.moveaxis(grid, nd_axis, 0)), 0, nd_axis)
 
 
 def _check_materialize_cap(n: int) -> None:

@@ -49,7 +49,7 @@ from elastoq.hamiltonian import (
     steps_and_cost,
     term_angle,
 )
-from elastoq.lattice import apply_pair_rotation, s_cell_matrix
+from elastoq.lattice import LatticeShape, apply_d_axis, apply_pair_rotation, s_cell_matrix
 from elastoq.media import MaterialParams
 
 REFERENCE_MEDIUM = MaterialParams(rho=1.0, E=0.646, nu=0.255)
@@ -201,6 +201,16 @@ CASES = [
     ("steps_and_cost", "T", lambda: steps_and_cost(_model(2), 1e200, 0.1, "first-norm")),
     ("steps_and_cost", "epsilon", lambda: steps_and_cost(_model(2), 10.0, 1e-320, "first-norm")),
     ("cost_model", "epsilon", lambda: cost_model(_model(2), 1e300, 1e-300)),
+    # a state with a third axis was stepped as a batch of batches
+    ("TrotterStep.apply", "psi", lambda: TrotterStep(_model(1), "u1", 0.1).apply(
+        np.zeros((_model(1).dim, 2, 3)))),
+    ("Propagator.evolve", "psi", lambda: _propagator().evolve(
+        np.zeros((_model(2).dim, 2, 3)), 0.1)),
+    ("simulate", "psi", lambda: simulate(
+        build_U1(_model(1), 0.1), np.zeros((_model(1).dim, 2, 3)))),
+    # a 5-point grid axis was differenced as if it had 2^n points
+    ("apply_d_axis", "length", lambda: apply_d_axis(
+        1, LatticeShape(2, 1.0), np.zeros((6, 5, 4, 4)))),
 ]
 
 

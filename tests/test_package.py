@@ -125,3 +125,14 @@ def test_one_job_per_run_entry_point():
     assert cli._CONFIG_FIELDS == tuple(f.name for f in dataclasses.fields(ExperimentConfig))
     assert "dry_run" not in cli._CONFIG_FIELDS
     assert not hasattr(experiments, "_sweep")
+
+
+def test_one_grid_stencil():
+    # the central difference is written once, in lattice.apply_d_cell: apply_d_axis and
+    # classical.coupling_map reach it, and classical builds no difference matrix
+    shifted_write = r"\w\[[^\]\n]*:-\w+\] *[-+]?="  # a slice update that drops the last points
+    assert {name: len(re.findall(shifted_write, text)) for name, text in _sources().items()
+            if re.search(shifted_write, text)} == {"lattice": 1}
+    classical = _sources()["classical"]
+    assert re.search(r"from \.lattice import [^\n]*\bapply_d_axis\b", classical)
+    assert not re.search(r"np\.eye\([^)]*\bk=|\bdiags\(", classical)
